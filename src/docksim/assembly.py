@@ -665,11 +665,12 @@ class ModuleGraph:
         return None
 
     def _edge_between(self, id_a: str, id_b: str) -> EdgeKey:
-        for (mid, pname), (pid, ppname) in self._peers.items():
-            if mid == id_a and pid == id_b:
-                ref_a, ref_b = (mid, pname), (pid, ppname)
+        for ref_a, ref_b in self._peers.items():
+            if ref_a[0] != id_a or ref_b[0] != id_b:
+                continue
+            if self._edges[frozenset((ref_a, ref_b))].locked:
                 return (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
-        raise NotConnectedError(f"{id_a!r} and {id_b!r} share no interface")
+        raise NotConnectedError(f"{id_a!r} and {id_b!r} share no locked interface")
 
     # --- reconfiguration --------------------------------------------------------
 

@@ -14,6 +14,7 @@ degrees, pivoting at the face-plane center.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -157,17 +158,28 @@ def canonicalize(mis: Misalignment) -> Misalignment:
 
 
 def _smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
     return x * x * (3.0 - 2.0 * x)
+
+
+@functools.lru_cache(maxsize=16)
+def _field_constants(profile: FaceProfile) -> tuple[float, ...]:
+    """Per-profile scalars of height_field: phase, ramp width, hub-to-groove
+    run, chamfer start radius, chamfer run and chamfer fraction."""
+    crun = max(profile.chamfer_depth_mm, 1e-9)
+    return (
+        profile.groove_positions_deg[0] - 90.0,
+        profile.ramp_width_deg,
+        profile.groove_radius_mm - HUB_RADIUS_MM,
+        profile.rim_radius_mm - crun,
+        crun,
+        min(1.0, profile.chamfer_depth_mm / profile.petal_height_mm),
+    )
 
 
 def height_field(profile: FaceProfile, x, y):
     """Surface height at cartesian face coordinates (vectorized)."""
-    h = profile.petal_height_mm
-    rg = profile.groove_radius_mm
-    rim = profile.rim_radius_mm
-    delta = profile.ramp_width_deg
-    phase = profile.groove_positions_deg[0] - 90.0
+    phase, delta, hub_run, c_start, crun, cfrac = _field_constants(profile)
 
     r = np.hypot(x, y)
     phi = np.degrees(np.arctan2(y, x)) - phase
@@ -177,21 +189,14 @@ def height_field(profile: FaceProfile, x, y):
     hump = _smoothstep(np.minimum(xx, 60.0 - xx) / delta)
     wave = np.where(up, hump, -hump)
 
-    inner = _smoothstep((r - HUB_RADIUS_MM) / (rg - HUB_RADIUS_MM))
-    crun = max(profile.chamfer_depth_mm, 1e-9)
-    cfrac = min(1.0, profile.chamfer_depth_mm / h)
-    window = inner * (1.0 - cfrac * _smoothstep((r - (rim - crun)) / crun))
-    return h * wave * window
+    inner = _smoothstep((r - HUB_RADIUS_MM) / hub_run)
+    window = inner * (1.0 - cfrac * _smoothstep((r - c_start) / crun))
+    return profile.petal_height_mm * wave * window
 
 
-_CLOUD_CACHE: dict[FaceProfile, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _sample_cloud(profile: FaceProfile) -> np.ndarray:
     """Fixed contact-sample cloud on the face surface (hub rings + annulus)."""
-    cloud = _CLOUD_CACHE.get(profile)
-    if cloud is not None:
-        return cloud
     rim = profile.rim_radius_mm
     rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
     ps = np.linspace(0.0, 360.0, 72, endpoint=False)
@@ -200,11 +205,7 @@ def _sample_cloud(profile: FaceProfile) -> np.ndarray:
     x = rr * np.cos(np.radians(pp))
     y = rr * np.sin(np.radians(pp))
     z = height_field(profile, x, y)
-    cloud = np.stack([x, y, z], axis=1)
-    if len(_CLOUD_CACHE) > 16:
-        _CLOUD_CACHE.clear()
-    _CLOUD_CACHE[profile] = cloud
-    return cloud
+    return np.stack([x, y, z], axis=1)
 
 
 _FLIP = np.diag([1.0, -1.0, -1.0])
@@ -317,13 +318,20 @@ def _converged(state) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=1024)
+def _settle(profile: FaceProfile, state) -> float:
+    """settle_height memoised across descents: neighbouring probes of one
+    ray walk through the same states, and every step re-visits the last."""
+    return settle_height(profile, state)
+
+
 def _descend(profile: FaceProfile, state) -> bool:
     """Strict best-improvement pattern descent of the settle potential.
 
     Steps start small and only shrink, so the search cannot hop over
     physical feature barriers; a stall at the finest step is a jam.
     """
-    d = settle_height(profile, state)
+    d = _settle(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
         # Faces land on top of the features instead of interleaving:
         # the funnel never catches.
@@ -335,7 +343,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             return True
         best, best_d = None, d
         for cand in _candidate_moves(state, s_lat, s_rot, s_tilt):
-            dc = settle_height(profile, cand)
+            dc = _settle(profile, cand)
             evals += 1
             if math.isfinite(dc) and dc < best_d - 1e-10:
                 best, best_d = cand, dc
@@ -350,7 +358,7 @@ def _descend(profile: FaceProfile, state) -> bool:
     return _converged(state)
 
 
-_FEAS_CACHE: dict[tuple, bool] = {}
+_feasible = functools.lru_cache(maxsize=500_000)(_descend)
 
 
 def mate_feasible(profile: FaceProfile, mis: Misalignment) -> bool:
@@ -358,15 +366,7 @@ def mate_feasible(profile: FaceProfile, mis: Misalignment) -> bool:
     profile.validate()
     mis.validate()
     c = canonicalize(mis)
-    key = (profile, c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg)
-    hit = _FEAS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ok = _descend(profile, (c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg))
-    if len(_FEAS_CACHE) > 500000:
-        _FEAS_CACHE.clear()
-    _FEAS_CACHE[key] = ok
-    return ok
+    return _feasible(profile, (c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg))
 
 
 # --- envelope search ------------------------------------------------------

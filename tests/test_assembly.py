@@ -404,6 +404,20 @@ class TestRoutePower:
         with pytest.raises(UnreachableError):
             g.route_power("a", "c", 10.0)
 
+    def test_route_skips_unlocked_parallel_interface(self):
+        # a and b share two interfaces; the first one listed is unlocked
+        g = ModuleGraph()
+        g.add_module(simple_module("a", grounded=True, world=Pose.identity(), nports=3))
+        g.add_module(simple_module("b", nports=3))
+        dock_ok(g, "a", "px", "b", "nx")
+        live = dock_ok(g, "a", "pz", "b", "pz")
+        g.unlock("a", "px")
+        route = g.route_power("a", "b", 10.0)
+        assert route is not None
+        assert [ek for ek, _ in route.grants] == [live]
+        g.release_route(route)
+        assert sum(w for _, _, w in g.power_allocations()) == 0.0
+
     def test_self_route_is_trivial(self):
         g = self.chain()
         route = g.route_power("a", "a", 10.0)

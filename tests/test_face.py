@@ -303,3 +303,66 @@ class TestCalibration:
         assert abs(t - 12.0) / 12.0 <= 0.10
         assert abs(r - 41.0) / 41.0 <= 0.10
         assert abs(d - 14.0) / 14.0 <= 0.10
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def _signed_zero_variants(state):
+    """Every state equal to `state` as a memo key: zeros flipped to -0.0."""
+    zeros = [i for i, v in enumerate(state) if v == 0.0]
+    for mask in range(1 << len(zeros)):
+        out = list(state)
+        for j, i in enumerate(zeros):
+            out[i] = -0.0 if mask >> j & 1 else 0.0
+        yield tuple(out)
+
+
+_JAM_12MM_AT_30 = (12.0 * math.cos(math.radians(30.0)), 12.0 * math.sin(math.radians(30.0)),
+                   0.0, 0.0, 0.0)
+
+
+class TestSettleMemo:
+    def test_memo_bounded_after_reference_envelope(self, reference_envelope):
+        info = face._settle.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+
+    def test_memo_returns_exact_bits(self, monkeypatch):
+        # record the states four short descents visit
+        visited = []
+        real = face.settle_height
+
+        def record(profile, state):
+            visited.append(state)
+            return real(profile, state)
+
+        face._settle.cache_clear()
+        monkeypatch.setattr(face, "settle_height", record)
+        for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
+                      (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
+            face._descend(REFERENCE_PROFILE, start)
+        monkeypatch.undo()
+        assert len(set(visited)) > 100
+
+        face._settle.cache_clear()
+        for state in dict.fromkeys(visited):
+            assert _bits(face._settle(REFERENCE_PROFILE, state)) == _bits(
+                settle_height(REFERENCE_PROFILE, state))
+            # a -0.0 hashes and compares equal to 0.0, so these are memo
+            # hits served from the entry just made; they must be exact too
+            for variant in _signed_zero_variants(state):
+                assert _bits(face._settle(REFERENCE_PROFILE, variant)) == _bits(
+                    settle_height(REFERENCE_PROFILE, variant))
+
+    @pytest.mark.parametrize("start, verdict", [
+        ((0.0, 0.0, 0.0, 0.0, 0.0), True),        # converged at the start
+        ((0.0, 0.0, 58.0, 0.0, 0.0), False),      # engage-gate reject
+        ((2.0, 0.0, 0.0, 0.0, 0.0), True),        # captured after a descent
+        (_JAM_12MM_AT_30, False),                 # jams after a descent
+    ])
+    def test_descend_same_verdict_cold_and_warm(self, start, verdict):
+        face._settle.cache_clear()
+        cold = face._descend(REFERENCE_PROFILE, start)
+        warm = face._descend(REFERENCE_PROFILE, start)
+        assert cold == warm == verdict
