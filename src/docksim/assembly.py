@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -249,12 +249,23 @@ class PowerRoute:
 
 
 class ModuleGraph:
-    """Mutable assembly of docked modules."""
+    """Mutable assembly of docked modules.
+
+    _peers holds every docked interface, both directions. _locked is the
+    index every traversal walks: module_id -> {port_name: peer PortRef} for
+    Locked interfaces only, kept by add_module, dock, undock and unlock.
+    Each module's dict is in dock order (an undocked port that docks again
+    goes to the end), so walks visit modules in the same order as a filtered
+    pass over _peers would. That order fixes the summation order of the
+    interface loads and the order of the loop-closure checks, and with them
+    the bytes of every wrench.
+    """
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
         self._peers: dict[PortRef, PortRef] = {}
         self._edges: dict[frozenset, EdgeInfo] = {}
+        self._locked: dict[str, dict[str, PortRef]] = {}
 
     # --- construction -----------------------------------------------------
 
@@ -263,6 +274,7 @@ class ModuleGraph:
         if module.module_id in self._modules:
             raise ParameterError(f"duplicate module id {module.module_id!r}")
         self._modules[module.module_id] = module
+        self._locked[module.module_id] = {}
 
     def module(self, module_id: str) -> Module:
         mod = self._modules.get(module_id)
@@ -320,6 +332,9 @@ class ModuleGraph:
         self._peers[ref_a] = ref_b
         self._peers[ref_b] = ref_a
         self._edges[frozenset((ref_a, ref_b))] = info
+        if info.locked:
+            self._locked[id_a][port_a] = ref_b
+            self._locked[id_b][port_b] = ref_a
         edge = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
         return DockReport(accepted=True, edge=edge, state=state)
 
@@ -335,6 +350,7 @@ class ModuleGraph:
         del self._peers[ref]
         del self._peers[peer]
         del self._edges[frozenset((ref, peer))]
+        self._unindex(ref, peer)
 
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop."""
@@ -347,10 +363,16 @@ class ModuleGraph:
         while state.phase == "unlocking":
             state = step(state, Event("tick", dt_s=1.0), 1.0, info.config, info.profile)
         info.state = state
+        if not info.locked:
+            self._unindex(ref, peer)
         if info.channels is not None:
             info.channels.disconnect()
             info.channels = None
         return state
+
+    def _unindex(self, ref: PortRef, peer: PortRef) -> None:
+        self._locked[ref[0]].pop(ref[1], None)
+        self._locked[peer[0]].pop(peer[1], None)
 
     def edges(self) -> tuple[EdgeKey, ...]:
         out = []
@@ -360,7 +382,12 @@ class ModuleGraph:
         return tuple(sorted(out))
 
     def locked_edges(self) -> tuple[EdgeKey, ...]:
-        return tuple(e for e in self.edges() if self._edges[frozenset(e)].locked)
+        return tuple(sorted(
+            ((mid, pname), peer)
+            for mid, ports in self._locked.items()
+            for pname, peer in ports.items()
+            if (mid, pname) < peer
+        ))
 
     def edge_info(self, edge: EdgeKey) -> EdgeInfo:
         info = self._edges.get(frozenset(edge))
@@ -381,39 +408,45 @@ class ModuleGraph:
         return module_id in self._modules
 
     def neighbors(self, module_id: str) -> tuple[str, ...]:
-        """Modules reachable over Locked interfaces only."""
-        if module_id not in self._modules:
-            raise KeyError(module_id)
-        out = []
-        for (mid, pname), (pid, _) in self._peers.items():
-            if mid != module_id:
-                continue
-            ref = (mid, pname)
-            if self._edges[frozenset((ref, self._peers[ref]))].locked:
-                out.append(pid)
-        return tuple(sorted(set(out)))
+        """Modules reachable over Locked interfaces only; KeyError if unknown."""
+        return tuple(sorted({pid for pid, _ in self._locked[module_id].values()}))
+
+    def _walk(
+        self, roots: Iterable[str], cut: frozenset = frozenset(), by_peer_id: bool = False
+    ) -> Iterator[tuple[PortRef, PortRef, bool]]:
+        """Breadth-first walk over Locked interfaces from roots.
+
+        Yields (ref, peer, new) for every locked interface leaving a reached
+        module, ports in dock order, or stably sorted by peer module id with
+        by_peer_id. new is True when the interface is the first to reach
+        peer's module. Interfaces with an end in cut are not crossed.
+        """
+        queue = deque(roots)
+        seen = set(queue)
+        while queue:
+            cur = queue.popleft()
+            ports = self._locked[cur].items()
+            if by_peer_id:
+                ports = sorted(ports, key=lambda item: item[1][0])
+            for pname, peer in ports:
+                ref = (cur, pname)
+                if ref in cut:
+                    continue
+                new = peer[0] not in seen
+                if new:
+                    seen.add(peer[0])
+                    queue.append(peer[0])
+                yield ref, peer, new
 
     def _components(self) -> list[set[str]]:
         seen: set[str] = set()
         comps = []
         for mid in self._modules:
-            if mid in seen:
-                continue
-            comp = {mid}
-            queue = deque([mid])
-            while queue:
-                for nxt in self.neighbors(queue.popleft()):
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        queue.append(nxt)
-            seen |= comp
-            comps.append(comp)
+            if mid not in seen:
+                comp = {mid} | {peer[0] for _, peer, new in self._walk([mid]) if new}
+                seen |= comp
+                comps.append(comp)
         return comps
-
-    def _locked_peer_items(self) -> Iterable[tuple[PortRef, PortRef]]:
-        for ref, peer in self._peers.items():
-            if self._edges[frozenset((ref, peer))].locked:
-                yield ref, peer
 
     # --- kinematics ---------------------------------------------------------
 
@@ -426,32 +459,24 @@ class ModuleGraph:
                 continue
             root = min(anchors)
             poses[root] = self._modules[root].world_pose
-            queue = deque([root])
-            visited = {root}
-            while queue:
-                cur = queue.popleft()
-                for (mid, pname), (pid, ppname) in list(self._locked_peer_items()):
-                    if mid != cur:
-                        continue
-                    t = mate_world_pose(
-                        poses[cur],
-                        self._modules[cur].port(pname),
-                        self._modules[pid].port(ppname),
-                    )
-                    if pid in visited:
-                        if not poses[pid].almost_equal(t, tol=1e-6):
-                            raise IndeterminateError(
-                                f"loop through {pid!r} closes with inconsistent geometry"
-                            )
-                        continue
-                    declared = self._modules[pid]
-                    if declared.grounded and not declared.world_pose.almost_equal(t, 1e-6):
+            for (cur, pname), (pid, ppname), new in self._walk([root]):
+                t = mate_world_pose(
+                    poses[cur],
+                    self._modules[cur].port(pname),
+                    self._modules[pid].port(ppname),
+                )
+                if not new:
+                    if not poses[pid].almost_equal(t, tol=1e-6):
                         raise IndeterminateError(
-                            f"anchored module {pid!r} disagrees with the docked chain"
+                            f"loop through {pid!r} closes with inconsistent geometry"
                         )
-                    poses[pid] = t
-                    visited.add(pid)
-                    queue.append(pid)
+                    continue
+                declared = self._modules[pid]
+                if declared.grounded and not declared.world_pose.almost_equal(t, 1e-6):
+                    raise IndeterminateError(
+                        f"anchored module {pid!r} disagrees with the docked chain"
+                    )
+                poses[pid] = t
         return poses
 
     # --- statics -------------------------------------------------------------
@@ -484,8 +509,13 @@ class ModuleGraph:
         local: dict[EdgeKey, Wrench] = {}
         reactions: dict[str, Wrench] = {}
 
-        for comp in self._components():
-            comp_edges = [e for e in self.locked_edges() if e[0][0] in comp]
+        comps = self._components()
+        comp_of = {mid: i for i, comp in enumerate(comps) for mid in comp}
+        edges_of: list[list[EdgeKey]] = [[] for _ in comps]
+        for edge in self.locked_edges():
+            edges_of[comp_of[edge[0][0]]].append(edge)
+
+        for comp, comp_edges in zip(comps, edges_of):
             anchors = [m for m in comp if self._modules[m].grounded]
             loaded = any(
                 mid in external and any(
@@ -515,9 +545,7 @@ class ModuleGraph:
                 raise IndeterminateError(
                     f"loaded component {sorted(comp)} is anchored {len(anchors)} times"
                 )
-            self._propagate_component(
-                comp, anchors[0], external, gravity, poses, loads, local, reactions
-            )
+            self._propagate_component(anchors[0], external, gravity, poses, loads, local, reactions)
 
         checks = {
             edge: check_load(
@@ -543,47 +571,39 @@ class ModuleGraph:
             f = f + self._modules[mid].mass_kg * np.array(gravity)
         return f, m, poses[mid].translation
 
-    def _propagate_component(self, comp, root, external, gravity, poses, loads, local, reactions):
-        # rooted tree structure over locked interfaces
-        parent: dict[str, tuple[str, PortRef, PortRef] | None] = {root: None}
-        order = [root]
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for (mid, pname), (pid, ppname) in self._locked_peer_items():
-                if mid != cur or pid in parent:
-                    continue
-                parent[pid] = (cur, (cur, pname), (pid, ppname))
-                order.append(pid)
-                queue.append(pid)
+    def _propagate_component(self, root, external, gravity, poses, loads, local, reactions):
+        # rooted tree over locked interfaces: (parent end, child end) per module
+        link: dict[str, tuple[PortRef, PortRef] | None] = {root: None}
+        children: dict[str, list[str]] = {root: []}
+        for pref, cref, new in self._walk([root]):
+            if new:
+                link[cref[0]] = (pref, cref)
+                children[pref[0]].append(cref[0])
+                children[cref[0]] = []
 
         # bottom-up subtree sums: force, and moment about each edge point
         sub_f: dict[str, np.ndarray] = {}
         sub_m: dict[str, np.ndarray] = {}  # about the module's parent-edge point
-        for mid in reversed(order):
+        edge_pt: dict[str, np.ndarray] = {}
+        for mid in reversed(link):
             f, m, p = self._module_load(mid, external, gravity, poses)
-            if parent[mid] is not None:
-                _, (pmid, pport), _ = parent[mid]
-                edge_pt = (poses[pmid] @ self._modules[pmid].port(pport).pose).translation
+            if link[mid] is not None:
+                pref, cref = link[mid]
+                frame = poses[pref[0]] @ self._modules[pref[0]].port(pref[1]).pose
+                edge_pt[mid] = frame.translation
             else:
-                edge_pt = poses[mid].translation
+                edge_pt[mid] = poses[mid].translation
             total_f = f.copy()
-            total_m = m + np.cross(p - edge_pt, f)
-            for cid, link in parent.items():
-                if link is None or link[0] != mid:
-                    continue
-                _, (_, cpname), _ = link
-                child_pt = (poses[mid] @ self._modules[mid].port(cpname).pose).translation
+            total_m = m + np.cross(p - edge_pt[mid], f)
+            for cid in children[mid]:
                 total_f += sub_f[cid]
-                total_m += sub_m[cid] + np.cross(child_pt - edge_pt, sub_f[cid])
+                total_m += sub_m[cid] + np.cross(edge_pt[cid] - edge_pt[mid], sub_f[cid])
             sub_f[mid] = total_f
             sub_m[mid] = total_m
-            if parent[mid] is not None:
-                _, pref, cref = parent[mid]
+            if link[mid] is not None:
                 loads[(pref, cref)] = _wrench_from_vecs(total_f, total_m)
                 # same wrench seen in the interface frame (parent-side port)
-                pmid, pport = pref
-                rot = (poses[pmid] @ self._modules[pmid].port(pport).pose).matrix[:3, :3]
+                rot = frame.matrix[:3, :3]
                 local[(pref, cref)] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
         reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
 
@@ -646,30 +666,27 @@ class ModuleGraph:
         return tuple(rows)
 
     def _shortest_path(self, src: str, dst: str) -> list[str] | None:
+        # neighbours in module-id order: ties between equal-length paths go to lower ids
         if src == dst:
             return [src]
         parent = {src: None}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt not in parent:
-                    parent[nxt] = cur
-                    if nxt == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    queue.append(nxt)
+        for (cur, _), (nxt, _), new in self._walk([src], by_peer_id=True):
+            if new:
+                parent[nxt] = cur
+                if nxt == dst:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
         return None
 
     def _edge_between(self, id_a: str, id_b: str) -> EdgeKey:
-        for ref_a, ref_b in self._peers.items():
-            if ref_a[0] != id_a or ref_b[0] != id_b:
-                continue
-            if self._edges[frozenset((ref_a, ref_b))].locked:
-                return (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
+        """The first Locked interface, in dock order, from id_a to id_b."""
+        for pname, peer in self._locked[id_a].items():
+            if peer[0] == id_b:
+                ref = (id_a, pname)
+                return (ref, peer) if ref < peer else (peer, ref)
         raise NotConnectedError(f"{id_a!r} and {id_b!r} share no locked interface")
 
     # --- reconfiguration --------------------------------------------------------
@@ -733,34 +750,9 @@ class ModuleGraph:
 
     def _would_strand(self, ref: PortRef) -> set[str]:
         """Modules that lose anchor connectivity if this edge goes away."""
-        peer = self._peers[ref]
-        drop = frozenset((ref, peer))
-        adj: dict[str, set[str]] = {mid: set() for mid in self._modules}
-        for a, b in self._locked_peer_items():
-            if frozenset((a, b)) == drop:
-                continue
-            adj[a[0]].add(b[0])
-        before = self._stranded_modules()
-        after: set[str] = set()
-        seen: set[str] = set()
-        for mid in self._modules:
-            if mid in seen:
-                continue
-            comp = {mid}
-            queue = deque([mid])
-            while queue:
-                for nxt in adj[queue.popleft()]:
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        queue.append(nxt)
-            seen |= comp
-            if not any(self._modules[m].grounded for m in comp):
-                after |= comp
-        return after - before
+        return self._anchored() - self._anchored(cut=frozenset((ref, self._peers[ref])))
 
-    def _stranded_modules(self) -> set[str]:
-        out: set[str] = set()
-        for comp in self._components():
-            if not any(self._modules[m].grounded for m in comp):
-                out |= comp
-        return out
+    def _anchored(self, cut: frozenset = frozenset()) -> set[str]:
+        """Modules joined to some anchor by Locked interfaces not in cut."""
+        roots = [mid for mid, mod in self._modules.items() if mod.grounded]
+        return set(roots) | {peer[0] for _, peer, new in self._walk(roots, cut) if new}

@@ -133,11 +133,13 @@ def canonicalize(mis: Misalignment) -> Misalignment:
     """Map a misalignment into the fundamental domain of the 3-fold symmetry.
 
     The reference vector (lateral offset if nonzero, else tilt axis) is
-    rotated into angle [0, 120); rot wraps to [-60, 60]. Feasibility is
+    rotated into angle [0, 120); rot wraps to (-60, 60]. Feasibility is
     solved on canonical states only, which makes the symmetry invariant
     exact by construction.
     """
     rot = math.remainder(mis.rot_deg, 120.0) if mis.rot_deg else mis.rot_deg
+    if rot == -60.0:  # remainder rounds half to even: 180 -> -60 but 60 -> 60
+        rot = 60.0
     out = replace(mis, rot_deg=rot)
     rx, ry = out.dx_mm, out.dy_mm
     if rx == 0.0 and ry == 0.0:

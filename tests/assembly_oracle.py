@@ -12,8 +12,14 @@ from docksim.assembly import Module, ModuleGraph, Pose, Port
 from docksim.loads import Wrench
 
 
-def make_random_tree(rng: random.Random, max_modules: int = 10):
-    """Anchored random tree with random port geometry, masses, and loads."""
+def make_random_tree(rng: random.Random, max_modules: int = 10, unlocked_pairs: bool = False):
+    """Anchored random tree with random port geometry, masses, and loads.
+
+    With unlocked_pairs, about half the modules also dock to their parent
+    through a second pair of ports and one of the two interfaces is then
+    unlocked, leaving a docked but unlocked parallel interface that carries
+    nothing. Without it a seed draws the same trees as it always has.
+    """
     n = rng.randint(2, max_modules)
     g = ModuleGraph()
     kinds = ("joint", "link", "end_effector", "facility_module", "truss_node")
@@ -42,7 +48,15 @@ def make_random_tree(rng: random.Random, max_modules: int = 10):
         parent = rng.choice(sorted(free_ports))
         g.dock(parent[0], parent[1], f"m{i}", "p0")
         free_ports.discard(parent)
-        free_ports |= {(f"m{i}", f"p{k}") for k in range(1, 4)}
+        child_ports = {(f"m{i}", f"p{k}") for k in range(1, 4)}
+        spare = sorted(p for p in free_ports if p[0] == parent[0])
+        if unlocked_pairs and spare and rng.random() < 0.5:
+            second = rng.choice(spare)
+            g.dock(second[0], second[1], f"m{i}", "p1")
+            free_ports.discard(second)
+            child_ports.discard((f"m{i}", "p1"))
+            g.unlock(*rng.choice((parent, second)))
+        free_ports |= child_ports
 
     external = {}
     for i in range(n):
@@ -63,22 +77,25 @@ def oracle_edge_load(graph: ModuleGraph, edge, external, gravity, poses):
     """Direct free-body sum of the side of `edge` away from the anchor."""
     (id_a, port_a), (id_b, port_b) = edge
 
-    # membership of the cut: walk from a start module without crossing the edge
+    # membership of the cut: walk from a start module without crossing the
+    # edge, over Locked interfaces only (a docked but unlocked one carries
+    # nothing), listed through the public edges() and edge_info()
     cut = {(id_a, port_a), (id_b, port_b)}
+    links = [
+        (ref[0], peer[0]) for ref, peer in graph.edges()
+        if {ref, peer} != cut and graph.edge_info((ref, peer)).locked
+    ]
 
     def side_of(start):
         seen = {start}
         stack = [start]
         while stack:
             cur = stack.pop()
-            for (mid, pname), (pid, ppname) in graph._peers.items():
-                if mid != cur:
-                    continue
-                if (mid, pname) in cut and (pid, ppname) in cut:
-                    continue
-                if pid not in seen:
-                    seen.add(pid)
-                    stack.append(pid)
+            for mid, pid in links:
+                nxt = pid if mid == cur else mid if pid == cur else None
+                if nxt is not None and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
         return seen
 
     side = side_of(id_b)

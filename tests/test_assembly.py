@@ -356,6 +356,29 @@ class TestPropagateWrench:
             res = g.propagate_wrench(external, gravity)
             assert max_equilibrium_residual(g, res, external, gravity) < 1e-9
 
+    def test_random_trees_with_unlocked_parallel_pairs_match_oracle(self):
+        rng = random.Random(2025)
+        pairs = 0
+        for _ in range(15):
+            g, external, gravity = make_random_tree(rng, unlocked_pairs=True)
+            pairs += len(g.edges()) - len(g.locked_edges())
+            res = g.propagate_wrench(external, gravity)
+            assert max_equilibrium_residual(g, res, external, gravity) < 1e-9
+        assert pairs > 0
+
+    def test_oracle_ignores_unlocked_parallel_interface(self):
+        # the unlocked a.px-b.nx must not join b's side to the anchor
+        g = ModuleGraph()
+        g.add_module(simple_module("a", grounded=True, world=Pose.identity(), mass=1.0, nports=3))
+        g.add_module(simple_module("b", mass=1.0, nports=3))
+        g.add_module(simple_module("c", mass=1.0))
+        dock_ok(g, "a", "px", "b", "nx")
+        dock_ok(g, "a", "pz", "b", "pz")
+        g.unlock("a", "px")
+        dock_ok(g, "b", "px", "c", "nx")
+        res = g.propagate_wrench(gravity=(0.0, 0.0, -9.81))
+        assert max_equilibrium_residual(g, res, {}, (0.0, 0.0, -9.81)) < 1e-9
+
 
 class TestRoutePower:
     def chain(self):

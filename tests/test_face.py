@@ -120,7 +120,7 @@ class TestCanonicalization:
                 rng.uniform(-15, 15), rng.uniform(-15, 15),
             )
             c = canonicalize(m)
-            assert -60.0 <= c.rot_deg <= 60.0
+            assert -60.0 < c.rot_deg <= 60.0
             if (c.dx_mm, c.dy_mm) != (0.0, 0.0):
                 ang = math.degrees(math.atan2(c.dy_mm, c.dx_mm)) % 360.0
                 assert ang < 120.0
@@ -197,6 +197,14 @@ class TestMateFeasible:
     def test_nonfinite_rejected(self):
         with pytest.raises(ParameterError):
             mate_feasible(REFERENCE_PROFILE, Misalignment(dx_mm=math.nan))
+
+    def test_half_turn_rotations_share_one_descent(self):
+        # rot 60, -60 and 180 are one physical state under the 120-degree
+        # period, so they must share one canonical key and one descent
+        before = face._feasible.cache_info().misses
+        for rot in (60.0, -60.0, 180.0):
+            mate_feasible(REFERENCE_PROFILE, Misalignment(dx_mm=0.75, rot_deg=rot))
+        assert face._feasible.cache_info().misses - before == 1
 
 
 class TestEnvelopeSearch:
