@@ -229,29 +229,51 @@ def _tilt_matrix(tx_deg: float, ty_deg: float) -> np.ndarray:
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
+def _pose_matrix(state) -> np.ndarray:
+    _, _, rot, tx, ty = state
+    return _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
+
+
+def _moving_term(profile: FaceProfile, state) -> float:
+    """Moving-face samples against the fixed analytic surface.
+
+    settle_height is the max of this and the fixed-face term, so this is an
+    exact lower bound of it; +inf when face overlap is lost or the tilt is
+    past the contact model (either makes settle_height +inf too).
+    """
+    dx, dy = state[0], state[1]
+    m = _pose_matrix(state)
+    cloud = _sample_cloud(profile)
+    w = cloud @ m.T
+    wx = w[:, 0] + dx
+    wy = w[:, 1] + dy
+    inside = np.hypot(wx, wy) <= profile.rim_radius_mm
+    if inside.sum() < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
+        return math.inf
+    return float(np.max(height_field(profile, wx[inside], wy[inside]) - w[inside, 2]))
+
+
+# The descent asks for the bound of every candidate and settle_height asks
+# again for the few it evaluates exactly; one bounded memo serves both.
+_floor = functools.lru_cache(maxsize=1024)(_moving_term)
+
+
 def settle_height(profile: FaceProfile, state) -> float:
     """Axial separation at first contact for pose state (dx, dy, rot, tx, ty).
 
     Two-sided rigid contact: moving-face samples against the fixed analytic
     surface, and fixed-face samples against the moving body (fixed-point
     solve along the approach axis). Returns +inf when face overlap is lost.
+    The moving-face term is read from the `_floor` memo.
     """
-    dx, dy, rot, tx, ty = state
+    d_move = _floor(profile, state)
+    if d_move == math.inf:
+        return math.inf
+    dx, dy = state[0], state[1]
     rim = profile.rim_radius_mm
-    m = _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
+    m = _pose_matrix(state)
     cloud = _sample_cloud(profile)
-
-    w = cloud @ m.T
-    wx = w[:, 0] + dx
-    wy = w[:, 1] + dy
-    inside = np.hypot(wx, wy) <= rim
-    if inside.sum() < 0.25 * len(cloud):
-        return math.inf
-    d_move = np.max(height_field(profile, wx[inside], wy[inside]) - w[inside, 2])
-
     cos_t = abs(m[2, 2])
-    if cos_t < 0.2:
-        return math.inf
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
     m3 = m[2, :2]
     dz = (height_field(profile, q0[:, 0], q0[:, 1]) - q0[:, 2]) / cos_t
@@ -332,6 +354,9 @@ def _descend(profile: FaceProfile, state) -> bool:
 
     Steps start small and only shrink, so the search cannot hop over
     physical feature barriers; a stall at the finest step is a jam.
+    A candidate whose moving-face bound already fails the acceptance test
+    cannot pass it with its exact settle height, so that is not evaluated;
+    it still spends one evaluation of the budget.
     """
     d = _settle(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
@@ -345,8 +370,10 @@ def _descend(profile: FaceProfile, state) -> bool:
             return True
         best, best_d = None, d
         for cand in _candidate_moves(state, s_lat, s_rot, s_tilt):
-            dc = _settle(profile, cand)
             evals += 1
+            if _floor(profile, cand) >= best_d - 1e-10:
+                continue
+            dc = _settle(profile, cand)
             if math.isfinite(dc) and dc < best_d - 1e-10:
                 best, best_d = cand, dc
         if best is None:
@@ -405,56 +432,13 @@ def envelope_axis_limit(
 ) -> float:
     """Largest feasible magnitude along one axis, on the k*tol lattice.
 
-    Exponential search then bisection place the bracket; a memoized prefix
-    verification then walks the lattice from 1, so the returned boundary
-    always equals the brute-force linear-scan boundary exactly. A ray that
-    turns out non-monotone is thereby resolved to its first crossing.
+    Walks the lattice from 1 up to the axis cap and stops at the first
+    infeasible point, so a ray that turns out non-monotone is resolved to
+    its first crossing.
     """
     profile.validate()
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    if not mate_feasible(profile, Misalignment()):
-        raise DegenerateProfileError("profile cannot mate at zero misalignment")
-
-    kmax = max(1, int(math.floor(_axis_cap(profile, axis) / tol)))
-    probes: dict[int, bool] = {}
-
-    def feasible(k: int) -> bool:
-        got = probes.get(k)
-        if got is None:
-            got = mate_feasible(profile, _axis_state(axis, direction_deg, k * tol))
-            probes[k] = got
-        return got
-
-    # exponential bracket
-    k = 1
-    while k < kmax and feasible(k):
-        k *= 2
-    hi = min(k, kmax)
-    if feasible(hi):
-        return hi * tol  # feasible through the geometric cap
-    lo = hi // 2 if hi > 1 else 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    # prefix verification: guarantees agreement with a linear scan
-    for j in range(1, lo + 1):
-        if not feasible(j):
-            return (j - 1) * tol
-    return lo * tol
-
-
-def axis_limit_linear_scan(
-    profile: FaceProfile,
-    axis: str,
-    tol: float,
-    direction_deg: float = 0.0,
-) -> float:
-    """Brute-force oracle: walk the lattice until the first infeasible point."""
-    profile.validate()
     if not mate_feasible(profile, Misalignment()):
         raise DegenerateProfileError("profile cannot mate at zero misalignment")
     kmax = max(1, int(math.floor(_axis_cap(profile, axis) / tol)))

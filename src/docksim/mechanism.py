@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 
 from .errors import JamError, ParameterError, StallError
 
+# Most samples a stroke trace may hold (stroke duration over dt); a full
+# trace is then about 20 MB of sample tuples.
+MAX_STROKE_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class MechanismParams:
@@ -155,13 +159,15 @@ def simulate_stroke(
         raise ParameterError("direction must be 'locking' or 'unlocking'")
     if dt <= 0.0:
         raise ParameterError("dt must be positive")
+    duration = params.stroke_mm / params.rod_speed_mm_s
+    if duration / dt > MAX_STROKE_SAMPLES:
+        raise ParameterError(f"dt {dt!r} s needs more than {MAX_STROKE_SAMPLES} stroke samples")
     margin = movability_margin(params)
     if margin <= 0.0:
         raise JamError(f"mechanism immovable: margin={margin:.6g}")
 
     th = math.radians(params.theta_deg)
     tan_th = math.tan(th)
-    duration = params.stroke_mm / params.rod_speed_mm_s
     n = int(duration / dt)
     times = [i * dt for i in range(n + 1)]
     if times[-1] < duration:

@@ -31,6 +31,7 @@ from .face import (
 )
 from .loads import LoadEnvelope, Wrench, check_load, stress_estimate
 from .mechanism import (
+    MAX_STROKE_SAMPLES,
     MechanismParams,
     movability_report,
     required_rod_force,
@@ -239,7 +240,7 @@ def _parse_mechanism(obj: dict, path: str) -> MechanismSection:
         stroke_mm=_num(obj, path, "stroke_mm", 15.0),
         rod_speed_mm_s=_num(obj, path, "rod_speed_mm_s", 1.0),
     ).validate())
-    return MechanismSection(
+    sec = MechanismSection(
         params=params,
         mu_rail=_num(obj, path, "mu_rail", 0.15),
         resisting_force_n=_num(obj, path, "resisting_force_n", 50.0),
@@ -247,6 +248,12 @@ def _parse_mechanism(obj: dict, path: str) -> MechanismSection:
         dt_s=_num(obj, path, "dt_s", 0.1),
         rod_capacity_n=_num(obj, path, "rod_capacity_n", 800.0),
     )
+    if not sec.dt_s > 0.0:
+        raise ScenarioError(f"{path}.dt_s", "must be positive")
+    if params.stroke_mm / params.rod_speed_mm_s / sec.dt_s > MAX_STROKE_SAMPLES:
+        raise ScenarioError(f"{path}.dt_s",
+                            f"stroke would take more than {MAX_STROKE_SAMPLES} samples")
+    return sec
 
 
 def parse_profile(obj: dict, path: str) -> FaceProfile:

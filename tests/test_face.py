@@ -16,7 +16,6 @@ from docksim.face import (
     Envelope,
     FaceProfile,
     Misalignment,
-    axis_limit_linear_scan,
     calibrate_profile,
     canonicalize,
     envelope_axis_limit,
@@ -25,6 +24,12 @@ from docksim.face import (
     mate_feasible,
     rotate_misalignment_120,
     settle_height,
+)
+
+from capture_oracle import (
+    axis_limit_linear_scan,
+    reference_descend,
+    reference_settle,
 )
 
 
@@ -313,8 +318,8 @@ class TestCalibration:
         assert abs(d - 14.0) / 14.0 <= 0.10
 
 
-def _bits(v: float) -> bytes:
-    return np.float64(v).tobytes()
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=np.float64).tobytes()
 
 
 def _signed_zero_variants(state):
@@ -337,16 +342,18 @@ class TestSettleMemo:
         assert 0 < info.currsize <= info.maxsize
 
     def test_memo_returns_exact_bits(self, monkeypatch):
-        # record the states four short descents visit
+        # record every state four short descents consult: each one's
+        # moving-face bound is asked for, whether or not it is then settled
         visited = []
-        real = face.settle_height
+        real = face._floor
 
         def record(profile, state):
             visited.append(state)
             return real(profile, state)
 
         face._settle.cache_clear()
-        monkeypatch.setattr(face, "settle_height", record)
+        face._floor.cache_clear()
+        monkeypatch.setattr(face, "_floor", record)
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
                       (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
             face._descend(REFERENCE_PROFILE, start)
@@ -354,14 +361,17 @@ class TestSettleMemo:
         assert len(set(visited)) > 100
 
         face._settle.cache_clear()
+        face._floor.cache_clear()
         for state in dict.fromkeys(visited):
-            assert _bits(face._settle(REFERENCE_PROFILE, state)) == _bits(
-                settle_height(REFERENCE_PROFILE, state))
-            # a -0.0 hashes and compares equal to 0.0, so these are memo
-            # hits served from the entry just made; they must be exact too
-            for variant in _signed_zero_variants(state):
+            # a -0.0 hashes and compares equal to 0.0, so the variants are
+            # memo hits served from the entries just made; they must be
+            # exact too
+            variants = {_bits(v): v for v in (state, *_signed_zero_variants(state))}
+            for variant in variants.values():
+                assert _bits(face._floor(REFERENCE_PROFILE, variant)) == _bits(
+                    face._moving_term(REFERENCE_PROFILE, variant))
                 assert _bits(face._settle(REFERENCE_PROFILE, variant)) == _bits(
-                    settle_height(REFERENCE_PROFILE, variant))
+                    reference_settle(REFERENCE_PROFILE, variant))
 
     @pytest.mark.parametrize("start, verdict", [
         ((0.0, 0.0, 0.0, 0.0, 0.0), True),        # converged at the start
@@ -374,3 +384,65 @@ class TestSettleMemo:
         cold = face._descend(REFERENCE_PROFILE, start)
         warm = face._descend(REFERENCE_PROFILE, start)
         assert cold == warm == verdict
+
+
+def _production_trace(monkeypatch, start):
+    """Verdict of a cold production descent and its (state, steps) per iteration."""
+    trace = []
+    real = face._candidate_moves
+
+    def record(state, s_lat, s_rot, s_tilt):
+        trace.append((state, s_lat, s_rot, s_tilt))
+        return real(state, s_lat, s_rot, s_tilt)
+
+    face._settle.cache_clear()
+    face._floor.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(face, "_candidate_moves", record)
+        verdict = face._descend(REFERENCE_PROFILE, start)
+    return verdict, trace
+
+
+def _dock_stream_draws(seed: int, n: int):
+    """Canonical approaches drawn as the dock benchmark draws them: lateral
+    offset and tilt uniform over discs, rotation uniform, each at half the
+    reference envelope's limit."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        lat, tilt = 5.5 * math.sqrt(rng.random()), 6.5 * math.sqrt(rng.random())
+        a, b = 2.0 * math.pi * rng.random(), 2.0 * math.pi * rng.random()
+        c = canonicalize(Misalignment(lat * math.cos(a), lat * math.sin(a),
+                                      20.0 * (2.0 * rng.random() - 1.0),
+                                      tilt * math.cos(b), tilt * math.sin(b)))
+        out.append((c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg))
+    return out
+
+
+class TestFloorSkip:
+    """The production descent skips candidates on their moving-face bound;
+    a plain descent that settles every candidate exactly must agree."""
+
+    @pytest.mark.parametrize("start, verdict", [
+        ((0.0, 0.0, 0.0, 0.0, 0.0), True),        # converged at the start
+        ((0.0, 0.0, 58.0, 0.0, 0.0), False),      # engage-gate reject
+        ((70.0, 0.0, 0.0, 0.0, 0.0), False),      # face overlap lost
+        ((2.0, 0.0, 0.0, 0.0, 0.0), True),        # captured after a descent
+        (_JAM_12MM_AT_30, False),                 # jams after a descent
+        *((draw, None) for draw in _dock_stream_draws(1, 3)),
+    ])
+    def test_same_accepted_states_as_reference(self, monkeypatch, start, verdict):
+        got, trace = _production_trace(monkeypatch, start)
+        want_trace = []
+        want = reference_descend(REFERENCE_PROFILE, start, want_trace)
+        assert got == want
+        if verdict is not None:
+            assert got == verdict
+        assert trace == want_trace
+        # the skip is sound only if the bound holds wherever it was asked
+        consulted = [start, *(c for it in want_trace for c in face._candidate_moves(*it))]
+        for state in consulted:
+            assert face._floor(REFERENCE_PROFILE, state) <= reference_settle(
+                REFERENCE_PROFILE, state)

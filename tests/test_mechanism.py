@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from docksim import mechanism
 from docksim.errors import JamError, ParameterError, StallError
 from docksim.mechanism import (
     MechanismParams,
@@ -226,6 +227,18 @@ class TestSimulateStroke:
     def test_bad_direction_rejected(self):
         with pytest.raises(ParameterError):
             simulate_stroke(MechanismParams(), lambda r: 0.0, direction="sideways")
+
+    def test_sample_count_capped_before_allocation(self, monkeypatch):
+        # dt = 1e-7 over the 15 s default stroke asks for 1.5e8 samples (many
+        # GB of tuples); a range that long fails the test instead of running
+        def bounded_range(*args):
+            r = range(*args)
+            assert len(r) <= 10**6, f"simulate_stroke built a {len(r)}-sample lattice"
+            return r
+
+        monkeypatch.setattr(mechanism, "range", bounded_range, raising=False)
+        with pytest.raises(ParameterError, match="samples"):
+            simulate_stroke(MechanismParams(), lambda r: 0.0, dt=1e-7)
 
 
 class TestParamValidation:

@@ -107,6 +107,21 @@ class TestParsing:
             parse_scenario({"schema_version": 1, "load_case": {"dual_lock": True}})
         assert ei.value.path == "$.load_case.wrench"
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected_with_path(self, dt):
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario({"schema_version": 1, "mechanism": {"dt_s": dt}})
+        assert ei.value.path == "$.mechanism.dt_s"
+
+    def test_stroke_sample_cap(self):
+        # 10 mm at 1 mm/s in 1e-4 s steps is 100,000 samples, the cap
+        at_cap = {"stroke_mm": 10.0, "rod_speed_mm_s": 1.0, "dt_s": 1e-4}
+        parse_scenario({"schema_version": 1, "mechanism": at_cap})
+        for over in ({**at_cap, "dt_s": 0.99e-4}, {"dt_s": 1e-7}):
+            with pytest.raises(ScenarioError) as ei:
+                parse_scenario({"schema_version": 1, "mechanism": over})
+            assert ei.value.path == "$.mechanism.dt_s"
+
     def test_shipped_scenarios_all_parse(self):
         for path in sorted(SCENARIOS.glob("*.json")):
             load_scenario(path)
@@ -122,6 +137,13 @@ class TestCli:
         assert rc == 2
         assert err["error"]["kind"] == "schema"
         assert err["error"]["path"] == "$.mechanism.muX"
+
+    def test_zero_dt_exits_2_with_path(self, capsys, tmp_path):
+        p = scenario_path(tmp_path, {"schema_version": 1, "mechanism": {"dt_s": 0.0}})
+        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["path"] == "$.mechanism.dt_s"
 
     def test_missing_section_exits_2(self, capsys, tmp_path):
         p = scenario_path(tmp_path, {"schema_version": 1})
