@@ -329,3 +329,249 @@ def test_run_rejects_unknown_command(tmp_path):
     scenario = parse_scenario({"schema_version": 1})
     with pytest.raises(ScenarioError):
         run("fly", scenario, tmp_path)
+
+
+# ------------------------------------------------------------- pinned error paths
+
+NAN = float("nan")
+POSE = {"xyz": [0.0, 0.0, 0.0], "rpy_deg": [0.0, 0.0, 0.0]}
+PORT = {"name": "p", **POSE}
+MODULE = {"id": "m", "kind": "link", "ports": [PORT]}
+DOCK = {"a": ["m", "p"], "b": ["n", "p"]}
+REQUEST = {"source": "m", "sink": "n", "watts": 10.0}
+FRAME = {"channel": "can", "source": "m", "dest": "n", "payload_text": "x"}
+PROFILE = {"petal_height_mm": 6.5, "petal_flank_angle_deg": 24.7,
+           "groove_radius_mm": 27.0, "chamfer_depth_mm": 1.0}
+TARGETS = {"translation_mm": 12.0, "rotation_deg": 41.0, "deflection_deg": 14.0}
+
+
+def _doc(section, body):
+    return {"schema_version": 1, section: body}
+
+
+def _asm(key, item):
+    """An assembly whose list `key` holds one item (modules stay valid)."""
+    body = {"modules": [MODULE], key: [item]} if key != "modules" else {"modules": [item]}
+    return _doc("assembly", body)
+
+
+def _event(event):
+    return _doc("events", [event])
+
+
+# One single-fault document per fault kind for every section and list item,
+# with the exact (path, message) the parser reports.
+ERROR_PATHS = [
+    # top level
+    ({"schema_version": 1, "x": 1}, "$.x", "unknown field"),
+    ([], "$", "expected an object, got list"),
+    ({}, "$.schema_version", "required field is missing"),
+    ({"schema_version": 1.0}, "$.schema_version", "expected an integer"),
+    ({"schema_version": 2}, "$.schema_version", "unsupported version 2; this tool reads 1"),
+    # mechanism
+    (_doc("mechanism", []), "$.mechanism", "expected an object, got list"),
+    (_doc("mechanism", {"x": 1}), "$.mechanism.x", "unknown field"),
+    (_doc("mechanism", {"mu1": "big"}), "$.mechanism.mu1", "expected a number"),
+    (_doc("mechanism", {"mu1": True}), "$.mechanism.mu1", "expected a number"),
+    (_doc("mechanism", {"mu1": NAN}), "$.mechanism.mu1", "must be finite"),
+    (_doc("mechanism", {"mu_rail": NAN}), "$.mechanism.mu_rail", "must be finite"),
+    (_doc("mechanism", {"pin_count": 3.0}), "$.mechanism.pin_count", "expected an integer"),
+    (_doc("mechanism", {"direction": "up"}), "$.mechanism.direction",
+     "must be one of ['locking', 'unlocking']"),
+    (_doc("mechanism", {"direction": 1}), "$.mechanism.direction", "expected a string"),
+    (_doc("mechanism", {"dt_s": 0.0}), "$.mechanism.dt_s", "must be positive"),
+    (_doc("mechanism", {"dt_s": 1e-7}), "$.mechanism.dt_s",
+     "stroke would take more than 100000 samples"),
+    (_doc("mechanism", {"theta_deg": 95.0}), "$.mechanism", "theta_deg must be in (0, 90)"),
+    # profile
+    (_doc("profile", {**PROFILE, "x": 1}), "$.profile.x", "unknown field"),
+    (_doc("profile", {"petal_height_mm": 6.5}), "$.profile.petal_flank_angle_deg",
+     "required field is missing"),
+    (_doc("profile", {**PROFILE, "groove_radius_mm": "27"}), "$.profile.groove_radius_mm",
+     "expected a number"),
+    (_doc("profile", {**PROFILE, "chamfer_depth_mm": NAN}), "$.profile.chamfer_depth_mm",
+     "must be finite"),
+    (_doc("profile", {**PROFILE, "petal_count": 3.5}), "$.profile.petal_count",
+     "expected an integer"),
+    (_doc("profile", {**PROFILE, "groove_positions_deg": [0.0, 120.0]}),
+     "$.profile.groove_positions_deg", "expected a list of 3 numbers"),
+    (_doc("profile", {**PROFILE, "petal_count": 4}), "$.profile", "petal_count is fixed at 3"),
+    # calibration_targets
+    (_doc("calibration_targets", {**TARGETS, "x": 1}), "$.calibration_targets.x",
+     "unknown field"),
+    (_doc("calibration_targets", {"translation_mm": 12.0}), "$.calibration_targets.rotation_deg",
+     "required field is missing"),
+    (_doc("calibration_targets", {**TARGETS, "rotation_deg": None}),
+     "$.calibration_targets.rotation_deg", "expected a number"),
+    (_doc("calibration_targets", {**TARGETS, "tolerance": 1.0}),
+     "$.calibration_targets.tolerance", "must be within (0, 1)"),
+    # load_envelope
+    (_doc("load_envelope", {"x": 1}), "$.load_envelope.x", "unknown field"),
+    (_doc("load_envelope", {"traction_capacity_n": "3k"}), "$.load_envelope.traction_capacity_n",
+     "expected a number"),
+    (_doc("load_envelope", {"interaction": "sum"}), "$.load_envelope.interaction",
+     "must be one of ['linear', 'max-component']"),
+    (_doc("load_envelope", {"torsion_capacity_nm": -1.0}), "$.load_envelope",
+     "capacities must be positive and finite"),
+    # load_case and its wrench
+    (_doc("load_case", {"wrench": {}, "x": 1}), "$.load_case.x", "unknown field"),
+    (_doc("load_case", {}), "$.load_case.wrench", "required field is missing"),
+    (_doc("load_case", {"wrench": []}), "$.load_case.wrench", "expected an object, got list"),
+    (_doc("load_case", {"wrench": {"fq_n": 1.0}}), "$.load_case.wrench.fq_n", "unknown field"),
+    (_doc("load_case", {"wrench": {"fz_n": "1"}}), "$.load_case.wrench.fz_n",
+     "expected a number"),
+    (_doc("load_case", {"wrench": {"mz_nm": NAN}}), "$.load_case.wrench.mz_nm",
+     "must be finite"),
+    (_doc("load_case", {"wrench": {}, "dual_lock": 1}), "$.load_case.dual_lock",
+     "expected a boolean"),
+    # coupling
+    (_doc("coupling", {"x": 1}), "$.coupling.x", "unknown field"),
+    (_doc("coupling", {"lock_duration_s": "15"}), "$.coupling.lock_duration_s",
+     "expected a number"),
+    (_doc("coupling", {"which_sides": "C"}), "$.coupling.which_sides",
+     "must be one of ['A', 'B', 'both']"),
+    (_doc("coupling", {"lock_duration_s": 5.0}), "$.coupling",
+     "lock_duration_s must be within [10, 20] s"),
+    # events and their payloads
+    (_doc("events", {}), "$.events", "expected a list, got dict"),
+    (_doc("events", [1]), "$.events[0]", "expected an object, got int"),
+    (_event({"t": 0.0, "event": "wait", "x": 1}), "$.events[0].x", "unknown field"),
+    (_event({"event": "wait"}), "$.events[0].t", "required field is missing"),
+    (_event({"t": "0", "event": "wait"}), "$.events[0].t", "expected a number"),
+    (_event({"t": NAN, "event": "wait"}), "$.events[0].t", "must be finite"),
+    (_event({"t": -1.0, "event": "wait"}), "$.events[0].t", "must be >= 0"),
+    (_doc("events", [{"t": 1.0, "event": "wait"}, {"t": 0.5, "event": "wait"}]),
+     "$.events[1].t", "timestamps must be non-decreasing"),
+    (_event({"t": 0.0}), "$.events[0].event", "required field is missing"),
+    (_event({"t": 0.0, "event": "tick"}), "$.events[0].event",
+     "must be one of ['approach', 'inject_fault', 'reset', 'start_lock', 'start_unlock', "
+     "'wait']"),
+    (_event({"t": 0.0, "event": "wait", "payload": []}), "$.events[0].payload",
+     "expected an object, got list"),
+    (_event({"t": 0.0, "event": "reset", "payload": {"x": 1}}), "$.events[0].payload",
+     "reset takes no payload"),
+    (_event({"t": 0.0, "event": "approach", "payload": {"dz_mm": 1.0}}),
+     "$.events[0].payload.dz_mm", "unknown field"),
+    (_event({"t": 0.0, "event": "approach", "payload": {"dx_mm": "1"}}),
+     "$.events[0].payload.dx_mm", "expected a number"),
+    (_event({"t": 0.0, "event": "approach", "payload": {"rot_deg": NAN}}),
+     "$.events[0].payload.rot_deg", "must be finite"),
+    (_event({"t": 0.0, "event": "inject_fault"}), "$.events[0].payload.fault_kind",
+     "required field is missing"),
+    (_event({"t": 0.0, "event": "inject_fault", "payload": {"fault_kind": "pin_jam", "x": 1}}),
+     "$.events[0].payload.x", "unknown field"),
+    (_event({"t": 0.0, "event": "inject_fault", "payload": {"fault_kind": "gremlin"}}),
+     "$.events[0].payload.fault_kind",
+     "must be one of ['comms_loss', 'pin_jam', 'power_trip', 'rod_stall']"),
+    # envelope options
+    (_doc("envelope", {"x": 1}), "$.envelope.x", "unknown field"),
+    (_doc("envelope", {"translation_tol_mm": "1"}), "$.envelope.translation_tol_mm",
+     "expected a number"),
+    (_doc("envelope", {"angular_resolution_deg": 0.0}), "$.envelope.angular_resolution_deg",
+     "must be > 0"),
+    (_doc("envelope", {"translation_tol_mm": -1.0}), "$.envelope.translation_tol_mm",
+     "must be > 0"),
+    (_doc("envelope", {"rotation_tol_deg": 0.0}), "$.envelope.rotation_tol_deg", "must be > 0"),
+    (_doc("envelope", {"deflection_tol_deg": 0.0}), "$.envelope.deflection_tol_deg",
+     "must be > 0"),
+    # assembly
+    (_doc("assembly", {"x": 1}), "$.assembly.x", "unknown field"),
+    (_doc("assembly", {"modules": {}}), "$.assembly.modules", "expected a list, got dict"),
+    (_doc("assembly", {"gravity_mps2": [0.0, -9.81]}), "$.assembly.gravity_mps2",
+     "expected a list of 3 numbers"),
+    (_doc("assembly", {"external_wrenches": []}), "$.assembly.external_wrenches",
+     "expected an object, got list"),
+    (_doc("assembly", {"external_wrenches": {"m": 1}}), "$.assembly.external_wrenches.m",
+     "expected an object, got int"),
+    (_doc("assembly", {"external_wrenches": {"m": {"fz": 1}}}),
+     "$.assembly.external_wrenches.m.fz", "unknown field"),
+    # assembly.modules[i] and its ports and poses
+    (_asm("modules", "m"), "$.assembly.modules[0]", "expected an object, got str"),
+    (_asm("modules", {**MODULE, "x": 1}), "$.assembly.modules[0].x", "unknown field"),
+    (_asm("modules", {"kind": "link"}), "$.assembly.modules[0].id",
+     "required field is missing"),
+    (_asm("modules", {**MODULE, "kind": 1}), "$.assembly.modules[0].kind", "expected a string"),
+    (_asm("modules", {**MODULE, "mass_kg": NAN}), "$.assembly.modules[0].mass_kg",
+     "must be finite"),
+    (_asm("modules", {**MODULE, "grounded": "yes"}), "$.assembly.modules[0].grounded",
+     "expected a boolean"),
+    (_asm("modules", {**MODULE, "kind": "rocket"}), "$.assembly.modules[0]",
+     "kind must be one of ('joint', 'link', 'end_effector', 'facility_module', 'truss_node'), "
+     "got 'rocket'"),
+    (_asm("modules", {**MODULE, "grounded": True}), "$.assembly.modules[0]",
+     "world_pose must be given exactly for grounded modules"),
+    (_asm("modules", {**MODULE, "world_pose": None}), "$.assembly.modules[0].world_pose",
+     "expected an object, got NoneType"),
+    (_asm("modules", {**MODULE, "world_pose": {"rpy": [0, 0, 0]}}),
+     "$.assembly.modules[0].world_pose.rpy", "unknown field"),
+    (_asm("modules", {**MODULE, "world_pose": {"xyz": [0, 0, True]}}),
+     "$.assembly.modules[0].world_pose.xyz", "expected a list of 3 numbers"),
+    (_asm("modules", {**MODULE, "world_pose": {"xyz": [0, 0, NAN]}}),
+     "$.assembly.modules[0].world_pose", "pose matrix is not a homogeneous transform"),
+    (_asm("modules", {**MODULE, "ports": {}}), "$.assembly.modules[0].ports",
+     "expected a list, got dict"),
+    (_asm("modules", {**MODULE, "ports": [None]}), "$.assembly.modules[0].ports[0]",
+     "expected an object, got NoneType"),
+    (_asm("modules", {**MODULE, "ports": [{**PORT, "x": 1}]}),
+     "$.assembly.modules[0].ports[0].x", "unknown field"),
+    (_asm("modules", {**MODULE, "ports": [POSE]}), "$.assembly.modules[0].ports[0].name",
+     "required field is missing"),
+    (_asm("modules", {**MODULE, "ports": [{**PORT, "rpy_deg": [0, 0]}]}),
+     "$.assembly.modules[0].ports[0].rpy_deg", "expected a list of 3 numbers"),
+    (_asm("modules", {**MODULE, "ports": [PORT, PORT]}), "$.assembly.modules[0]",
+     "port names must be unique per module"),
+    # assembly.docks[i]
+    (_asm("docks", {**DOCK, "x": 1}), "$.assembly.docks[0].x", "unknown field"),
+    (_asm("docks", {"b": ["n", "p"]}), "$.assembly.docks[0].a", "required field is missing"),
+    (_asm("docks", {**DOCK, "b": ["n"]}), "$.assembly.docks[0].b",
+     "expected [module_id, port_name]"),
+    (_asm("docks", {**DOCK, "which_sides": "C"}), "$.assembly.docks[0].which_sides",
+     "must be one of ['A', 'B', 'both']"),
+    (_asm("docks", {**DOCK, "misalignment": 1}), "$.assembly.docks[0].misalignment",
+     "expected an object, got int"),
+    (_asm("docks", {**DOCK, "misalignment": {"dx_mm": NAN}}),
+     "$.assembly.docks[0].misalignment.dx_mm", "must be finite"),
+    # assembly.plan[i]
+    (_asm("plan", {"a": ["m", "p"]}), "$.assembly.plan[0].op", "required field is missing"),
+    (_asm("plan", {"op": "swap"}), "$.assembly.plan[0].op",
+     "must be one of ['dock', 'undock']"),
+    (_asm("plan", {"op": "dock", **DOCK, "which_sides": "A"}),
+     "$.assembly.plan[0].which_sides", "unknown field"),
+    (_asm("plan", {"op": "dock", "b": ["n", "p"]}), "$.assembly.plan[0].a",
+     "expected [module_id, port_name]"),
+    (_asm("plan", {"op": "dock", **DOCK, "misalignment": {"tilt_x_deg": "1"}}),
+     "$.assembly.plan[0].misalignment.tilt_x_deg", "expected a number"),
+    (_asm("plan", {"op": "undock", "port": ["m", "p"], "a": ["m", "p"]}),
+     "$.assembly.plan[0].a", "unknown field"),
+    (_asm("plan", {"op": "undock"}), "$.assembly.plan[0].port",
+     "expected [module_id, port_name]"),
+    # assembly.power_requests[i]
+    (_asm("power_requests", {**REQUEST, "x": 1}), "$.assembly.power_requests[0].x",
+     "unknown field"),
+    (_asm("power_requests", {"sink": "n", "watts": 1.0}), "$.assembly.power_requests[0].source",
+     "required field is missing"),
+    (_asm("power_requests", {**REQUEST, "watts": "10"}), "$.assembly.power_requests[0].watts",
+     "expected a number"),
+    (_asm("power_requests", {**REQUEST, "t": NAN}), "$.assembly.power_requests[0].t",
+     "must be finite"),
+    (_asm("power_requests", {**REQUEST, "rail_v": 12.0}), "$.assembly.power_requests[0].rail_v",
+     "must be 48 or 24"),
+    # assembly.frames[i]
+    (_asm("frames", {**FRAME, "x": 1}), "$.assembly.frames[0].x", "unknown field"),
+    (_asm("frames", {"channel": "can", "source": "m"}), "$.assembly.frames[0].dest",
+     "required field is missing"),
+    (_asm("frames", {**FRAME, "channel": "wifi"}), "$.assembly.frames[0].channel",
+     "must be one of ['can', 'ethernet']"),
+    (_asm("frames", {**FRAME, "payload_text": 1}), "$.assembly.frames[0].payload_text",
+     "expected a string"),
+    (_asm("frames", {**FRAME, "timestamp_s": NAN}), "$.assembly.frames[0].timestamp_s",
+     "must be finite"),
+]
+
+
+@pytest.mark.parametrize("doc,path,message", ERROR_PATHS,
+                         ids=[f"{i:03d}:{case[1]}" for i, case in enumerate(ERROR_PATHS)])
+def test_error_path_and_message(doc, path, message):
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario(doc)
+    assert (ei.value.path, ei.value.reason) == (path, message)
