@@ -5,7 +5,10 @@
 Commands: mechanism, envelope, calibrate, couple, loads, assembly.
 Exit codes: 0 success, 2 scenario schema violation (error JSON carries the
 dotted field path), 3 analysis error (error JSON carries the module error
-payload). Set DOCKSIM_LOG=debug|info|warning|error for stderr verbosity.
+payload). Bad flags are schema violations too: `$.seed`, `$.resolution`,
+and `$.out` when the output directory cannot be created (for example, it
+names an existing file) or an artifact cannot be written there.
+Set DOCKSIM_LOG=debug|info|warning|error for stderr verbosity.
 """
 from __future__ import annotations
 

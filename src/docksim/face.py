@@ -31,6 +31,11 @@ CONV_LAT_MM = 0.01
 CONV_ANG_DEG = 0.01
 ROTATION_CEILING_DEG = 60.0
 DEFLECTION_CEILING_DEG = 60.0
+# Most base directions full_envelope sweeps per axis (120 / resolution) and
+# most lattice points envelope_axis_limit walks per ray (axis cap / tol);
+# every lattice point may cost one capture descent.
+MAX_SWEEP_RAYS = 1_200
+MAX_AXIS_PROBES = 10_000
 
 
 @dataclass(frozen=True)
@@ -424,6 +429,17 @@ def _axis_cap(profile: FaceProfile, axis: str) -> float:
     return DEFLECTION_CEILING_DEG
 
 
+def _lattice_points(profile: FaceProfile, axis: str, tol: float) -> int:
+    """Lattice points a scan along axis walks; at most MAX_AXIS_PROBES."""
+    if tol <= 0.0:
+        raise ParameterError("tol must be positive")
+    points = _axis_cap(profile, axis) / tol
+    if points > MAX_AXIS_PROBES:
+        raise ParameterError(
+            f"tol {tol!r} needs more than {MAX_AXIS_PROBES} lattice points on the {axis} axis")
+    return max(1, int(math.floor(points)))
+
+
 def envelope_axis_limit(
     profile: FaceProfile,
     axis: str,
@@ -437,11 +453,9 @@ def envelope_axis_limit(
     its first crossing.
     """
     profile.validate()
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    kmax = _lattice_points(profile, axis, tol)
     if not mate_feasible(profile, Misalignment()):
         raise DegenerateProfileError("profile cannot mate at zero misalignment")
-    kmax = max(1, int(math.floor(_axis_cap(profile, axis) / tol)))
     for k in range(1, kmax + 1):
         if not mate_feasible(profile, _axis_state(axis, direction_deg, k * tol)):
             return (k - 1) * tol
@@ -464,6 +478,12 @@ def full_envelope(
     profile.validate()
     if angular_resolution_deg <= 0.0:
         raise ParameterError("angular resolution must be positive")
+    if 120.0 / angular_resolution_deg > MAX_SWEEP_RAYS:
+        raise ParameterError(f"angular resolution {angular_resolution_deg!r} deg needs more "
+                             f"than {MAX_SWEEP_RAYS} rays")
+    for axis, tol in (("translation", tol_translation_mm), ("rotation", tol_rotation_deg),
+                      ("deflection", tol_deflection_deg)):
+        _lattice_points(profile, axis, tol)  # reject an oversized scan before sweeping
     rows: list[tuple[str, float, float]] = []
     base = []
     psi = 0.0

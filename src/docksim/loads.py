@@ -147,11 +147,6 @@ STRESS_REFERENCES: tuple[StressReference, ...] = (
     StressReference("bending", 500.0, 0.0033, 52.237),
 )
 
-# Reference row for the combined load case from the same analysis campaign.
-# Kept for reporting only: combined-field results do not follow from linear
-# superposition of the single-mode rows, so stress_estimate never uses it.
-COMBINED_LOAD_REFERENCE = StressReference("combined", 1.0, 0.0057, 39.519)
-
 
 @dataclass(frozen=True)
 class StressEstimate:

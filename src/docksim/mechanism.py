@@ -47,29 +47,6 @@ class MechanismParams:
 
 
 @dataclass(frozen=True)
-class PinForceState:
-    """Force state at one pin: friction and normal forces at both contacts."""
-
-    f1: float
-    f2: float
-    normal_f1: float
-    normal_f2: float
-
-    @classmethod
-    def from_normal(cls, normal_f1: float, params: MechanismParams) -> "PinForceState":
-        params.validate()
-        if normal_f1 < 0.0:
-            raise ParameterError("normal_f1 must be >= 0")
-        f2_normal = pin_guide_normal(normal_f1, params)
-        return cls(
-            f1=params.mu1 * normal_f1,
-            f2=params.mu2 * f2_normal,
-            normal_f1=normal_f1,
-            normal_f2=f2_normal,
-        )
-
-
-@dataclass(frozen=True)
 class StrokeTrace:
     """Sampled quasi-static stroke: (time s, rod mm, pin radial mm, pin force N)."""
 

@@ -2,20 +2,24 @@
 
 A scenario is one strict JSON document: unknown fields are rejected with
 the dotted path of the offender, and every embedded object is validated by
-the owning module the moment it is built. Artifacts are deterministic by
-construction; nothing here reads the clock or global RNG state.
+the owning module the moment it is built. Each object is read against one
+field table (a `_Field` row per key), which docs/scenario_schema.md mirrors.
+Artifacts are deterministic by construction; nothing here reads the clock
+or global RNG state.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .assembly import Module, ModuleGraph, Pose, Port
 from .bus import Frame, send_frame
 from .coupling import (
     FAULT_KINDS,
+    SIDES,
     CouplingConfig,
     Event,
     InterfaceState,
@@ -23,7 +27,11 @@ from .coupling import (
 )
 from .errors import ScenarioError, UnreachableError
 from .face import (
+    DEFLECTION_CEILING_DEG,
+    MAX_AXIS_PROBES,
+    MAX_SWEEP_RAYS,
     REFERENCE_PROFILE,
+    ROTATION_CEILING_DEG,
     FaceProfile,
     Misalignment,
     calibrate_profile,
@@ -46,83 +54,84 @@ _REQUIRED = object()
 
 # ------------------------------------------------------------------ parsing
 
-def _check_keys(obj: dict, path: str, allowed) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range reads as infinite
+        return math.inf if value > 0 else -math.inf
+
+
+def _typed(accept, message: str, convert=lambda v: v) -> Callable:
+    """A reader of values accept() takes; {} in message names a rejected type."""
+    def read(value, path: str):
+        if not accept(value):
+            raise ScenarioError(path, message.format(type(value).__name__))
+        return convert(value)
+    return read
+
+
+_as_obj = _typed(lambda v: isinstance(v, dict), "expected an object, got {}")
+_as_list = _typed(lambda v: isinstance(v, list), "expected a list, got {}")
+_integer = _typed(lambda v: _is_number(v) and isinstance(v, int), "expected an integer")
+_string = _typed(lambda v: isinstance(v, str), "expected a string")
+_boolean = _typed(lambda v: isinstance(v, bool), "expected a boolean")
+_vec3 = _typed(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+               "expected a list of 3 numbers", lambda v: tuple(map(_float, v)))
+_port_ref = _typed(lambda v: isinstance(v, list) and len(v) == 2
+                   and all(isinstance(x, str) for x in v),
+                   "expected [module_id, port_name]", tuple)
+
+
+def _number(value, path: str) -> float:
+    if not _is_number(value):
+        raise ScenarioError(path, "expected a number")
+    if not math.isfinite(value := _float(value)):
+        raise ScenarioError(path, "must be finite")
+    return value
+
+
+class _Field(NamedTuple):
+    """One key of an object: how a present value reads, what a missing one
+    reads as (or _REQUIRED), its allowed choices and its (predicate, message)
+    bounds. Tables list their rows in the order they are read."""
+
+    key: str
+    kind: Callable  # (value, path) -> parsed value
+    default: object = _REQUIRED
+    choices: tuple | None = None
+    bounds: tuple = ()
+
+
+def _check(value, path: str, row: _Field):
+    if row.choices is not None and value not in row.choices:
+        raise ScenarioError(path, f"must be one of {sorted(row.choices)}")
+    for ok, message in row.bounds:
+        if not ok(value):
+            raise ScenarioError(path, message.format(value))
+    return value
+
+
+def _read(obj: dict, path: str, row: _Field):
+    fpath = f"{path}.{row.key}"
+    if row.key not in obj:
+        if row.default is _REQUIRED:
+            raise ScenarioError(fpath, "required field is missing")
+        return row.default
+    return _check(row.kind(obj[row.key], fpath), fpath, row)
+
+
+def _fields(obj, path: str, table) -> dict:
+    """Read every row of table from obj, rejecting keys no row names."""
+    obj = _as_obj(obj, path)
+    known = {row.key for row in table}
     for key in obj:
-        if key not in allowed:
+        if key not in known:
             raise ScenarioError(f"{path}.{key}", "unknown field")
-
-
-def _as_obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(path, f"expected an object, got {type(value).__name__}")
-    return value
-
-
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ScenarioError(path, f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _num(obj: dict, path: str, key: str, default=_REQUIRED) -> float:
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{path}.{key}", "expected a number")
-    if not math.isfinite(v):
-        raise ScenarioError(f"{path}.{key}", "must be finite")
-    return float(v)
-
-
-def _int(obj: dict, path: str, key: str, default=_REQUIRED) -> int:
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ScenarioError(f"{path}.{key}", "expected an integer")
-    return v
-
-
-def _str(obj: dict, path: str, key: str, default=_REQUIRED, choices=None) -> str:
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        raise ScenarioError(f"{path}.{key}", "expected a string")
-    if choices is not None and v not in choices:
-        raise ScenarioError(f"{path}.{key}", f"must be one of {sorted(choices)}")
-    return v
-
-
-def _bool(obj: dict, path: str, key: str, default=_REQUIRED) -> bool:
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ScenarioError(f"{path}.{key}", "expected a boolean")
-    return v
-
-
-def _vec(obj: dict, path: str, key: str, n: int, default=_REQUIRED) -> tuple:
-    if key not in obj:
-        if default is _REQUIRED:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-        return default
-    v = obj[key]
-    if not isinstance(v, list) or len(v) != n or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
-    ):
-        raise ScenarioError(f"{path}.{key}", f"expected a list of {n} numbers")
-    return tuple(float(x) for x in v)
+    return {row.key: _read(obj, path, row) for row in table}
 
 
 def _domain(path: str, build):
@@ -133,6 +142,22 @@ def _domain(path: str, build):
         raise  # field-level errors already carry the precise path
     except Exception as err:  # noqa: BLE001 - domain validation message wanted
         raise ScenarioError(path, str(err)) from err
+
+
+def _record(cls, table, obj, path: str):
+    """Build cls from the fields of obj, validated when cls has validate()."""
+    values = _fields(obj, path, table)
+    record = _domain(path, lambda: cls(**values))
+    return _domain(path, record.validate) if hasattr(record, "validate") else record
+
+
+def _nested(cls, table) -> Callable:
+    return lambda value, path: _record(cls, table, value, path)
+
+
+def _list_of(kind) -> Callable:
+    return lambda value, path: tuple(
+        kind(item, f"{path}[{i}]") for i, item in enumerate(_as_list(value, path)))
 
 
 @dataclass(frozen=True)
@@ -172,13 +197,14 @@ class ScriptEvent:
     t: float
     kind: str
     payload: dict
+    event: Event | None  # what the coupling FSM is stepped with; None for wait
 
 
 @dataclass(frozen=True)
 class DockSpec:
     a: tuple[str, str]
     b: tuple[str, str]
-    misalignment: Misalignment
+    misalignment: Misalignment | None
     which_sides: str
 
 
@@ -205,8 +231,8 @@ class AssemblySection:
     modules: tuple[Module, ...]
     docks: tuple[DockSpec, ...]
     plan: tuple[tuple, ...]
-    external: dict[str, Wrench]
-    gravity: tuple[float, float, float] | None
+    external_wrenches: dict[str, Wrench] | None
+    gravity_mps2: tuple[float, float, float] | None
     power_requests: tuple[PowerRequest, ...]
     frames: tuple[FrameSpec, ...]
 
@@ -221,372 +247,236 @@ class Scenario:
     load_case: LoadCase | None = None
     coupling: CouplingConfig = field(default_factory=CouplingConfig)
     events: tuple[ScriptEvent, ...] | None = None
-    envelope_options: EnvelopeOptions = field(default_factory=EnvelopeOptions)
+    envelope: EnvelopeOptions = field(default_factory=EnvelopeOptions)
     assembly: AssemblySection | None = None
 
 
-def _parse_mechanism(obj: dict, path: str) -> MechanismSection:
-    _check_keys(obj, path, {
-        "mu1", "mu2", "theta_deg", "beta_deg", "pin_count", "stroke_mm",
-        "rod_speed_mm_s", "mu_rail", "resisting_force_n", "direction",
-        "dt_s", "rod_capacity_n",
-    })
-    params = _domain(path, lambda: MechanismParams(
-        mu1=_num(obj, path, "mu1", 0.3),
-        mu2=_num(obj, path, "mu2", 0.3),
-        theta_deg=_num(obj, path, "theta_deg", 45.0),
-        beta_deg=_num(obj, path, "beta_deg", 5.0),
-        pin_count=_int(obj, path, "pin_count", 3),
-        stroke_mm=_num(obj, path, "stroke_mm", 15.0),
-        rod_speed_mm_s=_num(obj, path, "rod_speed_mm_s", 1.0),
-    ).validate())
-    sec = MechanismSection(
-        params=params,
-        mu_rail=_num(obj, path, "mu_rail", 0.15),
-        resisting_force_n=_num(obj, path, "resisting_force_n", 50.0),
-        direction=_str(obj, path, "direction", "locking", {"locking", "unlocking"}),
-        dt_s=_num(obj, path, "dt_s", 0.1),
-        rod_capacity_n=_num(obj, path, "rod_capacity_n", 800.0),
-    )
-    if not sec.dt_s > 0.0:
-        raise ScenarioError(f"{path}.dt_s", "must be positive")
-    if params.stroke_mm / params.rod_speed_mm_s / sec.dt_s > MAX_STROKE_SAMPLES:
-        raise ScenarioError(f"{path}.dt_s",
-                            f"stroke would take more than {MAX_STROKE_SAMPLES} samples")
-    return sec
+_POSITIVE = (lambda v: v > 0.0, "must be > 0")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_RAYS = (lambda v: 120.0 / v <= MAX_SWEEP_RAYS,
+         f"sweep would take more than {MAX_SWEEP_RAYS} rays")
 
 
-def parse_profile(obj: dict, path: str) -> FaceProfile:
-    _check_keys(obj, path, {
-        "petal_height_mm", "petal_flank_angle_deg", "groove_radius_mm",
-        "chamfer_depth_mm", "outer_diameter_mm", "petal_count",
-        "groove_positions_deg",
-    })
-    return _domain(path, lambda: FaceProfile(
-        petal_height_mm=_num(obj, path, "petal_height_mm"),
-        petal_flank_angle_deg=_num(obj, path, "petal_flank_angle_deg"),
-        groove_radius_mm=_num(obj, path, "groove_radius_mm"),
-        chamfer_depth_mm=_num(obj, path, "chamfer_depth_mm"),
-        outer_diameter_mm=_num(obj, path, "outer_diameter_mm", 80.0),
-        petal_count=_int(obj, path, "petal_count", 3),
-        groove_positions_deg=_vec(obj, path, "groove_positions_deg", 3, (90.0, 210.0, 330.0)),
-    ).validate())
+def _probes(axis_cap: float) -> tuple:
+    return (lambda v: axis_cap / v <= MAX_AXIS_PROBES,
+            f"scan would take more than {MAX_AXIS_PROBES} lattice points")
 
 
-def profile_to_json(profile: FaceProfile) -> dict:
-    """Full explicit profile section; re-parses under parse_profile."""
-    return {
-        "petal_height_mm": profile.petal_height_mm,
-        "petal_flank_angle_deg": profile.petal_flank_angle_deg,
-        "groove_radius_mm": profile.groove_radius_mm,
-        "chamfer_depth_mm": profile.chamfer_depth_mm,
-        "outer_diameter_mm": profile.outer_diameter_mm,
-        "petal_count": profile.petal_count,
-        "groove_positions_deg": list(profile.groove_positions_deg),
-    }
+_MECHANISM_PARAMS = (
+    _Field("mu1", _number, 0.3),
+    _Field("mu2", _number, 0.3),
+    _Field("theta_deg", _number, 45.0),
+    _Field("beta_deg", _number, 5.0),
+    _Field("pin_count", _integer, 3),
+    _Field("stroke_mm", _number, 15.0),
+    _Field("rod_speed_mm_s", _number, 1.0),
+)
+_MECHANISM = _MECHANISM_PARAMS + (
+    _Field("mu_rail", _number, 0.15, bounds=(_NON_NEGATIVE,)),
+    _Field("resisting_force_n", _number, 50.0, bounds=(_NON_NEGATIVE,)),
+    _Field("direction", _string, "locking", ("locking", "unlocking")),
+    _Field("dt_s", _number, 0.1, bounds=((lambda v: v > 0.0, "must be positive"),)),
+    _Field("rod_capacity_n", _number, 800.0),
+)
+_PROFILE = (
+    _Field("petal_height_mm", _number),
+    _Field("petal_flank_angle_deg", _number),
+    _Field("groove_radius_mm", _number),
+    _Field("chamfer_depth_mm", _number),
+    _Field("outer_diameter_mm", _number, 80.0),
+    _Field("petal_count", _integer, 3),
+    _Field("groove_positions_deg", _vec3, (90.0, 210.0, 330.0)),
+)
+_TARGETS = (
+    _Field("tolerance", _number, 0.10,
+           bounds=((lambda v: 0.0 < v < 1.0, "must be within (0, 1)"),)),
+    _Field("translation_mm", _number),
+    _Field("rotation_deg", _number),
+    _Field("deflection_deg", _number),
+)
+_RESOLUTION = _Field("angular_resolution_deg", _number, 30.0, bounds=(_POSITIVE, _RAYS))
+_ENVELOPE = (
+    _RESOLUTION,
+    _Field("translation_tol_mm", _number, 1.0, bounds=(_POSITIVE,)),  # cap: run_envelope
+    _Field("rotation_tol_deg", _number, 1.0, bounds=(_POSITIVE, _probes(ROTATION_CEILING_DEG))),
+    _Field("deflection_tol_deg", _number, 1.0,
+           bounds=(_POSITIVE, _probes(DEFLECTION_CEILING_DEG))),
+)
+_LOAD_ENVELOPE = (
+    _Field("traction_capacity_n", _number, 3000.0),
+    _Field("lateral_capacity_n", _number, 3000.0),
+    _Field("bending_capacity_nm", _number, 500.0),
+    _Field("torsion_capacity_nm", _number, 500.0),
+    _Field("interaction", _string, "max-component", ("max-component", "linear")),
+)
+_WRENCH = tuple(_Field(k, _number, 0.0)
+                for k in ("fx_n", "fy_n", "fz_n", "mx_nm", "my_nm", "mz_nm"))
+_LOAD_CASE = (
+    _Field("wrench", _nested(Wrench, _WRENCH)),
+    _Field("dual_lock", _boolean, False),
+)
+_COUPLING = (
+    _Field("lock_duration_s", _number, 15.0),
+    _Field("which_sides", _string, "A", SIDES),
+)
+_MISALIGNMENT = tuple(_Field(k, _number, 0.0)
+                      for k in ("dx_mm", "dy_mm", "rot_deg", "tilt_x_deg", "tilt_y_deg"))
+_FAULT = (_Field("fault_kind", _string, choices=FAULT_KINDS),)
+_EVENT = (
+    _Field("t", _number, bounds=(_NON_NEGATIVE,)),
+    _Field("event", _string, choices=(
+        "approach", "start_lock", "start_unlock", "inject_fault", "reset", "wait")),
+    _Field("payload", _as_obj, None),
+)
 
 
-def _parse_targets(obj: dict, path: str) -> CalibrationTargets:
-    _check_keys(obj, path, {"translation_mm", "rotation_deg", "deflection_deg", "tolerance"})
-    tol = _num(obj, path, "tolerance", 0.10)
-    if not 0.0 < tol < 1.0:
-        raise ScenarioError(f"{path}.tolerance", "must be within (0, 1)")
-    return CalibrationTargets(
-        translation_mm=_num(obj, path, "translation_mm"),
-        rotation_deg=_num(obj, path, "rotation_deg"),
-        deflection_deg=_num(obj, path, "deflection_deg"),
-        tolerance=tol,
-    )
+def _script_event(value, path: str) -> ScriptEvent:
+    f = _fields(value, path, _EVENT)
+    kind, payload, ppath = f["event"], f["payload"] or {}, f"{path}.payload"
+    if kind == "approach":
+        event = Event(kind, misalignment=_record(Misalignment, _MISALIGNMENT, payload, ppath))
+    elif kind == "inject_fault":
+        event = Event(kind, **_fields(payload, ppath, _FAULT))
+    elif payload:
+        raise ScenarioError(ppath, f"{kind} takes no payload")
+    else:
+        event = None if kind == "wait" else Event(kind)
+    return ScriptEvent(f["t"], kind, payload, event)
 
 
-def _parse_load_envelope(obj: dict, path: str) -> LoadEnvelope:
-    _check_keys(obj, path, {
-        "traction_capacity_n", "lateral_capacity_n", "bending_capacity_nm",
-        "torsion_capacity_nm", "interaction",
-    })
-    return _domain(path, lambda: LoadEnvelope(
-        traction_capacity_n=_num(obj, path, "traction_capacity_n", 3000.0),
-        lateral_capacity_n=_num(obj, path, "lateral_capacity_n", 3000.0),
-        bending_capacity_nm=_num(obj, path, "bending_capacity_nm", 500.0),
-        torsion_capacity_nm=_num(obj, path, "torsion_capacity_nm", 500.0),
-        interaction=_str(obj, path, "interaction", "max-component",
-                         {"max-component", "linear"}),
-    ).validate())
-
-
-def _parse_wrench(obj: dict, path: str) -> Wrench:
-    _check_keys(obj, path, {"fx_n", "fy_n", "fz_n", "mx_nm", "my_nm", "mz_nm"})
-    return _domain(path, lambda: Wrench(
-        fx_n=_num(obj, path, "fx_n", 0.0),
-        fy_n=_num(obj, path, "fy_n", 0.0),
-        fz_n=_num(obj, path, "fz_n", 0.0),
-        mx_nm=_num(obj, path, "mx_nm", 0.0),
-        my_nm=_num(obj, path, "my_nm", 0.0),
-        mz_nm=_num(obj, path, "mz_nm", 0.0),
-    ).validate())
-
-
-def _parse_load_case(obj: dict, path: str) -> LoadCase:
-    _check_keys(obj, path, {"wrench", "dual_lock"})
-    if "wrench" not in obj:
-        raise ScenarioError(f"{path}.wrench", "required field is missing")
-    return LoadCase(
-        wrench=_parse_wrench(_as_obj(obj["wrench"], f"{path}.wrench"), f"{path}.wrench"),
-        dual_lock=_bool(obj, path, "dual_lock", False),
-    )
-
-
-def _parse_coupling(obj: dict, path: str) -> CouplingConfig:
-    _check_keys(obj, path, {"lock_duration_s", "which_sides"})
-    return _domain(path, lambda: CouplingConfig(
-        lock_duration_s=_num(obj, path, "lock_duration_s", 15.0),
-        which_sides=_str(obj, path, "which_sides", "A", {"A", "B", "both"}),
-    ).validate())
-
-
-def _parse_misalignment(obj: dict, path: str) -> Misalignment:
-    _check_keys(obj, path, {"dx_mm", "dy_mm", "rot_deg", "tilt_x_deg", "tilt_y_deg"})
-    return _domain(path, lambda: Misalignment(
-        dx_mm=_num(obj, path, "dx_mm", 0.0),
-        dy_mm=_num(obj, path, "dy_mm", 0.0),
-        rot_deg=_num(obj, path, "rot_deg", 0.0),
-        tilt_x_deg=_num(obj, path, "tilt_x_deg", 0.0),
-        tilt_y_deg=_num(obj, path, "tilt_y_deg", 0.0),
-    ).validate())
-
-
-_EVENT_KINDS = ("approach", "start_lock", "start_unlock", "inject_fault", "reset", "wait")
-
-
-def _parse_events(value, path: str) -> tuple[ScriptEvent, ...]:
-    events = []
-    prev_t = -math.inf
+def _events(value, path: str) -> tuple[ScriptEvent, ...]:
+    events: list[ScriptEvent] = []
     for i, item in enumerate(_as_list(value, path)):
-        epath = f"{path}[{i}]"
-        obj = _as_obj(item, epath)
-        _check_keys(obj, epath, {"t", "event", "payload"})
-        t = _num(obj, epath, "t")
-        if t < 0.0:
-            raise ScenarioError(f"{epath}.t", "must be >= 0")
-        if t < prev_t:
-            raise ScenarioError(f"{epath}.t", "timestamps must be non-decreasing")
-        prev_t = t
-        kind = _str(obj, epath, "event", choices=set(_EVENT_KINDS))
-        payload = _as_obj(obj.get("payload", {}), f"{epath}.payload")
-        if kind == "approach":
-            _parse_misalignment(payload, f"{epath}.payload")
-        elif kind == "inject_fault":
-            _check_keys(payload, f"{epath}.payload", {"fault_kind"})
-            _str(payload, f"{epath}.payload", "fault_kind", choices=set(FAULT_KINDS))
-        elif payload:
-            raise ScenarioError(f"{epath}.payload", f"{kind} takes no payload")
-        events.append(ScriptEvent(t=t, kind=kind, payload=payload))
+        event = _script_event(item, f"{path}[{i}]")
+        if events and event.t < events[-1].t:
+            raise ScenarioError(f"{path}[{i}].t", "timestamps must be non-decreasing")
+        events.append(event)
     return tuple(events)
 
 
-def _parse_envelope_options(obj: dict, path: str) -> EnvelopeOptions:
-    _check_keys(obj, path, {
-        "angular_resolution_deg", "translation_tol_mm", "rotation_tol_deg",
-        "deflection_tol_deg",
-    })
-    opts = EnvelopeOptions(
-        angular_resolution_deg=_num(obj, path, "angular_resolution_deg", 30.0),
-        translation_tol_mm=_num(obj, path, "translation_tol_mm", 1.0),
-        rotation_tol_deg=_num(obj, path, "rotation_tol_deg", 1.0),
-        deflection_tol_deg=_num(obj, path, "deflection_tol_deg", 1.0),
-    )
-    for name in ("angular_resolution_deg", "translation_tol_mm",
-                 "rotation_tol_deg", "deflection_tol_deg"):
-        if getattr(opts, name) <= 0.0:
-            raise ScenarioError(f"{path}.{name}", "must be > 0")
-    return opts
+def _parse_mechanism(value, path: str) -> MechanismSection:
+    f = _fields(value, path, _MECHANISM)
+    kwargs = {row.key: f.pop(row.key) for row in _MECHANISM_PARAMS}
+    params = _domain(path, lambda: MechanismParams(**kwargs).validate())
+    if params.stroke_mm / params.rod_speed_mm_s / f["dt_s"] > MAX_STROKE_SAMPLES:
+        raise ScenarioError(f"{path}.dt_s",
+                            f"stroke would take more than {MAX_STROKE_SAMPLES} samples")
+    return MechanismSection(params=params, **f)
 
 
-def _parse_port_ref(value, path: str) -> tuple[str, str]:
-    if not (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, str) for x in value)):
-        raise ScenarioError(path, "expected [module_id, port_name]")
-    return (value[0], value[1])
+def _pose(xyz, rpy_deg) -> Pose:
+    roll, pitch, yaw = (math.radians(a) for a in rpy_deg)
+    return Pose.from_xyz_rpy(*xyz, roll=roll, pitch=pitch, yaw=yaw)
 
 
-def _parse_pose(obj: dict, path: str) -> Pose:
-    _check_keys(obj, path, {"xyz", "rpy_deg"})
-    xyz = _vec(obj, path, "xyz", 3, (0.0, 0.0, 0.0))
-    rpy = _vec(obj, path, "rpy_deg", 3, (0.0, 0.0, 0.0))
-    return _domain(path, lambda: Pose.from_xyz_rpy(
-        xyz[0], xyz[1], xyz[2],
-        roll=math.radians(rpy[0]), pitch=math.radians(rpy[1]), yaw=math.radians(rpy[2]),
-    ))
+def _module(**f) -> Module:
+    return Module(module_id=f.pop("id"), **f)
 
 
-def _parse_module(obj: dict, path: str) -> Module:
-    _check_keys(obj, path, {"id", "kind", "mass_kg", "grounded", "world_pose", "ports"})
-    ports = []
-    for j, pobj in enumerate(_as_list(obj.get("ports", []), f"{path}.ports")):
-        ppath = f"{path}.ports[{j}]"
-        pdict = _as_obj(pobj, ppath)
-        _check_keys(pdict, ppath, {"name", "xyz", "rpy_deg"})
-        name = _str(pdict, ppath, "name")
-        ports.append(Port(name, _parse_pose(
-            {k: v for k, v in pdict.items() if k != "name"}, ppath)))
-    grounded = _bool(obj, path, "grounded", False)
-    world = None
-    if "world_pose" in obj:
-        world = _parse_pose(_as_obj(obj["world_pose"], f"{path}.world_pose"),
-                            f"{path}.world_pose")
-    return _domain(path, lambda: Module(
-        module_id=_str(obj, path, "id"),
-        kind=_str(obj, path, "kind"),
-        ports=tuple(ports),
-        mass_kg=_num(obj, path, "mass_kg", 1.0),
-        grounded=grounded,
-        world_pose=world,
-    ).validate())
+def _wrenches(value, path: str) -> dict[str, Wrench]:
+    return {mid: _record(Wrench, _WRENCH, w, f"{path}.{mid}")
+            for mid, w in _as_obj(value, path).items()}
 
 
-def _parse_dock_spec(obj: dict, path: str) -> DockSpec:
-    _check_keys(obj, path, {"a", "b", "misalignment", "which_sides"})
-    for key in ("a", "b"):
-        if key not in obj:
-            raise ScenarioError(f"{path}.{key}", "required field is missing")
-    mis = Misalignment()
-    if "misalignment" in obj:
-        mis = _parse_misalignment(
-            _as_obj(obj["misalignment"], f"{path}.misalignment"), f"{path}.misalignment")
-    return DockSpec(
-        a=_parse_port_ref(obj["a"], f"{path}.a"),
-        b=_parse_port_ref(obj["b"], f"{path}.b"),
-        misalignment=mis,
-        which_sides=_str(obj, path, "which_sides", "A", {"A", "B", "both"}),
-    )
+def _power_requests(value, path: str) -> tuple[PowerRequest, ...]:
+    requests = _list_of(_nested(PowerRequest, _POWER_REQUEST))(value, path)
+    # a request without t is timed by its index
+    return tuple(r if r.t is not None else replace(r, t=float(i))
+                 for i, r in enumerate(requests))
 
 
-def _parse_plan(value, path: str) -> tuple[tuple, ...]:
-    steps = []
-    for i, item in enumerate(_as_list(value, path)):
-        spath = f"{path}[{i}]"
-        obj = _as_obj(item, spath)
-        op = _str(obj, spath, "op", choices={"dock", "undock"})
-        if op == "dock":
-            _check_keys(obj, spath, {"op", "a", "b", "misalignment"})
-            a = _parse_port_ref(obj.get("a"), f"{spath}.a")
-            b = _parse_port_ref(obj.get("b"), f"{spath}.b")
-            if "misalignment" in obj:
-                mis = _parse_misalignment(
-                    _as_obj(obj["misalignment"], f"{spath}.misalignment"),
-                    f"{spath}.misalignment")
-                steps.append(("dock", a[0], a[1], b[0], b[1], mis))
-            else:
-                steps.append(("dock", a[0], a[1], b[0], b[1]))
-        else:
-            _check_keys(obj, spath, {"op", "port"})
-            ref = _parse_port_ref(obj.get("port"), f"{spath}.port")
-            steps.append(("undock", ref[0], ref[1]))
-    return tuple(steps)
-
-
-def _parse_assembly(obj: dict, path: str) -> AssemblySection:
-    _check_keys(obj, path, {
-        "modules", "docks", "plan", "external_wrenches", "gravity_mps2",
-        "power_requests", "frames",
-    })
-    modules = tuple(
-        _parse_module(_as_obj(m, f"{path}.modules[{i}]"), f"{path}.modules[{i}]")
-        for i, m in enumerate(_as_list(obj.get("modules", []), f"{path}.modules"))
-    )
-    docks = tuple(
-        _parse_dock_spec(_as_obj(d, f"{path}.docks[{i}]"), f"{path}.docks[{i}]")
-        for i, d in enumerate(_as_list(obj.get("docks", []), f"{path}.docks"))
-    )
-    plan = _parse_plan(obj.get("plan", []), f"{path}.plan")
-    external: dict[str, Wrench] = {}
-    ext_obj = _as_obj(obj.get("external_wrenches", {}), f"{path}.external_wrenches")
-    for mid, wobj in ext_obj.items():
-        wpath = f"{path}.external_wrenches.{mid}"
-        external[mid] = _parse_wrench(_as_obj(wobj, wpath), wpath)
-    gravity = None
-    if obj.get("gravity_mps2") is not None:
-        gravity = _vec(obj, path, "gravity_mps2", 3)
-    requests = []
-    for i, robj in enumerate(_as_list(obj.get("power_requests", []), f"{path}.power_requests")):
-        rpath = f"{path}.power_requests[{i}]"
-        rdict = _as_obj(robj, rpath)
-        _check_keys(rdict, rpath, {"t", "source", "sink", "watts", "rail_v"})
-        rail = _num(rdict, rpath, "rail_v", 48.0)
-        if rail not in (48.0, 24.0):
-            raise ScenarioError(f"{rpath}.rail_v", "must be 48 or 24")
-        requests.append(PowerRequest(
-            t=_num(rdict, rpath, "t", float(i)),
-            source=_str(rdict, rpath, "source"),
-            sink=_str(rdict, rpath, "sink"),
-            watts=_num(rdict, rpath, "watts"),
-            rail_v=rail,
-        ))
-    frames = []
-    for i, fobj in enumerate(_as_list(obj.get("frames", []), f"{path}.frames")):
-        fpath = f"{path}.frames[{i}]"
-        fdict = _as_obj(fobj, fpath)
-        _check_keys(fdict, fpath, {"channel", "source", "dest", "payload_text", "timestamp_s"})
-        frames.append(FrameSpec(
-            channel=_str(fdict, fpath, "channel", choices={"can", "ethernet"}),
-            source=_str(fdict, fpath, "source"),
-            dest=_str(fdict, fpath, "dest"),
-            payload_text=_str(fdict, fpath, "payload_text", ""),
-            timestamp_s=_num(fdict, fpath, "timestamp_s", 0.0),
-        ))
-    return AssemblySection(
-        modules=modules,
-        docks=docks,
-        plan=plan,
-        external=external,
-        gravity=gravity,
-        power_requests=tuple(requests),
-        frames=tuple(frames),
-    )
-
-
-_TOP_KEYS = {
-    "schema_version", "mechanism", "profile", "calibration_targets",
-    "load_envelope", "load_case", "coupling", "events", "envelope", "assembly",
+_POSE = (
+    _Field("xyz", _vec3, (0.0, 0.0, 0.0)),
+    _Field("rpy_deg", _vec3, (0.0, 0.0, 0.0)),
+)
+_PORT = (_Field("name", _string),) + _POSE
+_MODULE = (
+    _Field("ports", _list_of(_nested(lambda name, **xyz_rpy: Port(name, _pose(**xyz_rpy)),
+                                     _PORT)), ()),
+    _Field("grounded", _boolean, False),
+    _Field("world_pose", _nested(_pose, _POSE), None),
+    _Field("id", _string),
+    _Field("kind", _string),
+    _Field("mass_kg", _number, 1.0),
+)
+_DOCK = (
+    _Field("a", _port_ref),
+    _Field("b", _port_ref),
+    _Field("misalignment", _nested(Misalignment, _MISALIGNMENT), None),
+    _Field("which_sides", _string, "A", SIDES),
+)
+_PLAN = {
+    "dock": (_Field("op", _string),) + _DOCK[:3],
+    "undock": (_Field("op", _string), _Field("port", _port_ref)),
 }
+_PLAN_OP = _Field("op", _string, choices=tuple(_PLAN))
+_POWER_REQUEST = (
+    _Field("rail_v", _number, 48.0,
+           bounds=((lambda v: v in (48.0, 24.0), "must be 48 or 24"),)),
+    _Field("t", _number, None),
+    _Field("source", _string),
+    _Field("sink", _string),
+    _Field("watts", _number, bounds=(_POSITIVE,)),
+)
+_FRAME = (
+    _Field("channel", _string, choices=("can", "ethernet")),
+    _Field("source", _string),
+    _Field("dest", _string),
+    _Field("payload_text", _string, ""),
+    _Field("timestamp_s", _number, 0.0),
+)
+
+
+def _plan_step(value, path: str) -> tuple:
+    obj = _as_obj(value, path)
+    table = _PLAN[_read(obj, path, _PLAN_OP)]
+    # a plan step reads a missing port as a malformed one, where a dock calls it missing
+    ports = {row.key: None for row in table if row.kind is _port_ref}
+    f = _fields({**ports, **obj}, path, table)
+    if f["op"] == "undock":
+        return ("undock", *f["port"])
+    return ("dock", *f["a"], *f["b"]) + ((f["misalignment"],) if f["misalignment"] else ())
+
+
+_ASSEMBLY = (
+    _Field("modules", _list_of(_nested(_module, _MODULE)), ()),
+    _Field("docks", _list_of(_nested(DockSpec, _DOCK)), ()),
+    _Field("plan", _list_of(_plan_step), ()),
+    _Field("external_wrenches", _wrenches, None),
+    _Field("gravity_mps2", lambda value, path: None if value is None else _vec3(value, path),
+           None),
+    _Field("power_requests", _power_requests, ()),
+    _Field("frames", _list_of(_nested(FrameSpec, _FRAME)), ()),
+)
+# The sections. parse_profile is looked up at call time, so a wrapper on it sees each call.
+_SCENARIO = (
+    _Field("schema_version", _integer, bounds=((
+        lambda v: v == SCHEMA_VERSION,
+        f"unsupported version {{}}; this tool reads {SCHEMA_VERSION}"),)),
+    _Field("mechanism", _parse_mechanism, None),
+    _Field("profile", lambda value, path: parse_profile(value, path), None),
+    _Field("calibration_targets", _nested(CalibrationTargets, _TARGETS), None),
+    _Field("load_envelope", _nested(LoadEnvelope, _LOAD_ENVELOPE), LoadEnvelope()),
+    _Field("load_case", _nested(LoadCase, _LOAD_CASE), None),
+    _Field("coupling", _nested(CouplingConfig, _COUPLING), CouplingConfig()),
+    _Field("events", _events, None),
+    _Field("envelope", _nested(EnvelopeOptions, _ENVELOPE), EnvelopeOptions()),
+    _Field("assembly", _nested(AssemblySection, _ASSEMBLY), None),
+)
 
 
 def parse_scenario(data) -> Scenario:
     """Validate a decoded scenario document (strict; dotted error paths)."""
-    obj = _as_obj(data, "$")
-    _check_keys(obj, "$", _TOP_KEYS)
-    if "schema_version" not in obj:
-        raise ScenarioError("$.schema_version", "required field is missing")
-    version = _int(obj, "$", "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ScenarioError("$.schema_version",
-                            f"unsupported version {version}; this tool reads {SCHEMA_VERSION}")
+    return _record(Scenario, _SCENARIO, data, "$")
 
-    scenario = Scenario(
-        schema_version=version,
-        mechanism=_parse_mechanism(_as_obj(obj["mechanism"], "$.mechanism"), "$.mechanism")
-        if "mechanism" in obj else None,
-        profile=parse_profile(_as_obj(obj["profile"], "$.profile"), "$.profile")
-        if "profile" in obj else None,
-        calibration_targets=_parse_targets(
-            _as_obj(obj["calibration_targets"], "$.calibration_targets"),
-            "$.calibration_targets")
-        if "calibration_targets" in obj else None,
-        load_envelope=_parse_load_envelope(
-            _as_obj(obj["load_envelope"], "$.load_envelope"), "$.load_envelope")
-        if "load_envelope" in obj else LoadEnvelope(),
-        load_case=_parse_load_case(_as_obj(obj["load_case"], "$.load_case"), "$.load_case")
-        if "load_case" in obj else None,
-        coupling=_parse_coupling(_as_obj(obj["coupling"], "$.coupling"), "$.coupling")
-        if "coupling" in obj else CouplingConfig(),
-        events=_parse_events(obj["events"], "$.events") if "events" in obj else None,
-        envelope_options=_parse_envelope_options(_as_obj(obj["envelope"], "$.envelope"),
-                                                 "$.envelope")
-        if "envelope" in obj else EnvelopeOptions(),
-        assembly=_parse_assembly(_as_obj(obj["assembly"], "$.assembly"), "$.assembly")
-        if "assembly" in obj else None,
-    )
-    return scenario
+
+def parse_profile(obj, path: str) -> FaceProfile:
+    return _record(FaceProfile, _PROFILE, obj, path)
+
+
+def profile_to_json(profile: FaceProfile) -> dict:
+    """Full explicit profile section; written as JSON it re-parses under parse_profile."""
+    return asdict(profile)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -620,21 +510,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _state_json(state: InterfaceState) -> dict:
-    return {
-        "phase": state.phase,
-        "progress_s": state.progress_s,
-        "sides_engaged": list(state.sides_engaged),
-        "fault_kind": state.fault_kind,
-        "time_s": state.time_s,
-    }
-
-
-def _wrench_json(w: Wrench) -> dict:
-    return {"fx_n": w.fx_n, "fy_n": w.fy_n, "fz_n": w.fz_n,
-            "mx_nm": w.mx_nm, "my_nm": w.my_nm, "mz_nm": w.mz_nm}
 
 
 def _edge_label(edge) -> str:
@@ -683,14 +558,15 @@ def run_mechanism(scenario: Scenario, outdir: Path, seed: int | None) -> list[st
     return ["mechanism_report.json", "stroke_trace.csv"]
 
 
-def run_envelope(scenario: Scenario, outdir: Path, seed: int | None,
-                 resolution: float | None) -> list[str]:
+def run_envelope(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
     profile = _require(scenario.profile, "profile")
-    opts = scenario.envelope_options
+    opts = scenario.envelope
+    if profile.outer_diameter_mm / opts.translation_tol_mm > MAX_AXIS_PROBES:
+        raise ScenarioError("$.envelope.translation_tol_mm",
+                            f"scan would take more than {MAX_AXIS_PROBES} lattice points")
     env = full_envelope(
         profile,
-        angular_resolution_deg=resolution if resolution is not None
-        else opts.angular_resolution_deg,
+        angular_resolution_deg=opts.angular_resolution_deg,
         tol_translation_mm=opts.translation_tol_mm,
         tol_rotation_deg=opts.rotation_tol_deg,
         tol_deflection_deg=opts.deflection_tol_deg,
@@ -723,12 +599,7 @@ def run_calibrate(scenario: Scenario, outdir: Path, seed: int | None) -> list[st
     write_json(outdir / "calibrated_profile.json", profile_to_json(profile))
     write_json(outdir / "calibration_report.json", {
         "meta": _meta("calibrate", seed),
-        "targets": {
-            "translation_mm": targets.translation_mm,
-            "rotation_deg": targets.rotation_deg,
-            "deflection_deg": targets.deflection_deg,
-            "tolerance": targets.tolerance,
-        },
+        "targets": asdict(targets),
         "achieved": {
             "translation_mm": env.translation_limit_mm,
             "rotation_deg": env.rotation_limit_deg,
@@ -739,9 +610,7 @@ def run_calibrate(scenario: Scenario, outdir: Path, seed: int | None) -> list[st
 
 
 def run_couple(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
-    events = scenario.events
-    if events is None:
-        raise ScenarioError("$.events", "section required by this command is missing")
+    events = _require(scenario.events, "events")
     config = scenario.coupling
     profile = scenario.profile if scenario.profile is not None else REFERENCE_PROFILE
 
@@ -754,25 +623,18 @@ def run_couple(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
             state = step(state, Event("tick", dt_s=ev.t - t_cur), ev.t - t_cur,
                          config, profile)
             t_cur = ev.t
-        if ev.kind == "approach":
-            mis = _parse_misalignment(ev.payload, "$")
-            state = step(state, Event("approach", misalignment=mis), 0.0, config, profile)
-        elif ev.kind == "inject_fault":
-            state = step(state, Event("inject_fault", fault_kind=ev.payload["fault_kind"]),
-                         0.0, config, profile)
-        elif ev.kind != "wait":
-            state = step(state, Event(ev.kind), 0.0, config, profile)
+        if ev.event is not None:
+            state = step(state, ev.event, 0.0, config, profile)
         lines.append(json.dumps(
-            {"t": ev.t, "event": ev.kind, "payload": ev.payload,
-             "state": _state_json(state)},
+            {"t": ev.t, "event": ev.kind, "payload": ev.payload, "state": asdict(state)},
             sort_keys=True,
         ))
     (outdir / "couple_log.jsonl").write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8")
     write_json(outdir / "couple_report.json", {
         "meta": _meta("couple", seed),
-        "initial_state": _state_json(initial),
-        "final_state": _state_json(state),
+        "initial_state": asdict(initial),
+        "final_state": asdict(state),
         "events_applied": len(events),
         "lock_duration_s": config.lock_duration_s,
     })
@@ -786,7 +648,7 @@ def run_loads(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
     stress = stress_estimate(case.wrench)
     write_json(outdir / "loads_report.json", {
         "meta": _meta("loads", seed),
-        "wrench": _wrench_json(case.wrench),
+        "wrench": asdict(case.wrench),
         "dual_lock": case.dual_lock,
         "check": {
             "utilization": dict(sorted(report.utilization.items())),
@@ -796,14 +658,11 @@ def run_loads(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
             "notes": list(report.notes),
         },
         "stress": {
-            "deflection_mm": stress.deflection_mm,
-            "stress_mpa": stress.stress_mpa,
+            **asdict(stress),
             "per_component": {
                 k: {"deflection_mm": v[0], "stress_mpa": v[1]}
                 for k, v in sorted(stress.per_component.items())
             },
-            "superposed": stress.superposed,
-            "notes": list(stress.notes),
         },
     })
     return ["loads_report.json"]
@@ -831,29 +690,17 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
 
     plan_report = graph.reconfigure(sec.plan)
     plan_rows = [
-        {
-            "index": s.index,
-            "op": [str(x) if not isinstance(x, Misalignment) else "misalignment"
-                   for x in s.op],
-            "applied": s.applied,
-            "detail": s.detail,
-            "stranded": list(s.stranded),
-        }
+        {**asdict(s), "op": [x if isinstance(x, str) else "misalignment" for x in s.op]}
         for s in plan_report.steps
     ]
 
-    result = graph.propagate_wrench(sec.external, sec.gravity,
+    result = graph.propagate_wrench(sec.external_wrenches, sec.gravity_mps2,
                                     envelope=scenario.load_envelope)
     wrench_rows = []
     for edge in sorted(result.local_loads):
-        lw = result.local_loads[edge]
         check = result.load_checks[edge]
-        info = graph.edge_info(edge)
-        wrench_rows.append((
-            _edge_label(edge),
-            lw.fx_n, lw.fy_n, lw.fz_n, lw.mx_nm, lw.my_nm, lw.mz_nm,
-            check.combined, check.ok, info.dual_lock,
-        ))
+        wrench_rows.append((_edge_label(edge), *astuple(result.local_loads[edge]),
+                            check.combined, check.ok, graph.edge_info(edge).dual_lock))
 
     ledger_rows = []
     power_rows = []
@@ -861,7 +708,6 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
         try:
             route = graph.route_power(req.source, req.sink, req.watts, rail_v=req.rail_v)
         except UnreachableError:
-            route = None
             outcome = {"granted": False, "reason": "no locked path"}
         else:
             outcome = (
@@ -869,10 +715,7 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
                 if route is not None
                 else {"granted": False, "reason": "insufficient headroom"}
             )
-        power_rows.append({
-            "t": req.t, "source": req.source, "sink": req.sink,
-            "watts": req.watts, "rail_v": req.rail_v, **outcome,
-        })
+        power_rows.append({**asdict(req), **outcome})
         for edge, rail_v, watts in graph.power_allocations():
             bus = graph.edge_info(edge).channels.buses[rail_v]
             ledger_rows.append((req.t, _edge_label(edge), bus.name, rail_v, watts))
@@ -881,19 +724,15 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
     for spec in sec.frames:
         frame = Frame(spec.channel, spec.source, spec.dest,
                       spec.payload_text.encode("utf-8"), spec.timestamp_s)
+        row = {"channel": spec.channel, "source": spec.source, "dest": spec.dest}
         try:
             delivery = send_frame(frame, graph)
         except UnreachableError:
-            frame_rows.append({
-                "channel": spec.channel, "source": spec.source, "dest": spec.dest,
-                "delivered": False, "reason": "no locked path",
-            })
+            row.update(delivered=False, reason="no locked path")
         else:
-            frame_rows.append({
-                "channel": spec.channel, "source": spec.source, "dest": spec.dest,
-                "delivered": True, "hops": delivery.hops,
-                "latency_s": delivery.latency_s, "path": list(delivery.path),
-            })
+            row.update(delivered=True, hops=delivery.hops, latency_s=delivery.latency_s,
+                       path=list(delivery.path))
+        frame_rows.append(row)
 
     write_json(outdir / "assembly_report.json", {
         "meta": _meta("assembly", seed),
@@ -910,8 +749,7 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
             for e in graph.edges()
         ],
         "ground_reactions": {
-            mid: _wrench_json(w)
-            for mid, w in sorted(result.ground_reactions.items())
+            mid: asdict(w) for mid, w in sorted(result.ground_reactions.items())
         },
         "loads_ok": all(c.ok for c in result.load_checks.values()),
         "power": power_rows,
@@ -930,24 +768,33 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
     return ["assembly_report.json", "wrench_map.csv", "power_ledger.csv"]
 
 
-COMMANDS = ("mechanism", "envelope", "calibrate", "couple", "loads", "assembly")
+COMMANDS = {
+    "mechanism": run_mechanism,
+    "envelope": run_envelope,
+    "calibrate": run_calibrate,
+    "couple": run_couple,
+    "loads": run_loads,
+    "assembly": run_assembly,
+}
 
 
 def run(command: str, scenario: Scenario, outdir: str | Path,
         seed: int | None = None, resolution: float | None = None) -> list[str]:
-    """Execute one command; returns the artifact names written to outdir."""
+    """Execute one command; returns the artifact names written to outdir.
+
+    resolution overrides envelope.angular_resolution_deg under the same
+    bounds, reported at $.resolution. An output directory or artifact that
+    cannot be written is a schema error at $.out.
+    """
+    if command not in COMMANDS:
+        raise ScenarioError("$", f"unknown command {command!r}")
+    if resolution is not None:
+        _check(resolution, "$.resolution", _RESOLUTION)
+        scenario = replace(scenario, envelope=replace(
+            scenario.envelope, angular_resolution_deg=resolution))
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    if command == "mechanism":
-        return run_mechanism(scenario, out, seed)
-    if command == "envelope":
-        return run_envelope(scenario, out, seed, resolution)
-    if command == "calibrate":
-        return run_calibrate(scenario, out, seed)
-    if command == "couple":
-        return run_couple(scenario, out, seed)
-    if command == "loads":
-        return run_loads(scenario, out, seed)
-    if command == "assembly":
-        return run_assembly(scenario, out, seed)
-    raise ScenarioError("$", f"unknown command {command!r}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return COMMANDS[command](scenario, out, seed)
+    except OSError as err:
+        raise ScenarioError("$.out", f"cannot write artifacts: {err}") from err

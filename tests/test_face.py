@@ -250,6 +250,14 @@ class TestEnvelopeSearch:
         with pytest.raises(ParameterError):
             envelope_axis_limit(REFERENCE_PROFILE, "yaw", 1.0)
 
+    @pytest.mark.parametrize("axis,tol", [("translation", 1e-9), ("translation", 0.0079),
+                                          ("rotation", 0.0059), ("deflection", 1e-9)])
+    def test_lattice_cap(self, axis, tol, monkeypatch):
+        # the cap is checked before any probe runs
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match="lattice points"):
+            envelope_axis_limit(REFERENCE_PROFILE, axis, tol)
+
     def test_degenerate_guard(self, monkeypatch):
         monkeypatch.setattr(face, "mate_feasible", lambda p, m: False)
         with pytest.raises(DegenerateProfileError):
@@ -288,6 +296,19 @@ class TestFullEnvelope:
     def test_bad_resolution(self):
         with pytest.raises(ParameterError):
             full_envelope(REFERENCE_PROFILE, angular_resolution_deg=0.0)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"angular_resolution_deg": 1e-9}, "rays"),
+        ({"angular_resolution_deg": 0.099}, "rays"),
+        ({"tol_translation_mm": 1e-9}, "lattice points"),
+        ({"tol_rotation_deg": 1e-9}, "lattice points"),
+        ({"tol_deflection_deg": 1e-9}, "lattice points"),
+    ])
+    def test_sweep_size_caps(self, kwargs, match, monkeypatch):
+        # every cap is checked before the sweep probes anything
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match=match):
+            full_envelope(REFERENCE_PROFILE, **kwargs)
 
     def test_envelope_type(self, reference_envelope):
         assert isinstance(reference_envelope, Envelope)

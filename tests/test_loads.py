@@ -5,7 +5,6 @@ import pytest
 
 from docksim.errors import ParameterError
 from docksim.loads import (
-    COMBINED_LOAD_REFERENCE,
     DUAL_LOCK_FACTOR,
     LoadEnvelope,
     LoadReport,
@@ -122,14 +121,6 @@ class TestStressEstimate:
         multi = stress_estimate(Wrench(fz_n=1000.0, mz_nm=100.0))
         assert multi.superposed
         assert any("combined" in n for n in multi.notes)
-
-    def test_combined_reference_not_predicted(self):
-        # the combined-field reference row differs from every single-mode
-        # prediction and from their superposition: report-only data
-        assert COMBINED_LOAD_REFERENCE.component == "combined"
-        est = stress_estimate(Wrench(fz_n=3000.0, mz_nm=500.0, mx_nm=500.0))
-        assert est.deflection_mm != COMBINED_LOAD_REFERENCE.deflection_mm
-        assert est.stress_mpa != COMBINED_LOAD_REFERENCE.stress_mpa
 
     def test_lateral_not_estimated(self):
         est = stress_estimate(Wrench(fx_n=500.0))

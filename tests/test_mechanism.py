@@ -12,7 +12,6 @@ from docksim import mechanism
 from docksim.errors import JamError, ParameterError, StallError
 from docksim.mechanism import (
     MechanismParams,
-    PinForceState,
     movability_margin,
     movability_report,
     pin_guide_normal,
@@ -78,15 +77,6 @@ class TestPinGuideNormal:
             f1, f2, _ = oracle_equilibrium(mu1, mu2, th, 100.0)
             params = MechanismParams(mu1=mu1, mu2=mu2, theta_deg=th)
             assert pin_guide_normal(f1, params) == pytest.approx(f2, rel=1e-9)
-
-
-class TestPinForceState:
-    def test_from_normal_consistency(self):
-        params = MechanismParams()
-        st = PinForceState.from_normal(100.0, params)
-        assert st.f1 == pytest.approx(30.0, rel=1e-12)
-        assert st.normal_f2 == pytest.approx(pin_guide_normal(100.0, params), rel=1e-12)
-        assert st.f2 == pytest.approx(0.3 * st.normal_f2, rel=1e-12)
 
 
 class TestMovability:

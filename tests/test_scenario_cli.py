@@ -5,12 +5,15 @@ the byte-identical determinism sweep over all commands lives in the
 acceptance suite.
 """
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from docksim import cli
+from docksim import cli, scenario as scenario_module
+from docksim.coupling import Event
 from docksim.errors import ScenarioError
+from docksim.face import Misalignment
 from docksim.scenario import load_scenario, parse_scenario, parse_profile, run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -126,6 +129,23 @@ class TestParsing:
         for path in sorted(SCENARIOS.glob("*.json")):
             load_scenario(path)
 
+    def test_script_events_carry_their_fsm_event(self):
+        s = load_scenario(SCENARIOS / "couple.json")
+        assert s.events[0].event == Event("approach", misalignment=Misalignment(dx_mm=3.0,
+                                                                               rot_deg=5.0))
+        assert s.events[1].kind == "wait" and s.events[1].event is None
+        assert s.events[2].event == Event("start_lock")
+
+    def test_huge_integer_reads_as_non_finite(self):
+        with pytest.raises(ScenarioError) as ei:
+            parse_scenario({"schema_version": 1, "mechanism": {"mu_rail": 10 ** 400}})
+        assert (ei.value.path, ei.value.reason) == ("$.mechanism.mu_rail", "must be finite")
+
+    def test_sweep_sizes_inside_the_caps_parse(self):
+        parse_scenario({"schema_version": 1, "envelope": {
+            "angular_resolution_deg": 0.125, "rotation_tol_deg": 0.008,
+            "deflection_tol_deg": 0.008}})
+
 
 # ------------------------------------------------------------- CLI
 
@@ -220,6 +240,54 @@ class TestCli:
         assert rc == 0
         report = json.loads((out / "loads_report.json").read_text())
         assert report["meta"]["seed"] == 42
+
+    def test_negative_resisting_force_exits_2_with_path(self, capsys, tmp_path):
+        p = scenario_path(tmp_path, {"schema_version": 1,
+                                     "mechanism": {"resisting_force_n": -1.0}})
+        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err["error"]["path"] == "$.mechanism.resisting_force_n"
+
+    def test_nonpositive_power_request_exits_2_with_path(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        doc["assembly"]["power_requests"][0]["watts"] = 0.0
+        p = scenario_path(tmp_path, doc)
+        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err["error"]["path"] == "$.assembly.power_requests[0].watts"
+
+    def test_translation_scan_over_cap_exits_2_with_path(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "envelope.json").read_text())
+        doc["envelope"]["translation_tol_mm"] = 1e-9
+        p = scenario_path(tmp_path, doc)
+        rc, err = run_cli(capsys, ["envelope", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err["error"]["path"] == "$.envelope.translation_tol_mm"
+        assert err["error"]["message"] == "scan would take more than 10000 lattice points"
+
+    def test_resolution_flag_over_cap_exits_2(self, capsys, tmp_path):
+        rc, err = run_cli(capsys, ["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
+                                   "--out", str(tmp_path / "o"), "--resolution", "1e-9"])
+        assert rc == 2
+        assert err["error"]["path"] == "$.resolution"
+        assert err["error"]["message"] == "sweep would take more than 1200 rays"
+
+    def test_out_naming_a_file_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        rc, err = run_cli(capsys, ["loads", "--scenario", str(SCENARIOS / "loads.json"),
+                                   "--out", str(out)])
+        assert rc == 2
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["path"] == "$.out"
+
+    def test_unwritable_artifact_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        (out / "loads_report.json").mkdir(parents=True)
+        rc, err = run_cli(capsys, ["loads", "--scenario", str(SCENARIOS / "loads.json"),
+                                   "--out", str(out)])
+        assert rc == 2
+        assert err["error"]["path"] == "$.out"
 
     def test_bad_seed_rejected(self, capsys, tmp_path):
         rc, err = run_cli(capsys, ["loads", "--scenario",
@@ -350,9 +418,8 @@ def _doc(section, body):
 
 
 def _asm(key, item):
-    """An assembly whose list `key` holds one item (modules stay valid)."""
-    body = {"modules": [MODULE], key: [item]} if key != "modules" else {"modules": [item]}
-    return _doc("assembly", body)
+    """An assembly whose list `key` holds one item (other modules stay valid)."""
+    return _doc("assembly", {"modules": [MODULE], key: [item]})
 
 
 def _event(event):
@@ -575,3 +642,94 @@ def test_error_path_and_message(doc, path, message):
     with pytest.raises(ScenarioError) as ei:
         parse_scenario(doc)
     assert (ei.value.path, ei.value.reason) == (path, message)
+
+
+# Values that would otherwise fail later in the analysis (exit 3) or size an
+# unbounded envelope sweep.
+NEW_BOUNDS = [
+    (_doc("mechanism", {"resisting_force_n": -1.0}), "$.mechanism.resisting_force_n",
+     "must be >= 0"),
+    (_doc("mechanism", {"mu_rail": -0.1}), "$.mechanism.mu_rail", "must be >= 0"),
+    (_asm("power_requests", {**REQUEST, "watts": 0.0}), "$.assembly.power_requests[0].watts",
+     "must be > 0"),
+    (_asm("power_requests", {**REQUEST, "watts": -5.0}), "$.assembly.power_requests[0].watts",
+     "must be > 0"),
+    (_doc("envelope", {"angular_resolution_deg": 1e-9}), "$.envelope.angular_resolution_deg",
+     "sweep would take more than 1200 rays"),
+    (_doc("envelope", {"rotation_tol_deg": 1e-9}), "$.envelope.rotation_tol_deg",
+     "scan would take more than 10000 lattice points"),
+    (_doc("envelope", {"deflection_tol_deg": 0.005}), "$.envelope.deflection_tol_deg",
+     "scan would take more than 10000 lattice points"),
+]
+
+
+@pytest.mark.parametrize("doc,path,message", NEW_BOUNDS,
+                         ids=[f"{i:03d}:{case[1]}" for i, case in enumerate(NEW_BOUNDS)])
+def test_new_bound_path_and_message(doc, path, message):
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario(doc)
+    assert (ei.value.path, ei.value.reason) == (path, message)
+
+
+# ------------------------------------------------------------- schema docs
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "scenario_schema.md"
+
+# docs section -> the field tables it documents
+DOC_TABLES = {
+    "Top-level sections": ["_SCENARIO"],
+    "mechanism": ["_MECHANISM", "_MECHANISM_PARAMS"],
+    "profile": ["_PROFILE"],
+    "envelope": ["_ENVELOPE"],
+    "calibration_targets": ["_TARGETS"],
+    "coupling": ["_COUPLING"],
+    "events": ["_EVENT", "_MISALIGNMENT", "_FAULT"],
+    "load_envelope": ["_LOAD_ENVELOPE"],
+    "load_case": ["_LOAD_CASE", "_WRENCH"],
+    "assembly": ["_ASSEMBLY", "_MODULE", "_PORT", "_POSE", "_DOCK", "_PLAN",
+                 "_POWER_REQUEST", "_FRAME"],
+}
+
+
+def _doc_sections() -> dict:
+    sections, name = {}, None
+    for line in DOCS.read_text().splitlines():
+        if line.startswith("## "):
+            m = re.match(r"## `([^`]+)`", line)
+            name = m.group(1) if m else line[3:]
+            sections[name] = ""
+        elif name is not None:
+            sections[name] += " " + line.strip()
+    return sections
+
+
+def _rows(name):
+    table = getattr(scenario_module, name)
+    if isinstance(table, dict):  # one table per plan op
+        return [row for rows in table.values() for row in rows]
+    return list(table)
+
+
+def _rendered(row) -> str:
+    """How a row is written in the docs: the key, then its default if it has one."""
+    default = row.default
+    if isinstance(default, tuple):
+        default = list(default)
+    if isinstance(default, (bool, int, float, str, list)):
+        return f"`{row.key}` ({json.dumps(default)}"
+    return f"`{row.key}`"
+
+
+def test_every_field_table_is_documented():
+    tables = {name for name, value in vars(scenario_module).items()
+              if name.startswith("_") and name.isupper() and isinstance(value, (tuple, dict))
+              and all(isinstance(row, scenario_module._Field) for row in _rows(name))}
+    assert tables == {name for names in DOC_TABLES.values() for name in names}
+
+
+@pytest.mark.parametrize("section", sorted(DOC_TABLES))
+def test_docs_list_every_key_with_its_default(section):
+    text = _doc_sections()[section]
+    missing = [_rendered(row) for name in DOC_TABLES[section] for row in _rows(name)
+               if _rendered(row) not in text]
+    assert not missing, f"docs/scenario_schema.md section {section!r} lacks {missing}"
