@@ -57,8 +57,22 @@ PortRef = tuple[str, str]  # (module_id, port_name)
 EdgeKey = tuple[PortRef, PortRef]
 
 
+# np.allclose's test |x - y| <= atol + rtol * |y| (rtol 1e-5), written out
+# against these finite targets, where its isfinite(y) and x == y terms are moot
+_LAST_ROW = np.array((0.0, 0.0, 0.0, 1.0))
+_LAST_ROW_TOL = 1e-8 + 1e-5 * np.abs(_LAST_ROW)
+_EYE3 = np.eye(3)
+_EYE3_TOL = 1e-9 + 1e-5 * np.abs(_EYE3)
+
+
 class Pose:
-    """Immutable rigid transform (4x4 homogeneous)."""
+    """Immutable rigid transform (4x4 homogeneous).
+
+    Every construction checks the matrix with np.allclose's tolerances: all
+    entries finite, the bottom row within 1e-8 + 1e-5 * |target| of
+    (0, 0, 0, 1), and R R^T within 1e-9 + 1e-5 * |target| of the identity
+    (1e-9 off the diagonal, 1e-9 + 1e-5 on it).
+    """
 
     __slots__ = ("_m",)
 
@@ -66,10 +80,10 @@ class Pose:
         m = np.array(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ParameterError("pose matrix must be 4x4")
-        if not np.all(np.isfinite(m)) or not np.allclose(m[3], (0.0, 0.0, 0.0, 1.0)):
+        if not np.isfinite(m).all() or not (np.abs(m[3] - _LAST_ROW) <= _LAST_ROW_TOL).all():
             raise ParameterError("pose matrix is not a homogeneous transform")
         r = m[:3, :3]
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        if not (np.abs(r @ r.T - _EYE3) <= _EYE3_TOL).all():
             raise ParameterError("pose rotation block is not orthonormal")
         m.flags.writeable = False
         self._m = m
@@ -111,7 +125,8 @@ class Pose:
         return Pose(self._m @ other._m)
 
     def almost_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self._m, other._m, atol=tol))
+        """np.allclose(self, other, atol=tol), written out: other is finite."""
+        return bool((np.abs(self._m - other._m) <= tol + 1e-5 * np.abs(other._m)).all())
 
     def __repr__(self) -> str:
         t = self.translation
@@ -159,6 +174,13 @@ class Module:
 def mate_world_pose(t_wa: Pose, port_a: Port, port_b: Port) -> Pose:
     """World pose of module b docked to module a: T_wa * P_a * RotX(pi) * P_b^-1."""
     return Pose(t_wa.matrix @ port_a.pose.matrix @ _ROTX_PI @ port_b.pose.inverse().matrix)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two 3-vectors: the same products and differences, the same bits."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
 def _wrench_from_vecs(f, m) -> Wrench:
@@ -451,7 +473,13 @@ class ModuleGraph:
     # --- kinematics ---------------------------------------------------------
 
     def world_poses(self) -> dict[str, Pose]:
-        """Propagate poses from anchors; loop closures must agree to 1e-6."""
+        """Propagate poses from anchors; loop closures must agree to 1e-6.
+
+        Each tree interface is derived once, from the module nearer the
+        root. Seen again from the far side it would close on itself
+        (RotX(pi) squared is the identity), so only loop-closing
+        interfaces are derived a second time and checked.
+        """
         poses: dict[str, Pose] = {}
         for comp in self._components():
             anchors = [m for m in comp if self._modules[m].grounded]
@@ -459,7 +487,10 @@ class ModuleGraph:
                 continue
             root = min(anchors)
             poses[root] = self._modules[root].world_pose
+            reached_via: dict[str, str] = {}  # module -> port its pose came through
             for (cur, pname), (pid, ppname), new in self._walk([root]):
+                if reached_via.get(cur) == pname:
+                    continue
                 t = mate_world_pose(
                     poses[cur],
                     self._modules[cur].port(pname),
@@ -477,6 +508,7 @@ class ModuleGraph:
                         f"anchored module {pid!r} disagrees with the docked chain"
                     )
                 poses[pid] = t
+                reached_via[pid] = ppname
         return poses
 
     # --- statics -------------------------------------------------------------
@@ -594,10 +626,10 @@ class ModuleGraph:
             else:
                 edge_pt[mid] = poses[mid].translation
             total_f = f.copy()
-            total_m = m + np.cross(p - edge_pt[mid], f)
+            total_m = m + _cross(p - edge_pt[mid], f)
             for cid in children[mid]:
                 total_f += sub_f[cid]
-                total_m += sub_m[cid] + np.cross(edge_pt[cid] - edge_pt[mid], sub_f[cid])
+                total_m += sub_m[cid] + _cross(edge_pt[cid] - edge_pt[mid], sub_f[cid])
             sub_f[mid] = total_f
             sub_m[mid] = total_m
             if link[mid] is not None:

@@ -64,6 +64,8 @@ class FaceProfile:
         if not HUB_RADIUS_MM < self.groove_radius_mm < self.outer_diameter_mm / 2.0:
             raise ParameterError("groove radius must lie between hub and rim")
         g0, g1, g2 = self.groove_positions_deg
+        if not all(map(math.isfinite, self.groove_positions_deg)):
+            raise ParameterError("groove positions must be finite")
         if abs((g1 - g0) - 120.0) > 1e-9 or abs((g2 - g1) - 120.0) > 1e-9:
             raise ParameterError("groove positions must be spaced 120 degrees")
         return self

@@ -79,8 +79,8 @@ _as_list = _typed(lambda v: isinstance(v, list), "expected a list, got {}")
 _integer = _typed(lambda v: _is_number(v) and isinstance(v, int), "expected an integer")
 _string = _typed(lambda v: isinstance(v, str), "expected a string")
 _boolean = _typed(lambda v: isinstance(v, bool), "expected a boolean")
-_vec3 = _typed(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
-               "expected a list of 3 numbers", lambda v: tuple(map(_float, v)))
+_list3 = _typed(lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_number, v)),
+                "expected a list of 3 numbers", lambda v: tuple(map(_float, v)))
 _port_ref = _typed(lambda v: isinstance(v, list) and len(v) == 2
                    and all(isinstance(x, str) for x in v),
                    "expected [module_id, port_name]", tuple)
@@ -92,6 +92,13 @@ def _number(value, path: str) -> float:
     if not math.isfinite(value := _float(value)):
         raise ScenarioError(path, "must be finite")
     return value
+
+
+def _vec3(value, path: str) -> tuple[float, float, float]:
+    vec = _list3(value, path)
+    if not all(map(math.isfinite, vec)):
+        raise ScenarioError(path, "must be finite")
+    return vec
 
 
 class _Field(NamedTuple):

@@ -1,9 +1,11 @@
-"""Shared test helpers: random docked trees and a free-body load oracle.
+"""Shared test helpers: random docked trees, a free-body load oracle and an
+np.allclose reference for the pose checks.
 
 The oracle recomputes each interface load by cutting the edge and summing
 the severed side directly, a different code path from the package's
 bottom-up accumulation.
 """
+import math
 import random
 
 import numpy as np
@@ -67,6 +69,51 @@ def make_random_tree(rng: random.Random, max_modules: int = 10, unlocked_pairs: 
             )
     gravity = (0.0, 0.0, -9.81) if rng.random() < 0.5 else None
     return g, external, gravity
+
+
+def reference_pose_error(matrix) -> str | None:
+    """Pose's validation written with np.allclose: the message of the first
+    failed check, or None when the matrix is a valid rigid transform."""
+    m = np.array(matrix, dtype=float)
+    if m.shape != (4, 4):
+        return "pose matrix must be 4x4"
+    if not np.all(np.isfinite(m)) or not np.allclose(m[3], (0.0, 0.0, 0.0, 1.0)):
+        return "pose matrix is not a homogeneous transform"
+    r = m[:3, :3]
+    if not np.allclose(r @ r.T, np.eye(3), atol=1e-9):
+        return "pose rotation block is not orthonormal"
+    return None
+
+
+def reference_almost_equal(a: Pose, b: Pose, tol: float = 1e-9) -> bool:
+    """Pose.almost_equal written with np.allclose."""
+    return bool(np.allclose(a.matrix, b.matrix, atol=tol))
+
+
+def perturbed_pose_matrix(rng: random.Random) -> np.ndarray:
+    """A rigid transform with a few entries moved to near a tolerance edge,
+    or set to NaN, an infinity or a value whose square overflows."""
+    m = Pose.from_xyz_rpy(
+        *(rng.uniform(-1e3, 1e3) for _ in range(3)),
+        rng.uniform(-3.0, 3.0), rng.uniform(-1.4, 1.4), rng.uniform(-3.0, 3.0),
+    ).matrix.copy()
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(4), rng.randrange(4)
+        kind = rng.random()
+        if kind < 0.05:
+            m[i, j] = rng.choice((math.nan, math.inf, -math.inf))
+        elif kind < 0.1:
+            m[i, j] = rng.choice((1e155, -1e155, 1e300, -1.7e308))
+        elif i == 3:
+            # bottom row: allclose tolerance is 1e-8 + 1e-5 * |target|
+            tol = 1e-8 + 1e-5 * abs(m[i, j])
+            m[i, j] += rng.choice((-1.0, 1.0)) * tol * rng.uniform(0.98, 1.02)
+        elif j < 3:
+            # rotation entry: R R^T moves by about the shift itself
+            m[i, j] += rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -4.0)
+        else:
+            m[i, j] += rng.uniform(-1.0, 1.0)
+    return m
 
 
 def _wrench_vec(w: Wrench):

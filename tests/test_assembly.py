@@ -5,12 +5,20 @@ import random
 import numpy as np
 import pytest
 
-from assembly_oracle import make_random_tree, max_equilibrium_residual
+from assembly_oracle import (
+    make_random_tree,
+    max_equilibrium_residual,
+    perturbed_pose_matrix,
+    reference_almost_equal,
+    reference_pose_error,
+)
+from docksim import assembly
 from docksim.assembly import (
     Module,
     ModuleGraph,
     Pose,
     Port,
+    _cross,
     mate_world_pose,
 )
 from docksim.bus import Frame, send_frame
@@ -44,10 +52,41 @@ def simple_module(mid, grounded=False, world=None, mass=0.0, nports=2):
     )
 
 
+def twin_module(mid, grounded=False, world=None):
+    # simple_module's x ports, each with a coincident twin: a parallel pair closes exactly
+    ports = simple_module(mid).ports
+    twins = tuple(Port(p.name + "2", p.pose) for p in ports)
+    return Module(mid, "link", ports + twins, mass_kg=0.0, grounded=grounded, world_pose=world)
+
+
 def dock_ok(g, *args, **kwargs):
     report = g.dock(*args, **kwargs)
     assert report.accepted, report.reason
     return report.edge
+
+
+NOT_4X4 = "pose matrix must be 4x4"
+NOT_HOMOGENEOUS = "pose matrix is not a homogeneous transform"
+NOT_ORTHONORMAL = "pose rotation block is not orthonormal"
+
+
+def pose_error(matrix):
+    """Message Pose raises for matrix, or None when it accepts it."""
+    try:
+        Pose(matrix)
+    except ParameterError as err:
+        return str(err)
+    return None
+
+
+def last_within(x, ok, toward=math.inf):
+    """The last float, stepping from near x toward `toward`, for which ok holds."""
+    back = -math.inf if toward > x else math.inf
+    while not ok(x):
+        x = np.nextafter(x, back)
+    while ok(np.nextafter(x, toward)):
+        x = np.nextafter(x, toward)
+    return x
 
 
 class TestPose:
@@ -71,6 +110,97 @@ class TestPose:
         m[3, 0] = 1.0
         with pytest.raises(ParameterError):
             Pose(m)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4), (16,), (4, 4, 1), (5, 5)])
+    def test_shape_message(self, shape):
+        assert pose_error(np.zeros(shape)) == NOT_4X4
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_message(self, value):
+        for i in range(4):
+            for j in range(4):
+                m = np.eye(4)
+                m[i, j] = value
+                assert pose_error(m) == NOT_HOMOGENEOUS, (i, j)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_bottom_row_tolerance_edge(self, j):
+        # np.allclose defaults: |x - y| <= 1e-8 + 1e-5 * |y|
+        y = 1.0 if j == 3 else 0.0
+        tol = 1e-8 + 1e-5 * abs(y)
+        for toward in (math.inf, -math.inf):
+            x = last_within(y + math.copysign(tol, toward), lambda x: abs(x - y) <= tol, toward)
+            m = np.eye(4)
+            m[3, j] = x
+            assert pose_error(m) is None
+            m[3, j] = np.nextafter(x, toward)
+            assert pose_error(m) == NOT_HOMOGENEOUS
+
+    def test_rotation_off_diagonal_tolerance_edge(self):
+        # R = I + e at (0, 1): (R R^T)[0, 1] is e exactly, against 1e-9
+        for sign in (1.0, -1.0):
+            m = np.eye(4)
+            m[0, 1] = sign * 1e-9
+            assert pose_error(m) is None
+            m[0, 1] = np.nextafter(sign * 1e-9, sign * math.inf)
+            assert pose_error(m) == NOT_ORTHONORMAL
+
+    def test_rotation_diagonal_tolerance_edge(self):
+        # R = diag(s, 1, 1): (R R^T)[0, 0] is s * s, against 1e-9 + 1e-5
+        tol = 1e-9 + 1e-5
+        for start, toward in ((math.sqrt(1.0 + tol), 2.0), (math.sqrt(1.0 - tol), 0.0)):
+            s = last_within(start, lambda s: abs(s * s - 1.0) <= tol, toward)
+            m = np.eye(4)
+            m[0, 0] = s
+            assert pose_error(m) is None
+            m[0, 0] = np.nextafter(s, toward)
+            assert pose_error(m) == NOT_ORTHONORMAL
+
+    def test_verdicts_match_allclose_reference(self):
+        rng = random.Random(20260)
+        verdicts = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(4000):
+                m = perturbed_pose_matrix(rng)
+                expected = reference_pose_error(m)
+                assert pose_error(m) == expected, m
+                verdicts.add(expected)
+        assert verdicts == {None, NOT_HOMOGENEOUS, NOT_ORTHONORMAL}
+
+    def test_almost_equal_matches_allclose_reference(self):
+        rng = random.Random(20261)
+        outcomes = set()
+        for _ in range(3000):
+            a = Pose.from_xyz_rpy(
+                *(10.0 ** rng.uniform(-3.0, 4.0) * rng.choice((-1.0, 1.0)) for _ in range(3)),
+                rng.uniform(-3.0, 3.0), rng.uniform(-1.4, 1.4), rng.uniform(-3.0, 3.0),
+            )
+            tol = rng.choice((1e-9, 1e-6))
+            m = a.matrix.copy()
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(3)
+                if rng.random() < 0.5:
+                    # translation entry near the edge tol + 1e-5 * |b|
+                    edge = tol + 1e-5 * abs(m[i, 3])
+                    m[i, 3] += rng.choice((-1.0, 1.0)) * edge * rng.uniform(0.98, 1.02)
+                else:
+                    m[i, rng.randrange(3)] += rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13, -10)
+            b = Pose(m)
+            for x, y in ((a, b), (b, a)):
+                expected = reference_almost_equal(x, y, tol)
+                assert x.almost_equal(y, tol) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_cross_matches_numpy_bytes(self):
+        rng = np.random.default_rng(7)
+        vecs = [rng.normal(size=3) * 10.0 ** rng.uniform(-6, 6) for _ in range(500)]
+        vecs += [np.array([0.0, -0.0, 1.0]), np.array([-0.0, -0.0, -0.0]),
+                 np.array([1e300, -1e300, 1e-300]), np.array([1.7e308, 1e200, -1e160])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in vecs:
+                for b in vecs[-8:] + [vecs[len(vecs) // 2]]:
+                    assert _cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
 
 
 class TestMateTransform:
@@ -216,6 +346,54 @@ class TestWorldPoses:
         dock_ok(g, "a", "pz", "b", "pz")
         with pytest.raises(IndeterminateError):
             g.world_poses()
+
+    def test_consistent_parallel_lock_accepted(self):
+        g = ModuleGraph()
+        g.add_module(twin_module("a", grounded=True, world=Pose.identity()))
+        g.add_module(twin_module("b"))
+        dock_ok(g, "a", "px", "b", "nx")
+        dock_ok(g, "a", "px2", "b", "nx2")
+        poses = g.world_poses()
+        assert np.allclose(poses["b"].translation, (2.0, 0.0, 0.0), atol=1e-12)
+
+    def test_anchor_disagreeing_with_chain_rejected(self):
+        g = ModuleGraph()
+        g.add_module(simple_module("a", grounded=True, world=Pose.identity()))
+        g.add_module(simple_module("b", grounded=True, world=Pose.from_xyz_rpy(x=2.5, roll=math.pi)))
+        dock_ok(g, "a", "px", "b", "nx")
+        with pytest.raises(IndeterminateError, match="anchored module 'b' disagrees with the "
+                                                     "docked chain"):
+            g.world_poses()
+
+    def test_anchor_agreeing_with_chain_accepted(self):
+        g = ModuleGraph()
+        g.add_module(simple_module("a", grounded=True, world=Pose.identity()))
+        # docked px to nx, b sits 2 m along x, turned half a turn about x
+        g.add_module(simple_module("b", grounded=True, world=Pose.from_xyz_rpy(x=2.0, roll=math.pi)))
+        dock_ok(g, "a", "px", "b", "nx")
+        assert set(g.world_poses()) == {"a", "b"}
+
+    @pytest.mark.parametrize("pair_at,derived", [(None, 199), (100, 201)])
+    def test_each_tree_interface_derived_once(self, pair_at, derived, monkeypatch):
+        g = ModuleGraph()
+        for i in range(200):
+            g.add_module(twin_module(f"m{i}", grounded=i == 0,
+                                     world=Pose.identity() if i == 0 else None))
+            if i:
+                dock_ok(g, f"m{i - 1}", "px", f"m{i}", "nx")
+        if pair_at is not None:
+            # a locked parallel interface closes a loop, checked from both ends
+            dock_ok(g, f"m{pair_at}", "px2", f"m{pair_at + 1}", "nx2")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return mate_world_pose(*args)
+
+        monkeypatch.setattr(assembly, "mate_world_pose", counting)
+        poses = g.world_poses()
+        assert len(calls) == derived
+        assert len(poses) == 200
 
 
 class TestPropagateWrench:

@@ -57,6 +57,17 @@ class TestProfileValidation:
         with pytest.raises(ParameterError):
             FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=(90.0, 200.0, 330.0)).validate()
 
+    @pytest.mark.parametrize("grooves", [
+        (math.nan, math.nan, math.nan),
+        (90.0, 210.0, math.nan),
+        (math.inf, math.inf, math.inf),
+        (-math.inf, 210.0, 330.0),
+    ])
+    def test_non_finite_groove_positions(self, grooves):
+        # NaN spacing compares false against the 120-degree test, so it needs its own check
+        with pytest.raises(ParameterError, match="groove positions must be finite"):
+            FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=grooves).validate()
+
     def test_ramp_width_cap(self):
         steep = FaceProfile(6.5, 5.0, 27.0, 1.0)
         assert steep.ramp_width_deg == 30.0

@@ -256,6 +256,15 @@ class TestCli:
         assert rc == 2
         assert err["error"]["path"] == "$.assembly.power_requests[0].watts"
 
+    def test_non_finite_gravity_exits_2_with_path(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        doc["assembly"]["gravity_mps2"] = [float("inf"), 0.0, 0.0]
+        p = scenario_path(tmp_path, doc)
+        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (err["error"]["path"], err["error"]["message"]) == (
+            "$.assembly.gravity_mps2", "must be finite")
+
     def test_translation_scan_over_cap_exits_2_with_path(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "envelope.json").read_text())
         doc["envelope"]["translation_tol_mm"] = 1e-9
@@ -402,6 +411,7 @@ def test_run_rejects_unknown_command(tmp_path):
 # ------------------------------------------------------------- pinned error paths
 
 NAN = float("nan")
+INF = float("inf")
 POSE = {"xyz": [0.0, 0.0, 0.0], "rpy_deg": [0.0, 0.0, 0.0]}
 PORT = {"name": "p", **POSE}
 MODULE = {"id": "m", "kind": "link", "ports": [PORT]}
@@ -574,7 +584,7 @@ ERROR_PATHS = [
     (_asm("modules", {**MODULE, "world_pose": {"xyz": [0, 0, True]}}),
      "$.assembly.modules[0].world_pose.xyz", "expected a list of 3 numbers"),
     (_asm("modules", {**MODULE, "world_pose": {"xyz": [0, 0, NAN]}}),
-     "$.assembly.modules[0].world_pose", "pose matrix is not a homogeneous transform"),
+     "$.assembly.modules[0].world_pose.xyz", "must be finite"),
     (_asm("modules", {**MODULE, "ports": {}}), "$.assembly.modules[0].ports",
      "expected a list, got dict"),
     (_asm("modules", {**MODULE, "ports": [None]}), "$.assembly.modules[0].ports[0]",
@@ -660,6 +670,17 @@ NEW_BOUNDS = [
      "scan would take more than 10000 lattice points"),
     (_doc("envelope", {"deflection_tol_deg": 0.005}), "$.envelope.deflection_tol_deg",
      "scan would take more than 10000 lattice points"),
+    # every element of a 3-vector must be finite
+    (_doc("assembly", {"gravity_mps2": [INF, 0.0, 0.0]}), "$.assembly.gravity_mps2",
+     "must be finite"),
+    (_doc("assembly", {"gravity_mps2": [0.0, NAN, -9.81]}), "$.assembly.gravity_mps2",
+     "must be finite"),
+    (_doc("assembly", {"gravity_mps2": [0, 0, -10 ** 400]}), "$.assembly.gravity_mps2",
+     "must be finite"),
+    (_asm("modules", {**MODULE, "ports": [{**PORT, "rpy_deg": [0, -INF, 0]}]}),
+     "$.assembly.modules[0].ports[0].rpy_deg", "must be finite"),
+    (_doc("profile", {**PROFILE, "groove_positions_deg": [NAN, NAN, NAN]}),
+     "$.profile.groove_positions_deg", "must be finite"),
 ]
 
 
