@@ -7,7 +7,8 @@ Exit codes: 0 success, 2 scenario schema violation (error JSON carries the
 dotted field path), 3 analysis error (error JSON carries the module error
 payload). Bad flags are schema violations too: `$.seed`, `$.resolution`,
 and `$.out` when the output directory cannot be created (for example, it
-names an existing file) or an artifact cannot be written there.
+names an existing file) or an artifact cannot be written there; a failed
+run leaves the output directory as it was.
 Set DOCKSIM_LOG=debug|info|warning|error for stderr verbosity.
 """
 from __future__ import annotations

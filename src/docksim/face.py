@@ -53,6 +53,10 @@ class FaceProfile:
     def validate(self) -> "FaceProfile":
         if self.petal_count != 3:
             raise ParameterError("petal_count is fixed at 3")
+        dims = (self.petal_height_mm, self.petal_flank_angle_deg, self.groove_radius_mm,
+                self.chamfer_depth_mm, self.outer_diameter_mm)
+        if not all(map(math.isfinite, dims)):
+            raise ParameterError("profile dimensions must be finite")
         if self.outer_diameter_mm <= 0.0:
             raise ParameterError("outer_diameter_mm must be positive")
         if self.petal_height_mm <= 0.0 or self.groove_radius_mm <= 0.0:
@@ -167,40 +171,77 @@ def canonicalize(mis: Misalignment) -> Misalignment:
 
 
 def _smoothstep(x):
-    x = np.minimum(np.maximum(x, 0.0), 1.0)
-    return x * x * (3.0 - 2.0 * x)
+    """3x^2 - 2x^3 of x clamped to [0, 1], in place in the float array x."""
+    np.maximum(x, 0.0, out=x)
+    np.minimum(x, 1.0, out=x)
+    s = 2.0 * x
+    np.subtract(3.0, s, out=s)
+    x *= x
+    x *= s
+    return x
+
+
+_DEG_PER_RAD = 180.0 / math.pi  # np.degrees multiplies by this
+
+
+def _column(*values: float) -> np.ndarray:
+    col = np.array(values).reshape(-1, 1)
+    col.flags.writeable = False
+    return col
 
 
 @functools.lru_cache(maxsize=16)
-def _field_constants(profile: FaceProfile) -> tuple[float, ...]:
-    """Per-profile scalars of height_field: phase, ramp width, hub-to-groove
-    run, chamfer start radius, chamfer run and chamfer fraction."""
+def _field_constants(profile: FaceProfile) -> tuple:
+    """Per-profile constants of height_field: the petal phase, the chamfer
+    fraction, the radial ramps' start radii as a (2, 1) column (hub, chamfer)
+    and the three smoothstep runs as a (3, 1) column (ramp width, hub to
+    groove, chamfer depth)."""
     crun = max(profile.chamfer_depth_mm, 1e-9)
     return (
         profile.groove_positions_deg[0] - 90.0,
-        profile.ramp_width_deg,
-        profile.groove_radius_mm - HUB_RADIUS_MM,
-        profile.rim_radius_mm - crun,
-        crun,
         min(1.0, profile.chamfer_depth_mm / profile.petal_height_mm),
+        _column(HUB_RADIUS_MM, profile.rim_radius_mm - crun),
+        _column(profile.ramp_width_deg, profile.groove_radius_mm - HUB_RADIUS_MM, crun),
     )
 
 
 def height_field(profile: FaceProfile, x, y):
-    """Surface height at cartesian face coordinates (vectorized)."""
-    phase, delta, hub_run, c_start, crun, cfrac = _field_constants(profile)
+    """Surface height at cartesian face coordinates.
 
+    x and y are scalars, sequences or arrays that broadcast together; the
+    result has their broadcast shape, in float64, and a scalar pair gives an
+    np.float64. The height is H * wave(phi) * inner(r) * (1 - cfrac *
+    chamfer(r)): wave is the odd 120-periodic petal hump, inner and chamfer
+    the hub and rim ramps. The three smoothstep ramps run as one stacked
+    (3, n) array, in place; every element gets the same IEEE operations, in
+    the same order, as the formula written out term by term.
+    """
+    phase, cfrac, start, run = _field_constants(profile)
     r = np.hypot(x, y)
-    phi = np.degrees(np.arctan2(y, x)) - phase
-    pm = np.mod(phi, 120.0)
-    up = pm <= 60.0
-    xx = np.where(up, pm, 120.0 - pm)
-    hump = _smoothstep(np.minimum(xx, 60.0 - xx) / delta)
-    wave = np.where(up, hump, -hump)
-
-    inner = _smoothstep((r - HUB_RADIUS_MM) / hub_run)
-    window = inner * (1.0 - cfrac * _smoothstep((r - c_start) / crun))
-    return profile.petal_height_mm * wave * window
+    ramps = np.empty((3, *np.shape(r)))
+    hump, inner, chamfer = ramps[0, ...], ramps[1, ...], ramps[2, ...]
+    pm = np.arctan2(y, x, out=hump)
+    pm *= _DEG_PER_RAD
+    pm -= phase
+    # np.mod(phi, 120) without its discarded floor division: the remainder,
+    # +0.0 for a zero, then 120 added to a negative one
+    np.fmod(pm, 120.0, out=pm)
+    pm += 0.0
+    pm += 60.0 - np.copysign(60.0, pm)
+    rising = 60.0 - pm  # >= +0.0 exactly where pm <= 60: the wave's sign
+    np.minimum(pm, 120.0 - pm, out=pm)
+    np.minimum(pm, 60.0 - pm, out=pm)
+    stacked = ramps.reshape(3, -1)
+    np.subtract(np.ravel(r), start, out=stacked[1:])
+    stacked /= run
+    _smoothstep(stacked)
+    chamfer *= cfrac
+    np.subtract(1.0, chamfer, out=chamfer)
+    chamfer *= inner  # the radial window
+    np.copysign(hump, rising, out=hump)  # the hump is never -0.0
+    hump *= profile.petal_height_mm
+    hump *= chamfer
+    return ramps[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -236,9 +277,20 @@ def _tilt_matrix(tx_deg: float, ty_deg: float) -> np.ndarray:
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def _pose_matrix(state) -> np.ndarray:
-    _, _, rot, tx, ty = state
-    return _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
+@functools.lru_cache(maxsize=1024)
+def _pose_matrix(rot: float, tx: float, ty: float) -> np.ndarray:
+    """Moving-face orientation; lateral moves of the descent share it."""
+    m = _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=64)
+def _turned_cloud(profile: FaceProfile, rot: float, tx: float, ty: float) -> np.ndarray:
+    """The sample cloud in the moving face's orientation (24 KB an entry)."""
+    w = _sample_cloud(profile) @ _pose_matrix(rot, tx, ty).T
+    w.flags.writeable = False
+    return w
 
 
 def _moving_term(profile: FaceProfile, state) -> float:
@@ -248,16 +300,16 @@ def _moving_term(profile: FaceProfile, state) -> float:
     exact lower bound of it; +inf when face overlap is lost or the tilt is
     past the contact model (either makes settle_height +inf too).
     """
-    dx, dy = state[0], state[1]
-    m = _pose_matrix(state)
-    cloud = _sample_cloud(profile)
-    w = cloud @ m.T
+    dx, dy, rot, tx, ty = state
+    if abs(_pose_matrix(rot, tx, ty)[2, 2]) < 0.2:
+        return math.inf
+    w = _turned_cloud(profile, rot, tx, ty)
     wx = w[:, 0] + dx
     wy = w[:, 1] + dy
     inside = np.hypot(wx, wy) <= profile.rim_radius_mm
-    if inside.sum() < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
+    if np.count_nonzero(inside) < 0.25 * len(w):
         return math.inf
-    return float(np.max(height_field(profile, wx[inside], wy[inside]) - w[inside, 2]))
+    return float(np.max(height_field(profile, wx[inside], wy[inside]) - w[:, 2][inside]))
 
 
 # The descent asks for the bound of every candidate and settle_height asks
@@ -265,30 +317,48 @@ def _moving_term(profile: FaceProfile, state) -> float:
 _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 
 
+def _lateral(lat: np.ndarray, q0: np.ndarray, dz: np.ndarray, m: np.ndarray) -> None:
+    """lat = q0[:, :2] - dz * m[2, :2], written column by column into lat."""
+    for j in (0, 1):
+        np.multiply(dz, m[2, j], out=lat[:, j])
+        np.subtract(q0[:, j], lat[:, j], out=lat[:, j])
+
+
 def settle_height(profile: FaceProfile, state) -> float:
     """Axial separation at first contact for pose state (dx, dy, rot, tx, ty).
 
     Two-sided rigid contact: moving-face samples against the fixed analytic
     surface, and fixed-face samples against the moving body (fixed-point
-    solve along the approach axis). Returns +inf when face overlap is lost.
-    The moving-face term is read from the `_floor` memo.
+    solve along the approach axis, at most four evaluations). Returns +inf
+    when face overlap is lost. The moving-face term is read from the
+    `_floor` memo. Each sample's update depends only on its own gap, so an
+    evaluation that returns the previous gaps bit for bit is a fixed point
+    and the solve stops there: the remaining evaluations would repeat it.
     """
     d_move = _floor(profile, state)
     if d_move == math.inf:
         return math.inf
-    dx, dy = state[0], state[1]
-    rim = profile.rim_radius_mm
-    m = _pose_matrix(state)
+    dx, dy, rot, tx, ty = state
+    m = _pose_matrix(rot, tx, ty)
     cloud = _sample_cloud(profile)
     cos_t = abs(m[2, 2])
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
-    m3 = m[2, :2]
-    dz = (height_field(profile, q0[:, 0], q0[:, 1]) - q0[:, 2]) / cos_t
+    qz = q0[:, 2]
+    dz = height_field(profile, q0[:, 0], q0[:, 1])
+    dz -= qz
+    dz /= cos_t
+    lat = np.empty((len(cloud), 2))
     for _ in range(3):
-        lat = q0[:, :2] - dz[:, None] * m3
-        dz = (height_field(profile, lat[:, 0], lat[:, 1]) - q0[:, 2]) / cos_t
-    lat = q0[:, :2] - dz[:, None] * m3
-    keep = np.hypot(lat[:, 0], lat[:, 1]) <= rim
+        _lateral(lat, q0, dz, m)
+        nxt = height_field(profile, lat[:, 0], lat[:, 1])
+        nxt -= qz
+        nxt /= cos_t
+        if nxt.tobytes() == dz.tobytes():
+            break  # a fixed point, and lat already belongs to it
+        dz = nxt
+    else:
+        _lateral(lat, q0, dz, m)
+    keep = np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm
     d_fixed = np.max(dz[keep]) if keep.any() else -math.inf
 
     return float(max(d_move, d_fixed))

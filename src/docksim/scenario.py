@@ -9,8 +9,11 @@ or global RNG state.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
+import tempfile
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -785,13 +788,29 @@ COMMANDS = {
 }
 
 
+def _publish(staged: Path, out: Path, names: list[str]) -> None:
+    """Move the staged artifacts into out: every target is checked before
+    the first one is replaced, so a target that cannot be replaced (a
+    directory) leaves out as it was."""
+    for name in names:
+        target = out / name
+        if target.is_dir() and not target.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    for name in names:
+        os.replace(staged / name, out / name)
+
+
 def run(command: str, scenario: Scenario, outdir: str | Path,
         seed: int | None = None, resolution: float | None = None) -> list[str]:
     """Execute one command; returns the artifact names written to outdir.
 
     resolution overrides envelope.angular_resolution_deg under the same
     bounds, reported at $.resolution. An output directory or artifact that
-    cannot be written is a schema error at $.out.
+    cannot be written is a schema error at $.out. The artifacts are written
+    as a set: the command writes into a temporary directory inside outdir,
+    and its files replace those in outdir only when all of them were written
+    and none of their targets is a directory; on any error the temporary
+    directory is removed and outdir keeps its files.
     """
     if command not in COMMANDS:
         raise ScenarioError("$", f"unknown command {command!r}")
@@ -802,6 +821,9 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[command](scenario, out, seed)
+        with tempfile.TemporaryDirectory(prefix=".docksim-", dir=out) as staged:
+            names = COMMANDS[command](scenario, Path(staged), seed)
+            _publish(Path(staged), out, names)
+        return names
     except OSError as err:
         raise ScenarioError("$.out", f"cannot write artifacts: {err}") from err

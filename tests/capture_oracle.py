@@ -1,11 +1,18 @@
-"""Reference capture search: a plain descent and a cold lattice scan.
+"""Reference capture kernel and search: a frozen settle height, a plain
+descent and a cold lattice scan.
+
+The settle kernel below is a frozen copy of `face.height_field`,
+`face.settle_height` and their helpers as they were before the kernel was
+rewritten for speed: one numpy expression per formula term, no pose or
+cloud memo, and a full four-evaluation fixed-face solve. The production
+kernel must return the same bits for every finite state.
 
 The production descent (`face._descend`) skips a candidate whose
 moving-face bound already fails the acceptance test, and shares bounded
 memos across descents. The reference here does neither: it takes the exact
-settle height of every candidate, computed with no production memo, and
-remembers values only in its own table keyed by the bits of the state, so
-a -0.0 never borrows the value of a 0.0. Everything the two must agree on
+settle height of every candidate from the frozen kernel, and remembers its
+terms only in its own tables keyed by the bits of the state, so a -0.0
+never borrows the value of a 0.0. Everything the two must agree on
 (verdicts, accepted states, envelope limits) is compared in the tests.
 """
 from __future__ import annotations
@@ -14,25 +21,145 @@ import functools
 import math
 import struct
 
+import numpy as np
+
 import docksim.face as face
-
-_EXACT: dict[tuple, float] = {}
-
-
-def exact_settle(profile, state) -> float:
-    """settle_height with its moving-face term computed afresh, not memoised."""
-    memo, face._floor = face._floor, face._moving_term
-    try:
-        return face.settle_height(profile, state)
-    finally:
-        face._floor = memo
+from docksim.face import HUB_RADIUS_MM, FaceProfile
 
 
-def reference_settle(profile, state) -> float:
-    key = (profile, struct.pack("<5d", *state))
-    if key not in _EXACT:
-        _EXACT[key] = exact_settle(profile, state)
-    return _EXACT[key]
+# --- frozen settle kernel ----------------------------------------------------
+
+
+def _smoothstep(x):
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    return x * x * (3.0 - 2.0 * x)
+
+
+@functools.cache
+def _field_constants(profile: FaceProfile) -> tuple[float, ...]:
+    crun = max(profile.chamfer_depth_mm, 1e-9)
+    return (
+        profile.groove_positions_deg[0] - 90.0,
+        profile.ramp_width_deg,
+        profile.groove_radius_mm - HUB_RADIUS_MM,
+        profile.rim_radius_mm - crun,
+        crun,
+        min(1.0, profile.chamfer_depth_mm / profile.petal_height_mm),
+    )
+
+
+def height_field(profile: FaceProfile, x, y):
+    """Surface height at cartesian face coordinates (vectorized)."""
+    phase, delta, hub_run, c_start, crun, cfrac = _field_constants(profile)
+
+    r = np.hypot(x, y)
+    phi = np.degrees(np.arctan2(y, x)) - phase
+    pm = np.mod(phi, 120.0)
+    up = pm <= 60.0
+    xx = np.where(up, pm, 120.0 - pm)
+    hump = _smoothstep(np.minimum(xx, 60.0 - xx) / delta)
+    wave = np.where(up, hump, -hump)
+
+    inner = _smoothstep((r - HUB_RADIUS_MM) / hub_run)
+    window = inner * (1.0 - cfrac * _smoothstep((r - c_start) / crun))
+    return profile.petal_height_mm * wave * window
+
+
+@functools.cache
+def _sample_cloud(profile: FaceProfile) -> np.ndarray:
+    rim = profile.rim_radius_mm
+    rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
+    ps = np.linspace(0.0, 360.0, 72, endpoint=False)
+    rr, pp = np.meshgrid(rs, ps)
+    rr, pp = rr.ravel(), pp.ravel()
+    x = rr * np.cos(np.radians(pp))
+    y = rr * np.sin(np.radians(pp))
+    z = height_field(profile, x, y)
+    return np.stack([x, y, z], axis=1)
+
+
+_FLIP = np.diag([1.0, -1.0, -1.0])
+
+
+def _rot_z(deg: float) -> np.ndarray:
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _tilt_matrix(tx_deg: float, ty_deg: float) -> np.ndarray:
+    ang = math.hypot(tx_deg, ty_deg)
+    if ang < 1e-15:
+        return np.eye(3)
+    ux, uy = tx_deg / ang, ty_deg / ang
+    a = math.radians(ang)
+    c, s = math.cos(a), math.sin(a)
+    k = np.array([[0.0, 0.0, uy], [0.0, 0.0, -ux], [-uy, ux, 0.0]])
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def _pose_matrix(state) -> np.ndarray:
+    _, _, rot, tx, ty = state
+    return _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
+
+
+def _moving_term(profile: FaceProfile, state) -> float:
+    """Moving-face samples against the fixed analytic surface."""
+    dx, dy = state[0], state[1]
+    m = _pose_matrix(state)
+    cloud = _sample_cloud(profile)
+    w = cloud @ m.T
+    wx = w[:, 0] + dx
+    wy = w[:, 1] + dy
+    inside = np.hypot(wx, wy) <= profile.rim_radius_mm
+    if inside.sum() < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
+        return math.inf
+    return float(np.max(height_field(profile, wx[inside], wy[inside]) - w[inside, 2]))
+
+
+def _remembered(term):
+    """term(profile, state) remembered in a table keyed by the bits of the
+    state, so a -0.0 never borrows the value of a 0.0."""
+    table: dict[tuple, float] = {}
+
+    def call(profile, state) -> float:
+        key = (profile, struct.pack("<5d", *state))
+        if key not in table:
+            table[key] = term(profile, state)
+        return table[key]
+
+    return call
+
+
+reference_moving_term = _floor = _remembered(_moving_term)
+
+
+def settle_height(profile: FaceProfile, state) -> float:
+    """Axial separation at first contact for pose state (dx, dy, rot, tx, ty)."""
+    d_move = _floor(profile, state)
+    if d_move == math.inf:
+        return math.inf
+    dx, dy = state[0], state[1]
+    rim = profile.rim_radius_mm
+    m = _pose_matrix(state)
+    cloud = _sample_cloud(profile)
+    cos_t = abs(m[2, 2])
+    q0 = (cloud - np.array([dx, dy, 0.0])) @ m
+    m3 = m[2, :2]
+    dz = (height_field(profile, q0[:, 0], q0[:, 1]) - q0[:, 2]) / cos_t
+    for _ in range(3):
+        lat = q0[:, :2] - dz[:, None] * m3
+        dz = (height_field(profile, lat[:, 0], lat[:, 1]) - q0[:, 2]) / cos_t
+    lat = q0[:, :2] - dz[:, None] * m3
+    keep = np.hypot(lat[:, 0], lat[:, 1]) <= rim
+    d_fixed = np.max(dz[keep]) if keep.any() else -math.inf
+
+    return float(max(d_move, d_fixed))
+
+
+reference_settle = _remembered(settle_height)
+
+
+# --- reference search ----------------------------------------------------------
 
 
 def reference_descend(profile, state, trace=None) -> bool:

@@ -4,10 +4,14 @@ Wall positions asserted here were measured on the reference face with the
 shipped solver settings and act as regression pins; the acceptance suite
 separately checks them against the published tolerance targets.
 """
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docksim.errors import CalibrationError, DegenerateProfileError, ParameterError
 import docksim.face as face
@@ -26,9 +30,11 @@ from docksim.face import (
     settle_height,
 )
 
+import capture_oracle
 from capture_oracle import (
     axis_limit_linear_scan,
     reference_descend,
+    reference_moving_term,
     reference_settle,
 )
 
@@ -67,6 +73,16 @@ class TestProfileValidation:
         # NaN spacing compares false against the 120-degree test, so it needs its own check
         with pytest.raises(ParameterError, match="groove positions must be finite"):
             FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=grooves).validate()
+
+    @pytest.mark.parametrize("field", ["petal_height_mm", "petal_flank_angle_deg",
+                                       "groove_radius_mm", "chamfer_depth_mm",
+                                       "outer_diameter_mm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dimensions(self, field, value):
+        # NaN compares false against every range test, and an infinite rim
+        # passes them all, so finiteness needs its own check
+        with pytest.raises(ParameterError, match="profile dimensions must be finite"):
+            replace(REFERENCE_PROFILE, **{field: value}).validate()
 
     def test_ramp_width_cap(self):
         steep = FaceProfile(6.5, 5.0, 27.0, 1.0)
@@ -368,40 +384,51 @@ _JAM_12MM_AT_30 = (12.0 * math.cos(math.radians(30.0)), 12.0 * math.sin(math.rad
                    0.0, 0.0, 0.0)
 
 
+def _distinct_variants(state):
+    """`state` and its signed-zero variants, each bit pattern once."""
+    return {_bits(v): v for v in (state, *_signed_zero_variants(state))}.values()
+
+
+@functools.cache
+def _visited_states() -> tuple:
+    """Every state four short descents consult, in first-visit order: each
+    one's moving-face bound is asked for, whether or not it is then settled."""
+    visited = []
+    real = face._floor
+
+    def record(profile, state):
+        visited.append(state)
+        return real(profile, state)
+
+    face._settle.cache_clear()
+    face._floor = record
+    try:
+        for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
+                      (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
+            face._descend(REFERENCE_PROFILE, start)
+    finally:
+        face._floor = real
+    return tuple(dict.fromkeys(visited))
+
+
 class TestSettleMemo:
     def test_memo_bounded_after_reference_envelope(self, reference_envelope):
         info = face._settle.cache_info()
         assert 0 < info.currsize <= info.maxsize
 
-    def test_memo_returns_exact_bits(self, monkeypatch):
-        # record every state four short descents consult: each one's
-        # moving-face bound is asked for, whether or not it is then settled
-        visited = []
-        real = face._floor
-
-        def record(profile, state):
-            visited.append(state)
-            return real(profile, state)
+    def test_memo_returns_exact_bits(self):
+        visited = _visited_states()
+        assert len(visited) > 100
 
         face._settle.cache_clear()
         face._floor.cache_clear()
-        monkeypatch.setattr(face, "_floor", record)
-        for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
-                      (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
-            face._descend(REFERENCE_PROFILE, start)
-        monkeypatch.undo()
-        assert len(set(visited)) > 100
-
-        face._settle.cache_clear()
-        face._floor.cache_clear()
-        for state in dict.fromkeys(visited):
+        for state in visited:
             # a -0.0 hashes and compares equal to 0.0, so the variants are
             # memo hits served from the entries just made; they must be
             # exact too
-            variants = {_bits(v): v for v in (state, *_signed_zero_variants(state))}
-            for variant in variants.values():
+            for variant in _distinct_variants(state):
                 assert _bits(face._floor(REFERENCE_PROFILE, variant)) == _bits(
-                    face._moving_term(REFERENCE_PROFILE, variant))
+                    reference_moving_term(REFERENCE_PROFILE, variant))
                 assert _bits(face._settle(REFERENCE_PROFILE, variant)) == _bits(
                     reference_settle(REFERENCE_PROFILE, variant))
 
@@ -478,3 +505,110 @@ class TestFloorSkip:
         for state in consulted:
             assert face._floor(REFERENCE_PROFILE, state) <= reference_settle(
                 REFERENCE_PROFILE, state)
+
+
+# Profiles the kernel must match the frozen copy on: the reference face,
+# grooves off the default phase, no chamfer, and a flank shallow enough that
+# the ramp width hits its 30 degree cap.
+_KERNEL_PROFILES = (
+    REFERENCE_PROFILE,
+    replace(REFERENCE_PROFILE, groove_positions_deg=(100.0, 220.0, 340.0)),
+    replace(REFERENCE_PROFILE, chamfer_depth_mm=0.0),
+    replace(REFERENCE_PROFILE, petal_flank_angle_deg=10.0),
+)
+
+_INF_STATES = (
+    (70.0, 0.0, 0.0, 0.0, 0.0),     # face overlap lost
+    (0.0, -65.0, 30.0, 2.0, 1.0),
+    (0.0, 0.0, 0.0, 80.0, 0.0),     # tilt past the contact model
+    (1.0, 2.0, 10.0, -60.0, 55.0),
+)
+
+# Steep tilts whose fixed-face solve runs all four evaluations and whose last
+# evaluation still moves samples across the rim.
+_STEEP_STATES = (
+    (16.0, 0.0, 14.0, 63.0, -36.5),
+    (10.0, -9.5, 10.0, 16.5, -63.0),
+)
+
+
+def _polar_grid():
+    """Points at every radius of interest, on a 0.25 deg angle grid plus the
+    angles where the petal phase sits at 0, 60 or 120 exactly: the +x and -x
+    axes with both signs of zero, and a tiny negative angle, whose 120 deg
+    remainder rounds up to 120. The origin comes with all four zero signs."""
+    radii = np.array([1e-300, 1e-9, 4.0, 9.0, 15.999, 16.0, 16.001, 21.5, 27.0, 33.0,
+                      38.999, 39.0, 39.5, 39.999, 40.0, 40.001, 55.0, 1e6])
+    ang = np.radians(np.arange(-360.0, 360.25, 0.25))
+    x = np.concatenate([np.outer(radii, np.cos(ang)).ravel(),
+                        radii, radii, -radii, -radii, radii, [0.0, -0.0, 0.0, -0.0]])
+    y = np.concatenate([np.outer(radii, np.sin(ang)).ravel(),
+                        0.0 * radii, -0.0 * radii, 0.0 * radii, -0.0 * radii, -1e-18 * radii,
+                        [0.0, 0.0, -0.0, -0.0]])
+    return x, y
+
+
+class TestFrozenKernel:
+    """The settle kernel returns the frozen copy's bits (capture_oracle)."""
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_height_field_polar_grid(self, profile):
+        x, y = _polar_grid()
+        pm = np.mod(np.degrees(np.arctan2(y, x)) - (profile.groove_positions_deg[0] - 90.0),
+                    120.0)
+        assert {0.0, 60.0, 120.0} <= set(pm.tolist())
+        got = height_field(profile, x, y)
+        assert got.shape == x.shape
+        assert _bits(got) == _bits(capture_oracle.height_field(profile, x, y))
+
+    def test_ramp_cap_profile_is_capped(self):
+        assert _KERNEL_PROFILES[3].ramp_width_deg == 30.0
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_height_field_scalars_lists_and_2d(self, profile):
+        ref = capture_oracle.height_field
+        for x, y in ((0.0, 0.0), (-0.0, -0.0), (3, 4), (-20.0, 0.0), (25.0, -1e-18),
+                     (np.float64(30.0), np.float64(12.0))):
+            got = height_field(profile, x, y)
+            assert type(got) is np.float64
+            assert _bits(got) == _bits(ref(profile, x, y))
+        xs, ys = [0.0, 18.0, -25.0, 39.5], [0.0, -7.0, 3.0, -0.0]
+        got = height_field(profile, xs, ys)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        assert _bits(got) == _bits(ref(profile, xs, ys))
+        gx, gy = np.meshgrid(np.linspace(-45.0, 45.0, 31), np.linspace(-45.0, 45.0, 23))
+        assert _bits(height_field(profile, gx, gy)) == _bits(ref(profile, gx, gy))
+        col, row = gx[0][None, :], gy[:, 0][:, None]
+        got = height_field(profile, col, row)
+        assert got.shape == (23, 31)
+        assert _bits(got) == _bits(ref(profile, col, row))
+
+    @staticmethod
+    def _check(profile, states):
+        for state in states:
+            for variant in _distinct_variants(state):
+                want = reference_settle(profile, variant)
+                assert _bits(settle_height(profile, variant)) == _bits(want), variant
+                assert _bits(face._moving_term(profile, variant)) == _bits(
+                    reference_moving_term(profile, variant)), variant
+
+    def test_descent_states(self):
+        self._check(REFERENCE_PROFILE, _visited_states())
+
+    def test_dock_stream_draws(self):
+        self._check(REFERENCE_PROFILE, _dock_stream_draws(2, 20))
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_origin_steep_and_infinite_states(self, profile):
+        for state in _INF_STATES:
+            assert settle_height(profile, state) == math.inf
+            assert face._moving_term(profile, state) == math.inf
+        self._check(profile, ((0.0, 0.0, 0.0, 0.0, 0.0), (0, 0, 0, 0, 0),
+                              (0.0, 0.0, 60.0, 0.0, 0.0), *_STEEP_STATES, *_INF_STATES))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(
+        st.floats(-45.0, 45.0), st.floats(-45.0, 45.0), st.floats(-200.0, 200.0),
+        st.floats(-75.0, 75.0), st.floats(-75.0, 75.0)))
+    def test_random_finite_states(self, state):
+        self._check(REFERENCE_PROFILE, (state,))

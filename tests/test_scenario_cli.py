@@ -298,6 +298,31 @@ class TestCli:
         assert rc == 2
         assert err["error"]["path"] == "$.out"
 
+    def test_failed_write_leaves_out_as_it_was(self, capsys, tmp_path):
+        # the second artifact cannot be written: the first must not appear either
+        out = tmp_path / "o"
+        (out / "stroke_trace.csv").mkdir(parents=True)
+        rc, err = run_cli(capsys, ["mechanism", "--scenario", str(SCENARIOS / "mechanism.json"),
+                                   "--out", str(out)])
+        assert rc == 2
+        assert err["error"]["path"] == "$.out"
+        assert "Is a directory" in err["error"]["message"]
+        assert [p.name for p in out.iterdir()] == ["stroke_trace.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
+
+    def test_rerun_replaces_the_artifact_set(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "mechanism_report.json").write_text("stale")
+        (out / "notes.txt").write_text("kept")
+        argv = ["mechanism", "--scenario", str(SCENARIOS / "mechanism.json"), "--out", str(out)]
+        assert run_cli(capsys, argv)[0] == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(first) == ["mechanism_report.json", "notes.txt", "stroke_trace.csv"]
+        assert first["notes.txt"] == b"kept"
+        assert run_cli(capsys, argv)[0] == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
     def test_bad_seed_rejected(self, capsys, tmp_path):
         rc, err = run_cli(capsys, ["loads", "--scenario",
                                    str(SCENARIOS / "loads.json"),
