@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bus import ChannelSet, connect
+from .bus import ChannelSet, connect, shortest_path
 from .coupling import CouplingConfig, Event, InterfaceState, step
 from .errors import (
     IndeterminateError,
@@ -71,10 +71,11 @@ class Pose:
     Every construction checks the matrix with np.allclose's tolerances: all
     entries finite, the bottom row within 1e-8 + 1e-5 * |target| of
     (0, 0, 0, 1), and R R^T within 1e-9 + 1e-5 * |target| of the identity
-    (1e-9 off the diagonal, 1e-9 + 1e-5 on it).
+    (1e-9 off the diagonal, 1e-9 + 1e-5 on it). The inverse is built, and
+    checked, once per pose.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_inv")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
@@ -87,6 +88,7 @@ class Pose:
             raise ParameterError("pose rotation block is not orthonormal")
         m.flags.writeable = False
         self._m = m
+        self._inv: Pose | None = None
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -115,11 +117,13 @@ class Pose:
         return self._m[:3, 3]
 
     def inverse(self) -> "Pose":
-        r = self._m[:3, :3]
-        m = np.eye(4)
-        m[:3, :3] = r.T
-        m[:3, 3] = -r.T @ self._m[:3, 3]
-        return Pose(m)
+        if self._inv is None:
+            r = self._m[:3, :3]
+            m = np.eye(4)
+            m[:3, :3] = r.T
+            m[:3, 3] = -r.T @ self._m[:3, 3]
+            self._inv = Pose(m)
+        return self._inv
 
     def __matmul__(self, other: "Pose") -> "Pose":
         return Pose(self._m @ other._m)
@@ -173,7 +177,13 @@ class Module:
 
 def mate_world_pose(t_wa: Pose, port_a: Port, port_b: Port) -> Pose:
     """World pose of module b docked to module a: T_wa * P_a * RotX(pi) * P_b^-1."""
-    return Pose(t_wa.matrix @ port_a.pose.matrix @ _ROTX_PI @ port_b.pose.inverse().matrix)
+    return _mate(t_wa, port_a, port_b)[1]
+
+
+def _mate(t_wa: Pose, port_a: Port, port_b: Port) -> tuple[np.ndarray, Pose]:
+    """(a's port frame T_wa * P_a, b's world pose): the product runs left to right."""
+    frame = t_wa.matrix @ port_a.pose.matrix
+    return frame, Pose(frame @ _ROTX_PI @ port_b.pose.inverse().matrix)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,6 +278,9 @@ class PowerRoute:
     watts: float
     path: tuple[str, ...]
     grants: tuple[tuple[EdgeKey, int], ...]
+    # the channels that issued each grant: grant ids restart on every new
+    # connection, so a grant is only valid while its interface keeps them
+    channels: tuple[ChannelSet, ...] = field(repr=False, compare=False)
 
 
 class ModuleGraph:
@@ -280,7 +293,9 @@ class ModuleGraph:
     goes to the end), so walks visit modules in the same order as a filtered
     pass over _peers would. That order fixes the summation order of the
     interface loads and the order of the loop-closure checks, and with them
-    the bytes of every wrench.
+    the bytes of every wrench. _adjacent holds each module's Locked peer ids
+    sorted, the neighbours every path search visits; it changes only where
+    _locked does.
     """
 
     def __init__(self):
@@ -288,6 +303,7 @@ class ModuleGraph:
         self._peers: dict[PortRef, PortRef] = {}
         self._edges: dict[frozenset, EdgeInfo] = {}
         self._locked: dict[str, dict[str, PortRef]] = {}
+        self._adjacent: dict[str, tuple[str, ...]] = {}
 
     # --- construction -----------------------------------------------------
 
@@ -297,6 +313,7 @@ class ModuleGraph:
             raise ParameterError(f"duplicate module id {module.module_id!r}")
         self._modules[module.module_id] = module
         self._locked[module.module_id] = {}
+        self._adjacent[module.module_id] = ()
 
     def module(self, module_id: str) -> Module:
         mod = self._modules.get(module_id)
@@ -357,6 +374,8 @@ class ModuleGraph:
         if info.locked:
             self._locked[id_a][port_a] = ref_b
             self._locked[id_b][port_b] = ref_a
+            self._reindex(id_a)
+            self._reindex(id_b)
         edge = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
         return DockReport(accepted=True, edge=edge, state=state)
 
@@ -395,6 +414,13 @@ class ModuleGraph:
     def _unindex(self, ref: PortRef, peer: PortRef) -> None:
         self._locked[ref[0]].pop(ref[1], None)
         self._locked[peer[0]].pop(peer[1], None)
+        self._reindex(ref[0])
+        self._reindex(peer[0])
+
+    def _reindex(self, module_id: str) -> None:
+        self._adjacent[module_id] = tuple(sorted(
+            {pid for pid, _ in self._locked[module_id].values()}
+        ))
 
     def edges(self) -> tuple[EdgeKey, ...]:
         out = []
@@ -431,26 +457,23 @@ class ModuleGraph:
 
     def neighbors(self, module_id: str) -> tuple[str, ...]:
         """Modules reachable over Locked interfaces only; KeyError if unknown."""
-        return tuple(sorted({pid for pid, _ in self._locked[module_id].values()}))
+        return self._adjacent[module_id]
 
     def _walk(
-        self, roots: Iterable[str], cut: frozenset = frozenset(), by_peer_id: bool = False
+        self, roots: Iterable[str], cut: frozenset = frozenset()
     ) -> Iterator[tuple[PortRef, PortRef, bool]]:
         """Breadth-first walk over Locked interfaces from roots.
 
         Yields (ref, peer, new) for every locked interface leaving a reached
-        module, ports in dock order, or stably sorted by peer module id with
-        by_peer_id. new is True when the interface is the first to reach
-        peer's module. Interfaces with an end in cut are not crossed.
+        module, ports in dock order. new is True when the interface is the
+        first to reach peer's module. Interfaces with an end in cut are not
+        crossed.
         """
         queue = deque(roots)
         seen = set(queue)
         while queue:
             cur = queue.popleft()
-            ports = self._locked[cur].items()
-            if by_peer_id:
-                ports = sorted(ports, key=lambda item: item[1][0])
-            for pname, peer in ports:
+            for pname, peer in self._locked[cur].items():
                 ref = (cur, pname)
                 if ref in cut:
                     continue
@@ -460,20 +483,42 @@ class ModuleGraph:
                     queue.append(peer[0])
                 yield ref, peer, new
 
-    def _components(self) -> list[set[str]]:
-        seen: set[str] = set()
-        comps = []
-        for mid in self._modules:
-            if mid not in seen:
-                comp = {mid} | {peer[0] for _, peer, new in self._walk([mid]) if new}
-                seen |= comp
-                comps.append(comp)
-        return comps
+    def _reached(self, root: str, cut: frozenset) -> Iterator[str]:
+        """Modules the walk from root reaches, in walk order, root excluded."""
+        return (peer[0] for _, peer, new in self._walk([root], cut) if new)
+
+    def _forest(self) -> list[tuple[str, list[str], list]]:
+        """Every component of the locked index, walked once.
+
+        Returns (root, modules in walk order, walk steps) per component, in
+        the order of each component's first module. An anchored component is
+        walked from its lowest-id anchor, any other from its first module.
+        """
+        comp_of: dict[str, int] = {}
+        walks = []
+        anchors = sorted(mid for mid, mod in self._modules.items() if mod.grounded)
+        for root in (*anchors, *self._modules):
+            if root in comp_of:
+                continue
+            comp_of[root] = len(walks)
+            comp, steps = [root], []
+            for ref, peer, new in self._walk([root]):
+                if new:
+                    comp_of[peer[0]] = len(walks)
+                    comp.append(peer[0])
+                steps.append((ref, peer, new))
+            walks.append((root, comp, steps))
+        return [walks[i] for i in dict.fromkeys(comp_of[mid] for mid in self._modules)]
 
     # --- kinematics ---------------------------------------------------------
 
     def world_poses(self) -> dict[str, Pose]:
-        """Propagate poses from anchors; loop closures must agree to 1e-6.
+        """Propagate poses from anchors; loop closures must agree to 1e-6."""
+        return self._place(self._forest())[0]
+
+    def _place(self, forest) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
+        """World poses of anchored components, and each posed module's
+        parent-side port frame (the frame its pose was derived through).
 
         Each tree interface is derived once, from the module nearer the
         root. Seen again from the far side it would close on itself
@@ -481,17 +526,16 @@ class ModuleGraph:
         interfaces are derived a second time and checked.
         """
         poses: dict[str, Pose] = {}
-        for comp in self._components():
-            anchors = [m for m in comp if self._modules[m].grounded]
-            if not anchors:
+        frames: dict[str, np.ndarray] = {}
+        for root, _, steps in forest:
+            if not self._modules[root].grounded:
                 continue
-            root = min(anchors)
             poses[root] = self._modules[root].world_pose
             reached_via: dict[str, str] = {}  # module -> port its pose came through
-            for (cur, pname), (pid, ppname), new in self._walk([root]):
+            for (cur, pname), (pid, ppname), new in steps:
                 if reached_via.get(cur) == pname:
                     continue
-                t = mate_world_pose(
+                frame, t = _mate(
                     poses[cur],
                     self._modules[cur].port(pname),
                     self._modules[pid].port(ppname),
@@ -508,8 +552,9 @@ class ModuleGraph:
                         f"anchored module {pid!r} disagrees with the docked chain"
                     )
                 poses[pid] = t
+                frames[pid] = frame
                 reached_via[pid] = ppname
-        return poses
+        return poses, frames
 
     # --- statics -------------------------------------------------------------
 
@@ -533,21 +578,14 @@ class ModuleGraph:
             self.module(mid)
             external[mid].validate()
 
-        poses = self.world_poses() if any(
-            self._modules[m].grounded for m in self._modules
-        ) else {}
+        forest = self._forest()
+        poses, frames = self._place(forest)
 
         loads: dict[EdgeKey, Wrench] = {}
         local: dict[EdgeKey, Wrench] = {}
         reactions: dict[str, Wrench] = {}
 
-        comps = self._components()
-        comp_of = {mid: i for i, comp in enumerate(comps) for mid in comp}
-        edges_of: list[list[EdgeKey]] = [[] for _ in comps]
-        for edge in self.locked_edges():
-            edges_of[comp_of[edge[0][0]]].append(edge)
-
-        for comp, comp_edges in zip(comps, edges_of):
+        for root, comp, steps in forest:
             anchors = [m for m in comp if self._modules[m].grounded]
             loaded = any(
                 mid in external and any(
@@ -561,11 +599,12 @@ class ModuleGraph:
                 gravity is not None and any(self._modules[m].mass_kg > 0.0 for m in comp)
             )
             if not loaded:
-                for edge in comp_edges:
+                # the walk meets every locked interface once from each end
+                for edge in sorted((ref, peer) for ref, peer, _ in steps if ref < peer):
                     loads[edge] = Wrench()
                     local[edge] = Wrench()
                 continue
-            if len(comp_edges) > len(comp) - 1:
+            if len(steps) // 2 > len(comp) - 1:
                 raise IndeterminateError(
                     f"loaded component {sorted(comp)} contains a locked cycle"
                 )
@@ -577,7 +616,9 @@ class ModuleGraph:
                 raise IndeterminateError(
                     f"loaded component {sorted(comp)} is anchored {len(anchors)} times"
                 )
-            self._propagate_component(anchors[0], external, gravity, poses, loads, local, reactions)
+            self._propagate_component(
+                root, steps, external, gravity, poses, frames, loads, local, reactions
+            )
 
         checks = {
             edge: check_load(
@@ -603,11 +644,13 @@ class ModuleGraph:
             f = f + self._modules[mid].mass_kg * np.array(gravity)
         return f, m, poses[mid].translation
 
-    def _propagate_component(self, root, external, gravity, poses, loads, local, reactions):
-        # rooted tree over locked interfaces: (parent end, child end) per module
+    def _propagate_component(
+        self, root, steps, external, gravity, poses, frames, loads, local, reactions
+    ):
+        # rooted tree from the anchor's walk: (parent end, child end) per module
         link: dict[str, tuple[PortRef, PortRef] | None] = {root: None}
         children: dict[str, list[str]] = {root: []}
-        for pref, cref, new in self._walk([root]):
+        for pref, cref, new in steps:
             if new:
                 link[cref[0]] = (pref, cref)
                 children[pref[0]].append(cref[0])
@@ -621,8 +664,8 @@ class ModuleGraph:
             f, m, p = self._module_load(mid, external, gravity, poses)
             if link[mid] is not None:
                 pref, cref = link[mid]
-                frame = poses[pref[0]] @ self._modules[pref[0]].port(pref[1]).pose
-                edge_pt[mid] = frame.translation
+                frame = frames[mid]  # parent-side port frame, formed deriving mid's pose
+                edge_pt[mid] = frame[:3, 3]
             else:
                 edge_pt[mid] = poses[mid].translation
             total_f = f.copy()
@@ -635,7 +678,7 @@ class ModuleGraph:
             if link[mid] is not None:
                 loads[(pref, cref)] = _wrench_from_vecs(total_f, total_m)
                 # same wrench seen in the interface frame (parent-side port)
-                rot = frame.matrix[:3, :3]
+                rot = frame[:3, :3]
                 local[(pref, cref)] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
         reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
 
@@ -654,29 +697,44 @@ class ModuleGraph:
         self.module(dst)
         if rail_v not in (48.0, 24.0):
             raise ParameterError("rail_v must be 48.0 or 24.0")
-        path = self._shortest_path(src, dst)
+        path = shortest_path(self.neighbors, src, dst)  # lowest module ids win ties
         if path is None:
             raise UnreachableError(f"no locked path from {src!r} to {dst!r}")
         edge_keys = []
         for a, b in zip(path, path[1:]):
             edge_keys.append(self._edge_between(a, b))
         grants: list[tuple[EdgeKey, int]] = []
+        issuers: list[ChannelSet] = []
         for ek in edge_keys:
-            bus = self._edges[frozenset(ek)].channels.buses[rail_v]
-            gid = bus.request_power(watts, purpose)
+            channels = self._edges[frozenset(ek)].channels
+            gid = channels.buses[rail_v].request_power(watts, purpose)
             if gid is None:
-                for gek, ggid in grants:
-                    self._edges[frozenset(gek)].channels.buses[rail_v].release_power(ggid)
+                for issuer, (_, ggid) in zip(issuers, grants):
+                    issuer.buses[rail_v].release_power(ggid)
                 return None
             grants.append((ek, gid))
-        return PowerRoute(rail_v=rail_v, watts=watts, path=tuple(path), grants=tuple(grants))
+            issuers.append(channels)
+        return PowerRoute(rail_v=rail_v, watts=watts, path=path, grants=tuple(grants),
+                          channels=tuple(issuers))
 
     def release_route(self, route: PowerRoute) -> None:
-        for ek, gid in route.grants:
+        """Release every grant of the route.
+
+        A grant on an interface that has since been undocked or unlocked went
+        with its channels, also when the interface has been docked again
+        (its new channels never issued the grant); the others are still
+        released, and then NotConnectedError names the first interface that
+        was gone.
+        """
+        gone = []
+        for (ek, gid), issuer in zip(route.grants, route.channels):
             info = self._edges.get(frozenset(ek))
-            if info is None or info.channels is None:
-                raise NotConnectedError(f"interface {ek} is no longer connected")
-            info.channels.buses[route.rail_v].release_power(gid)
+            if info is None or info.channels is not issuer:
+                gone.append(ek)
+            else:
+                issuer.buses[route.rail_v].release_power(gid)
+        if gone:
+            raise NotConnectedError(f"interface {gone[0]} is no longer connected")
 
     def interface_allocation_w(self, edge: EdgeKey, rail_v: float = 48.0) -> float:
         info = self._edges.get(frozenset(edge))
@@ -696,22 +754,6 @@ class ModuleGraph:
             for rail_v in sorted(info.channels.buses, reverse=True):
                 rows.append((edge, rail_v, info.channels.buses[rail_v].allocated_w))
         return tuple(rows)
-
-    def _shortest_path(self, src: str, dst: str) -> list[str] | None:
-        # neighbours in module-id order: ties between equal-length paths go to lower ids
-        if src == dst:
-            return [src]
-        parent = {src: None}
-        for (cur, _), (nxt, _), new in self._walk([src], by_peer_id=True):
-            if new:
-                parent[nxt] = cur
-                if nxt == dst:
-                    path = [dst]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-        return None
 
     def _edge_between(self, id_a: str, id_b: str) -> EdgeKey:
         """The first Locked interface, in dock order, from id_a to id_b."""
@@ -781,10 +823,42 @@ class ModuleGraph:
         return ReconfigureReport(tuple(outcomes), completed=True)
 
     def _would_strand(self, ref: PortRef) -> set[str]:
-        """Modules that lose anchor connectivity if this edge goes away."""
-        return self._anchored() - self._anchored(cut=frozenset((ref, self._peers[ref])))
+        """Modules that lose anchor connectivity if this edge goes away.
 
-    def _anchored(self, cut: frozenset = frozenset()) -> set[str]:
-        """Modules joined to some anchor by Locked interfaces not in cut."""
-        roots = [mid for mid, mod in self._modules.items() if mod.grounded]
-        return set(roots) | {peer[0] for _, peer, new in self._walk(roots, cut) if new}
+        Walks from the two ends of the interface without crossing it, a
+        module at a time from each. Ends that still reach each other, or
+        sides that both reach an anchor, strand nothing. Otherwise one walk
+        ends first and its side is split off whole: the side with no anchor
+        is stranded if the other side has one.
+        """
+        peer = self._peers[ref]
+        if self._locked[ref[0]].get(ref[1]) != peer:
+            return set()
+        cut = frozenset((ref, peer))
+        ends = (ref[0], peer[0])
+        walks = [self._reached(mid, cut) for mid in ends]
+        sides = [{mid} for mid in ends]
+        anchored = [self._modules[mid].grounded for mid in ends]
+        i = 0
+        while True:
+            if all(anchored):
+                return set()
+            mid = next(walks[i], None)
+            if mid is None:
+                break
+            if mid in sides[1 - i]:
+                return set()
+            sides[i].add(mid)
+            anchored[i] = anchored[i] or self._modules[mid].grounded
+            i = 1 - i
+        # side i is whole and apart; walk the other side until it reaches an anchor
+        j = 1 - i
+        if not anchored[j]:
+            for mid in walks[j]:
+                sides[j].add(mid)
+                if self._modules[mid].grounded:
+                    anchored[j] = True
+                    break
+        if anchored[i] == anchored[j]:
+            return set()
+        return sides[j] if anchored[i] else sides[i]

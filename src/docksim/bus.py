@@ -209,8 +209,33 @@ class Delivery:
     latency_s: float
 
 
+def shortest_path(neighbors, src, dst) -> tuple | None:
+    """Fewest-hop path from src to dst, or None when dst is not reachable.
+
+    Breadth-first over neighbors(node), visiting each node's neighbours in
+    the order given, so among equal-length paths the one through earlier
+    neighbours wins. The search stops as soon as it reaches dst.
+    """
+    if src == dst:
+        return (src,)
+    parent = {src: None}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nxt in neighbors(cur):
+            if nxt not in parent:
+                parent[nxt] = cur
+                if nxt == dst:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                queue.append(nxt)
+    return None
+
+
 def send_frame(frame: Frame, topology, hop_latency_s: float = DEFAULT_HOP_LATENCY_S) -> Delivery:
-    """Deliver a frame along the unique locked path between its endpoints.
+    """Deliver a frame along the fewest-hop locked path between its endpoints.
 
     topology only needs a neighbors(node) method (and optionally has_node)
     whose adjacency already reflects link-up interfaces. Unknown endpoints
@@ -234,25 +259,8 @@ def send_frame(frame: Frame, topology, hop_latency_s: float = DEFAULT_HOP_LATENC
     for node in (src, dst):
         if not known(node):
             raise NotConnectedError(f"node {node!r} is not on the network")
-    if src == dst:
-        return Delivery(path=(src,), hops=0, latency_s=0.0)
-
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for nxt in topology.neighbors(cur):
-            if nxt not in parent:
-                parent[nxt] = cur
-                if nxt == dst:
-                    queue.clear()
-                    break
-                queue.append(nxt)
-    if dst not in parent:
+    path = shortest_path(topology.neighbors, src, dst)
+    if path is None:
         raise UnreachableError(f"no linked path from {src!r} to {dst!r}")
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
     hops = len(path) - 1
-    return Delivery(path=tuple(path), hops=hops, latency_s=hops * hop_latency_s)
+    return Delivery(path=path, hops=hops, latency_s=hops * hop_latency_s)

@@ -385,12 +385,13 @@ class TestWorldPoses:
             # a locked parallel interface closes a loop, checked from both ends
             dock_ok(g, f"m{pair_at}", "px2", f"m{pair_at + 1}", "nx2")
         calls = []
+        mate = assembly._mate  # every derivation: (port frame, world pose)
 
         def counting(*args):
             calls.append(args)
-            return mate_world_pose(*args)
+            return mate(*args)
 
-        monkeypatch.setattr(assembly, "mate_world_pose", counting)
+        monkeypatch.setattr(assembly, "_mate", counting)
         poses = g.world_poses()
         assert len(calls) == derived
         assert len(poses) == 200
@@ -592,6 +593,32 @@ class TestRoutePower:
         g.release_route(route)
         for edge in g.edges():
             assert g.interface_allocation_w(edge) == 0.0
+
+    def test_release_after_a_hop_is_unlocked_frees_the_others(self):
+        # the a-b grant went with the unlocked interface; b-c's must not leak
+        g = self.chain()
+        route = g.route_power("a", "c", 100.0)
+        g.unlock("a", "px")
+        with pytest.raises(NotConnectedError, match="no longer connected"):
+            g.release_route(route)
+        assert sum(w for _, _, w in g.power_allocations()) == 0.0
+
+    def test_stale_route_leaves_a_redocked_interface_alone(self):
+        # grant ids start over on the new b-c connection: the old route's
+        # id there must not free the new route's grant
+        g = self.chain()
+        bc = g._edge_between("b", "c")
+        old = g.route_power("a", "c", 100.0)
+        g.unlock("a", "px")
+        g.undock("b", "px")
+        dock_ok(g, "b", "px", "c", "nx")
+        new = g.route_power("b", "c", 200.0)
+        assert [gid for _, gid in old.grants] == [1, 1] and new.grants == ((bc, 1),)
+        with pytest.raises(NotConnectedError, match="no longer connected"):
+            g.release_route(old)
+        assert g.interface_allocation_w(bc) == 200.0
+        g.release_route(new)
+        assert sum(w for _, _, w in g.power_allocations()) == 0.0
 
     def test_no_path(self):
         g = self.chain()

@@ -6,7 +6,7 @@ separately checks them against the published tolerance targets.
 """
 import functools
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -83,6 +83,23 @@ class TestProfileValidation:
         # passes them all, so finiteness needs its own check
         with pytest.raises(ParameterError, match="profile dimensions must be finite"):
             replace(REFERENCE_PROFILE, **{field: value}).validate()
+
+    def test_equal_profiles_share_memo_entries(self):
+        # the hash is kept per instance, so a replace()-equal copy must hash
+        # and compare equal and hit the entries its twin left in the memos
+        p = replace(REFERENCE_PROFILE, chamfer_depth_mm=0.75)
+        mis = Misalignment(dx_mm=1.0)
+        face._field_constants(p)
+        mate_feasible(p, mis)
+        q = replace(p)
+        assert q is not p and q == p and hash(q) == hash(p)
+        assert asdict(q) == asdict(p) and list(asdict(q)) == [f.name for f in fields(FaceProfile)]
+        for memo, call in ((face._field_constants, lambda: face._field_constants(q)),
+                           (face._feasible, lambda: mate_feasible(q, mis))):
+            before = memo.cache_info()
+            call()
+            after = memo.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     def test_ramp_width_cap(self):
         steep = FaceProfile(6.5, 5.0, 27.0, 1.0)
