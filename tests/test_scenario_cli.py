@@ -717,6 +717,32 @@ def test_new_bound_path_and_message(doc, path, message):
     assert (ei.value.path, ei.value.reason) == (path, message)
 
 
+# Documents with two faults: the one reported is the first in read order
+# (table order, not document order; field errors before domain validation).
+TWO_FAULTS = [
+    (_doc("calibration_targets", {"tolerance": 1.5}), "$.calibration_targets.tolerance",
+     "must be within (0, 1)"),
+    (_asm("power_requests", {"sink": "n", "watts": 1.0, "rail_v": 12.0}),
+     "$.assembly.power_requests[0].rail_v", "must be 48 or 24"),
+    (_asm("modules", {"kind": "link", "ports": 5}), "$.assembly.modules[0].ports",
+     "expected a list, got int"),
+    (_doc("mechanism", {"dt_s": 0.0, "mu1": "big"}), "$.mechanism.mu1", "expected a number"),
+    (_doc("mechanism", {"mu1": -1.0, "dt_s": 0.0}), "$.mechanism.dt_s", "must be positive"),
+    ({"schema_version": 1, "assembly": 5, "mechanism": []}, "$.mechanism",
+     "expected an object, got list"),
+    ({"envelope": {"x": 1}, "schema_version": 2}, "$.schema_version",
+     "unsupported version 2; this tool reads 1"),
+]
+
+
+@pytest.mark.parametrize("doc,path,message", TWO_FAULTS,
+                         ids=[f"{i:03d}:{case[1]}" for i, case in enumerate(TWO_FAULTS)])
+def test_two_fault_document_reports_the_first_read(doc, path, message):
+    with pytest.raises(ScenarioError) as ei:
+        parse_scenario(doc)
+    assert (ei.value.path, ei.value.reason) == (path, message)
+
+
 # ------------------------------------------------------------- schema docs
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "scenario_schema.md"
