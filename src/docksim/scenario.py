@@ -495,9 +495,11 @@ def load_scenario(path: str | Path) -> Scenario:
         text = p.read_text(encoding="utf-8")
     except OSError as err:
         raise ScenarioError("$", f"cannot read scenario: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ScenarioError("$", f"scenario is not UTF-8: {err}") from err
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # malformed, too deep, or too long an integer
         raise ScenarioError("$", f"invalid JSON: {err}") from err
     return parse_scenario(data)
 

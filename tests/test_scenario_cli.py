@@ -177,6 +177,20 @@ class TestCli:
         assert rc == 2
         assert err["error"]["path"] == "$"
 
+    @pytest.mark.parametrize("content,message", [
+        (b'{"schema_version": 1, "x": "\xff"}', "scenario is not UTF-8: "),
+        (b"[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"schema_version": ' + b"7" * 5000 + b"}", "invalid JSON: Exceeds the limit"),
+    ], ids=["non-utf8", "deep-array", "long-integer"])
+    def test_undecodable_scenario_exits_2(self, capsys, tmp_path, content, message):
+        p = tmp_path / "scenario.json"
+        p.write_bytes(content)
+        rc, err = run_cli(capsys, ["loads", "--scenario", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert err["error"]["path"] == "$"
+        assert err["error"]["message"].startswith(message)
+        assert not (tmp_path / "o").exists()
+
     def test_analysis_error_exits_3_with_payload(self, capsys, tmp_path):
         p = scenario_path(tmp_path, {
             "schema_version": 1,
