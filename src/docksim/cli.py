@@ -90,11 +90,6 @@ def main(argv=None) -> int:
             ScenarioError("$.seed", "seed must fit in an unsigned 64-bit integer")),
             indent=2, sort_keys=True))
         return EXIT_SCHEMA
-    if args.resolution is not None and not args.resolution > 0.0:
-        print(json.dumps(_error_payload(
-            ScenarioError("$.resolution", "resolution must be > 0")),
-            indent=2, sort_keys=True))
-        return EXIT_SCHEMA
     try:
         scenario = load_scenario(args.scenario)
         artifacts = run(args.command, scenario, args.out,

@@ -117,6 +117,8 @@ class _Field(NamedTuple):
 
 
 def _check(value, path: str, row: _Field):
+    """Read a present value through row: its kind, then its choices and bounds."""
+    value = row.kind(value, path)
     if row.choices is not None and value not in row.choices:
         raise ScenarioError(path, f"must be one of {sorted(row.choices)}")
     for ok, message in row.bounds:
@@ -131,7 +133,7 @@ def _read(obj: dict, path: str, row: _Field):
         if row.default is _REQUIRED:
             raise ScenarioError(fpath, "required field is missing")
         return row.default
-    return _check(row.kind(obj[row.key], fpath), fpath, row)
+    return _check(obj[row.key], fpath, row)
 
 
 def _fields(obj, path: str, table) -> dict:
@@ -806,8 +808,8 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
         seed: int | None = None, resolution: float | None = None) -> list[str]:
     """Execute one command; returns the artifact names written to outdir.
 
-    resolution overrides envelope.angular_resolution_deg under the same
-    bounds, reported at $.resolution. An output directory or artifact that
+    resolution overrides envelope.angular_resolution_deg, read like that
+    field and reported at $.resolution. An output directory or artifact that
     cannot be written is a schema error at $.out. The artifacts are written
     as a set: the command writes into a temporary directory inside outdir,
     and its files replace those in outdir only when all of them were written
@@ -817,9 +819,9 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     if command not in COMMANDS:
         raise ScenarioError("$", f"unknown command {command!r}")
     if resolution is not None:
-        _check(resolution, "$.resolution", _RESOLUTION)
         scenario = replace(scenario, envelope=replace(
-            scenario.envelope, angular_resolution_deg=resolution))
+            scenario.envelope,
+            angular_resolution_deg=_check(resolution, "$.resolution", _RESOLUTION)))
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -295,6 +295,18 @@ class TestCli:
         assert err["error"]["path"] == "$.resolution"
         assert err["error"]["message"] == "sweep would take more than 1200 rays"
 
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "must be finite"), ("nan", "must be finite"), ("-inf", "must be finite"),
+        ("0", "must be > 0"), ("-30", "must be > 0"),
+    ])
+    def test_resolution_flag_read_like_the_scenario_field(self, capsys, tmp_path, value,
+                                                          message):
+        rc, err = run_cli(capsys, ["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
+                                   "--out", str(tmp_path / "o"), f"--resolution={value}"])
+        assert rc == 2
+        assert (err["error"]["path"], err["error"]["message"]) == ("$.resolution", message)
+        assert not (tmp_path / "o").exists()
+
     def test_out_naming_a_file_exits_2(self, capsys, tmp_path):
         out = tmp_path / "taken"
         out.write_text("not a directory")
