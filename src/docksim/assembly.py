@@ -685,7 +685,7 @@ class ModuleGraph:
     # --- power routing --------------------------------------------------------
 
     def route_power(
-        self, src: str, dst: str, watts: float, rail_v: float = 48.0, purpose: str = "general"
+        self, src: str, dst: str, watts: float, rail_v: float = 48.0
     ) -> PowerRoute | None:
         """Reserve watts on every interface from src to dst, atomically.
 
@@ -707,7 +707,7 @@ class ModuleGraph:
         issuers: list[ChannelSet] = []
         for ek in edge_keys:
             channels = self._edges[frozenset(ek)].channels
-            gid = channels.buses[rail_v].request_power(watts, purpose)
+            gid = channels.buses[rail_v].request_power(watts)
             if gid is None:
                 for issuer, (_, ggid) in zip(issuers, grants):
                     issuer.buses[rail_v].release_power(ggid)

@@ -133,12 +133,9 @@ def mated_contact_map(rotation_slot: int) -> tuple[tuple[str, str], ...]:
 class ChannelSet:
     """Everything that becomes usable across one locked interface."""
 
-    def __init__(self, rotation_slot: int, aux_actuator_only: bool = False):
+    def __init__(self, rotation_slot: int):
         self.rotation_slot = rotation_slot % 3
-        self.buses: dict[float, PowerBus] = {
-            48.0: PowerBus(48.0),
-            24.0: PowerBus(24.0, actuator_only=aux_actuator_only),
-        }
+        self.buses: dict[float, PowerBus] = {48.0: PowerBus(48.0), 24.0: PowerBus(24.0)}
         self.channels: dict[str, DataChannel] = {
             "ethernet": DataChannel("ethernet"),
             "can": DataChannel("can"),
@@ -152,7 +149,7 @@ class ChannelSet:
             ch.link_up = False
 
 
-def connect(state, rotation_slot: int = 0, aux_actuator_only: bool = False) -> ChannelSet:
+def connect(state, rotation_slot: int = 0) -> ChannelSet:
     """Bind buses and channels across an interface that has reached locked.
 
     state only needs a phase attribute (duck-typed to avoid a dependency on
@@ -163,7 +160,7 @@ def connect(state, rotation_slot: int = 0, aux_actuator_only: bool = False) -> C
         raise NotConnectedError(f"channels require a locked interface, got {phase!r}")
     if not isinstance(rotation_slot, int) or isinstance(rotation_slot, bool):
         raise ParameterError("rotation_slot must be an integer slot count")
-    return ChannelSet(rotation_slot, aux_actuator_only=aux_actuator_only)
+    return ChannelSet(rotation_slot)
 
 
 def channel_available(state) -> bool:
@@ -234,16 +231,15 @@ def shortest_path(neighbors, src, dst) -> tuple | None:
     return None
 
 
-def send_frame(frame: Frame, topology, hop_latency_s: float = DEFAULT_HOP_LATENCY_S) -> Delivery:
+def send_frame(frame: Frame, topology) -> Delivery:
     """Deliver a frame along the fewest-hop locked path between its endpoints.
 
     topology only needs a neighbors(node) method (and optionally has_node)
-    whose adjacency already reflects link-up interfaces. Unknown endpoints
-    raise NotConnectedError; a missing path raises UnreachableError.
+    whose adjacency already reflects link-up interfaces. Each hop takes
+    DEFAULT_HOP_LATENCY_S. Unknown endpoints raise NotConnectedError; a
+    missing path raises UnreachableError.
     """
     frame.validate()
-    if hop_latency_s < 0.0:
-        raise ParameterError("hop_latency_s must be >= 0")
     src, dst = frame.source, frame.dest
 
     def known(node) -> bool:
@@ -263,4 +259,4 @@ def send_frame(frame: Frame, topology, hop_latency_s: float = DEFAULT_HOP_LATENC
     if path is None:
         raise UnreachableError(f"no linked path from {src!r} to {dst!r}")
     hops = len(path) - 1
-    return Delivery(path=path, hops=hops, latency_s=hops * hop_latency_s)
+    return Delivery(path=path, hops=hops, latency_s=hops * DEFAULT_HOP_LATENCY_S)

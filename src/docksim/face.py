@@ -595,6 +595,7 @@ REFERENCE_PROFILE = FaceProfile(
 )
 
 _CAL_DIRECTIONS = (0.0, 30.0, 60.0, 90.0)
+_CAL_ROUNDS = 3  # coordinate-search rounds before giving up
 
 
 def _measured_limits(profile: FaceProfile) -> tuple[float, float, float]:
@@ -611,7 +612,6 @@ def _measured_limits(profile: FaceProfile) -> tuple[float, float, float]:
 def calibrate_profile(
     targets: tuple[float, float, float],
     tolerance: float = 0.10,
-    max_rounds: int = 3,
 ) -> FaceProfile:
     """Fit a profile whose envelope matches (translation, rotation, deflection).
 
@@ -644,7 +644,7 @@ def calibrate_profile(
         "groove_radius_mm": 1.5,
         "chamfer_depth_mm": 0.5,
     }
-    for _ in range(max_rounds):
+    for _ in range(_CAL_ROUNDS):
         improved = False
         for name, step in steps.items():
             for sgn in (1.0, -1.0):

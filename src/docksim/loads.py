@@ -55,7 +55,6 @@ class LoadEnvelope:
     bending_capacity_nm: float = 500.0
     torsion_capacity_nm: float = 500.0
     interaction: str = "max-component"
-    lateral_is_assumed: bool = True
 
     def validate(self) -> "LoadEnvelope":
         caps = (
@@ -117,7 +116,7 @@ def check_load(
     else:
         combined = max(util.values())
     notes = []
-    if env.lateral_is_assumed and util["lateral"] > 0.0:
+    if util["lateral"] > 0.0:
         notes.append(
             "lateral capacity is assumed equal to the traction rating; "
             "no published shear rating backs it"
