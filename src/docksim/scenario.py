@@ -4,8 +4,9 @@ A scenario is one strict JSON document: unknown fields are rejected with
 the dotted path of the offender, and every embedded object is validated by
 the owning module the moment it is built. Each object is read against one
 field table (a `_Field` row per key), which docs/scenario_schema.md mirrors.
-Artifacts are deterministic by construction; nothing here reads the clock
-or global RNG state.
+A table backed by a dataclass takes its keys, defaults and read order from
+that class's fields. Artifacts are deterministic by construction; nothing
+here reads the clock or global RNG state.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -104,23 +105,45 @@ def _vec3(value, path: str) -> tuple[float, float, float]:
     return vec
 
 
+def _one_of(*choices: str) -> Callable:
+    """A reader of strings that must be one of choices."""
+    def read(value, path: str) -> str:
+        if _string(value, path) not in choices:
+            raise ScenarioError(path, f"must be one of {sorted(choices)}")
+        return value
+    return read
+
+
 class _Field(NamedTuple):
     """One key of an object: how a present value reads, what a missing one
-    reads as (or _REQUIRED), its allowed choices and its (predicate, message)
-    bounds. Tables list their rows in the order they are read."""
+    reads as (or _REQUIRED) and its (predicate, message) bounds. Tables list
+    their rows in the order they are read."""
 
     key: str
     kind: Callable  # (value, path) -> parsed value
     default: object = _REQUIRED
-    choices: tuple | None = None
     bounds: tuple = ()
 
 
+def _key(default=MISSING, kind: Callable = _number, bounds: tuple = ()):
+    """A section dataclass field: its default, and how its table row reads it."""
+    return field(default=default, metadata={"kind": kind, "bounds": bounds})
+
+
+def _table(cls, **kinds) -> tuple[_Field, ...]:
+    """One row per field of cls, in declaration order, keyed and defaulted by
+    the field (_REQUIRED when it has no default). A field declared with _key
+    reads as its metadata says; any other reads as kinds[name], or as a
+    number when kinds does not name it. kinds[name] = None leaves it out."""
+    return tuple(
+        _Field(f.name, kinds.get(f.name, f.metadata.get("kind", _number)),
+               _REQUIRED if f.default is MISSING else f.default, f.metadata.get("bounds", ()))
+        for f in fields(cls) if kinds.get(f.name, _number) is not None)
+
+
 def _check(value, path: str, row: _Field):
-    """Read a present value through row: its kind, then its choices and bounds."""
+    """Read a present value through row: its kind, then its bounds."""
     value = row.kind(value, path)
-    if row.choices is not None and value not in row.choices:
-        raise ScenarioError(path, f"must be one of {sorted(row.choices)}")
     for ok, message in row.bounds:
         if not ok(value):
             raise ScenarioError(path, message.format(value))
@@ -172,97 +195,6 @@ def _list_of(kind) -> Callable:
         kind(item, f"{path}[{i}]") for i, item in enumerate(_as_list(value, path)))
 
 
-@dataclass(frozen=True)
-class MechanismSection:
-    params: MechanismParams
-    mu_rail: float
-    resisting_force_n: float
-    direction: str
-    dt_s: float
-    rod_capacity_n: float
-
-
-@dataclass(frozen=True)
-class CalibrationTargets:
-    translation_mm: float
-    rotation_deg: float
-    deflection_deg: float
-    tolerance: float
-
-
-@dataclass(frozen=True)
-class EnvelopeOptions:
-    angular_resolution_deg: float = 30.0
-    translation_tol_mm: float = 1.0
-    rotation_tol_deg: float = 1.0
-    deflection_tol_deg: float = 1.0
-
-
-@dataclass(frozen=True)
-class LoadCase:
-    wrench: Wrench
-    dual_lock: bool
-
-
-@dataclass(frozen=True)
-class ScriptEvent:
-    t: float
-    kind: str
-    payload: dict
-    event: Event | None  # what the coupling FSM is stepped with; None for wait
-
-
-@dataclass(frozen=True)
-class DockSpec:
-    a: tuple[str, str]
-    b: tuple[str, str]
-    misalignment: Misalignment | None
-    which_sides: str
-
-
-@dataclass(frozen=True)
-class PowerRequest:
-    t: float
-    source: str
-    sink: str
-    watts: float
-    rail_v: float
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    channel: str
-    source: str
-    dest: str
-    payload_text: str
-    timestamp_s: float
-
-
-@dataclass(frozen=True)
-class AssemblySection:
-    modules: tuple[Module, ...]
-    docks: tuple[DockSpec, ...]
-    plan: tuple[tuple, ...]
-    external_wrenches: dict[str, Wrench] | None
-    gravity_mps2: tuple[float, float, float] | None
-    power_requests: tuple[PowerRequest, ...]
-    frames: tuple[FrameSpec, ...]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    schema_version: int
-    mechanism: MechanismSection | None = None
-    profile: FaceProfile | None = None
-    calibration_targets: CalibrationTargets | None = None
-    load_envelope: LoadEnvelope = field(default_factory=LoadEnvelope)
-    load_case: LoadCase | None = None
-    coupling: CouplingConfig = field(default_factory=CouplingConfig)
-    events: tuple[ScriptEvent, ...] | None = None
-    envelope: EnvelopeOptions = field(default_factory=EnvelopeOptions)
-    assembly: AssemblySection | None = None
-
-
 _POSITIVE = (lambda v: v > 0.0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
 _RAYS = (lambda v: 120.0 / v <= MAX_SWEEP_RAYS,
@@ -274,72 +206,86 @@ def _probes(axis_cap: float) -> tuple:
             f"scan would take more than {MAX_AXIS_PROBES} lattice points")
 
 
-_MECHANISM_PARAMS = (
-    _Field("mu1", _number, 0.3),
-    _Field("mu2", _number, 0.3),
-    _Field("theta_deg", _number, 45.0),
-    _Field("beta_deg", _number, 5.0),
-    _Field("pin_count", _integer, 3),
-    _Field("stroke_mm", _number, 15.0),
-    _Field("rod_speed_mm_s", _number, 1.0),
-)
-_MECHANISM = _MECHANISM_PARAMS + (
-    _Field("mu_rail", _number, 0.15, bounds=(_NON_NEGATIVE,)),
-    _Field("resisting_force_n", _number, 50.0, bounds=(_NON_NEGATIVE,)),
-    _Field("direction", _string, "locking", ("locking", "unlocking")),
-    _Field("dt_s", _number, 0.1, bounds=((lambda v: v > 0.0, "must be positive"),)),
-    _Field("rod_capacity_n", _number, 800.0),
-)
-_PROFILE = (
-    _Field("petal_height_mm", _number),
-    _Field("petal_flank_angle_deg", _number),
-    _Field("groove_radius_mm", _number),
-    _Field("chamfer_depth_mm", _number),
-    _Field("outer_diameter_mm", _number, 80.0),
-    _Field("petal_count", _integer, 3),
-    _Field("groove_positions_deg", _vec3, (90.0, 210.0, 330.0)),
-)
-_TARGETS = (
-    _Field("tolerance", _number, 0.10,
-           bounds=((lambda v: 0.0 < v < 1.0, "must be within (0, 1)"),)),
-    _Field("translation_mm", _number),
-    _Field("rotation_deg", _number),
-    _Field("deflection_deg", _number),
-)
-_RESOLUTION = _Field("angular_resolution_deg", _number, 30.0, bounds=(_POSITIVE, _RAYS))
-_ENVELOPE = (
-    _RESOLUTION,
-    _Field("translation_tol_mm", _number, 1.0, bounds=(_POSITIVE,)),  # cap: run_envelope
-    _Field("rotation_tol_deg", _number, 1.0, bounds=(_POSITIVE, _probes(ROTATION_CEILING_DEG))),
-    _Field("deflection_tol_deg", _number, 1.0,
-           bounds=(_POSITIVE, _probes(DEFLECTION_CEILING_DEG))),
-)
-_LOAD_ENVELOPE = (
-    _Field("traction_capacity_n", _number, 3000.0),
-    _Field("lateral_capacity_n", _number, 3000.0),
-    _Field("bending_capacity_nm", _number, 500.0),
-    _Field("torsion_capacity_nm", _number, 500.0),
-    _Field("interaction", _string, "max-component", ("max-component", "linear")),
-)
-_WRENCH = tuple(_Field(k, _number, 0.0)
-                for k in ("fx_n", "fy_n", "fz_n", "mx_nm", "my_nm", "mz_nm"))
-_LOAD_CASE = (
-    _Field("wrench", _nested(Wrench, _WRENCH)),
-    _Field("dual_lock", _boolean, False),
-)
-_COUPLING = (
-    _Field("lock_duration_s", _number, 15.0),
-    _Field("which_sides", _string, "A", SIDES),
-)
-_MISALIGNMENT = tuple(_Field(k, _number, 0.0)
-                      for k in ("dx_mm", "dy_mm", "rot_deg", "tilt_x_deg", "tilt_y_deg"))
-_FAULT = (_Field("fault_kind", _string, choices=FAULT_KINDS),)
+# Tables of the domain classes: only the keys that do not read as numbers are named.
+_MECHANISM_PARAMS = _table(MechanismParams, pin_count=_integer)
+_PROFILE = _table(FaceProfile, petal_count=_integer, groove_positions_deg=_vec3)
+_LOAD_ENVELOPE = _table(LoadEnvelope, interaction=_one_of("max-component", "linear"))
+_WRENCH = _table(Wrench)
+_COUPLING = _table(CouplingConfig, which_sides=_one_of(*SIDES))
+_MISALIGNMENT = _table(Misalignment)
+_FAULT = (_Field("fault_kind", _one_of(*FAULT_KINDS)),)
 _EVENT = (
     _Field("t", _number, bounds=(_NON_NEGATIVE,)),
-    _Field("event", _string, choices=(
+    _Field("event", _one_of(
         "approach", "start_lock", "start_unlock", "inject_fault", "reset", "wait")),
     _Field("payload", _as_obj, None),
 )
+
+
+@dataclass(frozen=True, kw_only=True)
+class MechanismSection:
+    params: MechanismParams  # read from the MechanismParams keys
+    mu_rail: float = _key(0.15, bounds=(_NON_NEGATIVE,))
+    resisting_force_n: float = _key(50.0, bounds=(_NON_NEGATIVE,))
+    direction: str = _key("locking", _one_of("locking", "unlocking"))
+    dt_s: float = _key(0.1, bounds=((lambda v: v > 0.0, "must be positive"),))
+    rod_capacity_n: float = _key(800.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class CalibrationTargets:
+    tolerance: float = _key(0.10, bounds=((lambda v: 0.0 < v < 1.0, "must be within (0, 1)"),))
+    translation_mm: float = _key()
+    rotation_deg: float = _key()
+    deflection_deg: float = _key()
+
+
+@dataclass(frozen=True, kw_only=True)
+class EnvelopeOptions:
+    angular_resolution_deg: float = _key(30.0, bounds=(_POSITIVE, _RAYS))
+    translation_tol_mm: float = _key(1.0, bounds=(_POSITIVE,))  # cap: run_envelope
+    rotation_tol_deg: float = _key(1.0, bounds=(_POSITIVE, _probes(ROTATION_CEILING_DEG)))
+    deflection_tol_deg: float = _key(1.0, bounds=(_POSITIVE, _probes(DEFLECTION_CEILING_DEG)))
+
+
+@dataclass(frozen=True, kw_only=True)
+class LoadCase:
+    wrench: Wrench = _key(kind=_nested(Wrench, _WRENCH))
+    dual_lock: bool = _key(False, _boolean)
+
+
+@dataclass(frozen=True)
+class ScriptEvent:
+    t: float
+    kind: str
+    payload: dict
+    event: Event | None  # what the coupling FSM is stepped with; None for wait
+
+
+@dataclass(frozen=True, kw_only=True)
+class DockSpec:
+    a: tuple[str, str] = _key(kind=_port_ref)
+    b: tuple[str, str] = _key(kind=_port_ref)
+    misalignment: Misalignment | None = _key(None, _nested(Misalignment, _MISALIGNMENT))
+    which_sides: str = _key("A", _one_of(*SIDES))
+
+
+@dataclass(frozen=True, kw_only=True)
+class PowerRequest:
+    rail_v: float = _key(48.0, bounds=((lambda v: v in (48.0, 24.0), "must be 48 or 24"),))
+    t: float | None = _key(None)
+    source: str = _key(kind=_string)
+    sink: str = _key(kind=_string)
+    watts: float = _key(bounds=(_POSITIVE,))
+
+
+@dataclass(frozen=True, kw_only=True)
+class FrameSpec:
+    channel: str = _key(kind=_one_of("can", "ethernet"))
+    source: str = _key(kind=_string)
+    dest: str = _key(kind=_string)
+    payload_text: str = _key("", _string)
+    timestamp_s: float = _key(0.0)
 
 
 def _script_event(value, path: str) -> ScriptEvent:
@@ -397,6 +343,25 @@ def _power_requests(value, path: str) -> tuple[PowerRequest, ...]:
                  for i, r in enumerate(requests))
 
 
+def _plan_step(value, path: str) -> tuple:
+    obj = _as_obj(value, path)
+    table = _PLAN[_read(obj, path, _PLAN_OP)]
+    # a plan step reads a missing port as a malformed one, where a dock calls it missing
+    ports = {row.key: None for row in table if row.kind is _port_ref}
+    f = _fields({**ports, **obj}, path, table)
+    if f["op"] == "undock":
+        return ("undock", *f["port"])
+    return ("dock", *f["a"], *f["b"]) + ((f["misalignment"],) if f["misalignment"] else ())
+
+
+_MECHANISM = _MECHANISM_PARAMS + _table(MechanismSection, params=None)
+_TARGETS = _table(CalibrationTargets)
+_ENVELOPE = _table(EnvelopeOptions)
+_LOAD_CASE = _table(LoadCase)
+_DOCK = _table(DockSpec)
+_POWER_REQUEST = _table(PowerRequest)
+_FRAME = _table(FrameSpec)
+# Tables with no class behind them, or whose keys are not the class's field names.
 _POSE = (
     _Field("xyz", _vec3, (0.0, 0.0, 0.0)),
     _Field("rpy_deg", _vec3, (0.0, 0.0, 0.0)),
@@ -411,70 +376,47 @@ _MODULE = (
     _Field("kind", _string),
     _Field("mass_kg", _number, 1.0),
 )
-_DOCK = (
-    _Field("a", _port_ref),
-    _Field("b", _port_ref),
-    _Field("misalignment", _nested(Misalignment, _MISALIGNMENT), None),
-    _Field("which_sides", _string, "A", SIDES),
-)
 _PLAN = {
     "dock": (_Field("op", _string),) + _DOCK[:3],
     "undock": (_Field("op", _string), _Field("port", _port_ref)),
 }
-_PLAN_OP = _Field("op", _string, choices=tuple(_PLAN))
-_POWER_REQUEST = (
-    _Field("rail_v", _number, 48.0,
-           bounds=((lambda v: v in (48.0, 24.0), "must be 48 or 24"),)),
-    _Field("t", _number, None),
-    _Field("source", _string),
-    _Field("sink", _string),
-    _Field("watts", _number, bounds=(_POSITIVE,)),
-)
-_FRAME = (
-    _Field("channel", _string, choices=("can", "ethernet")),
-    _Field("source", _string),
-    _Field("dest", _string),
-    _Field("payload_text", _string, ""),
-    _Field("timestamp_s", _number, 0.0),
-)
+_PLAN_OP = _Field("op", _one_of(*_PLAN))
 
 
-def _plan_step(value, path: str) -> tuple:
-    obj = _as_obj(value, path)
-    table = _PLAN[_read(obj, path, _PLAN_OP)]
-    # a plan step reads a missing port as a malformed one, where a dock calls it missing
-    ports = {row.key: None for row in table if row.kind is _port_ref}
-    f = _fields({**ports, **obj}, path, table)
-    if f["op"] == "undock":
-        return ("undock", *f["port"])
-    return ("dock", *f["a"], *f["b"]) + ((f["misalignment"],) if f["misalignment"] else ())
+@dataclass(frozen=True, kw_only=True)
+class AssemblySection:
+    modules: tuple[Module, ...] = _key((), _list_of(_nested(_module, _MODULE)))
+    docks: tuple[DockSpec, ...] = _key((), _list_of(_nested(DockSpec, _DOCK)))
+    plan: tuple[tuple, ...] = _key((), _list_of(_plan_step))
+    external_wrenches: dict[str, Wrench] | None = _key(None, _wrenches)
+    gravity_mps2: tuple[float, float, float] | None = _key(
+        None, lambda value, path: None if value is None else _vec3(value, path))
+    power_requests: tuple[PowerRequest, ...] = _key((), _power_requests)
+    frames: tuple[FrameSpec, ...] = _key((), _list_of(_nested(FrameSpec, _FRAME)))
 
 
-_ASSEMBLY = (
-    _Field("modules", _list_of(_nested(_module, _MODULE)), ()),
-    _Field("docks", _list_of(_nested(DockSpec, _DOCK)), ()),
-    _Field("plan", _list_of(_plan_step), ()),
-    _Field("external_wrenches", _wrenches, None),
-    _Field("gravity_mps2", lambda value, path: None if value is None else _vec3(value, path),
-           None),
-    _Field("power_requests", _power_requests, ()),
-    _Field("frames", _list_of(_nested(FrameSpec, _FRAME)), ()),
-)
-# The sections. parse_profile is looked up at call time, so a wrapper on it sees each call.
-_SCENARIO = (
-    _Field("schema_version", _integer, bounds=((
+_ASSEMBLY = _table(AssemblySection)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    schema_version: int = _key(kind=_integer, bounds=((
         lambda v: v == SCHEMA_VERSION,
-        f"unsupported version {{}}; this tool reads {SCHEMA_VERSION}"),)),
-    _Field("mechanism", _parse_mechanism, None),
-    _Field("profile", lambda value, path: parse_profile(value, path), None),
-    _Field("calibration_targets", _nested(CalibrationTargets, _TARGETS), None),
-    _Field("load_envelope", _nested(LoadEnvelope, _LOAD_ENVELOPE), LoadEnvelope()),
-    _Field("load_case", _nested(LoadCase, _LOAD_CASE), None),
-    _Field("coupling", _nested(CouplingConfig, _COUPLING), CouplingConfig()),
-    _Field("events", _events, None),
-    _Field("envelope", _nested(EnvelopeOptions, _ENVELOPE), EnvelopeOptions()),
-    _Field("assembly", _nested(AssemblySection, _ASSEMBLY), None),
-)
+        f"unsupported version {{}}; this tool reads {SCHEMA_VERSION}"),))
+    mechanism: MechanismSection | None = _key(None, _parse_mechanism)
+    # parse_profile is looked up at call time, so a wrapper on it sees each call
+    profile: FaceProfile | None = _key(None, lambda value, path: parse_profile(value, path))
+    calibration_targets: CalibrationTargets | None = _key(
+        None, _nested(CalibrationTargets, _TARGETS))
+    load_envelope: LoadEnvelope = _key(LoadEnvelope(), _nested(LoadEnvelope, _LOAD_ENVELOPE))
+    load_case: LoadCase | None = _key(None, _nested(LoadCase, _LOAD_CASE))
+    coupling: CouplingConfig = _key(CouplingConfig(), _nested(CouplingConfig, _COUPLING))
+    events: tuple[ScriptEvent, ...] | None = _key(None, _events)
+    envelope: EnvelopeOptions = _key(EnvelopeOptions(), _nested(EnvelopeOptions, _ENVELOPE))
+    assembly: AssemblySection | None = _key(None, _nested(AssemblySection, _ASSEMBLY))
+
+
+_SCENARIO = _table(Scenario)
 
 
 def parse_scenario(data) -> Scenario:
@@ -821,7 +763,7 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     if resolution is not None:
         scenario = replace(scenario, envelope=replace(
             scenario.envelope,
-            angular_resolution_deg=_check(resolution, "$.resolution", _RESOLUTION)))
+            angular_resolution_deg=_check(resolution, "$.resolution", _ENVELOPE[0])))
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
