@@ -14,7 +14,7 @@ from .errors import ParameterError
 
 DUAL_LOCK_FACTOR = 1.5
 
-_INTERACTION_RULES = ("max-component", "linear")
+INTERACTION_RULES = ("max-component", "linear")
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class LoadEnvelope:
         )
         if not all(c > 0.0 and math.isfinite(c) for c in caps):
             raise ParameterError("capacities must be positive and finite")
-        if self.interaction not in _INTERACTION_RULES:
+        if self.interaction not in INTERACTION_RULES:
             raise ParameterError(
-                f"interaction must be one of {_INTERACTION_RULES}, got {self.interaction!r}"
+                f"interaction must be one of {INTERACTION_RULES}, got {self.interaction!r}"
             )
         return self
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .assembly import Module, ModuleGraph, Pose, Port
-from .bus import Frame, send_frame
+from .bus import CHANNEL_PURPOSES, Frame, send_frame
 from .coupling import (
     FAULT_KINDS,
     SIDES,
@@ -41,7 +41,7 @@ from .face import (
     calibrate_profile,
     full_envelope,
 )
-from .loads import LoadEnvelope, Wrench, check_load, stress_estimate
+from .loads import INTERACTION_RULES, LoadEnvelope, Wrench, check_load, stress_estimate
 from .mechanism import (
     MAX_STROKE_SAMPLES,
     MechanismParams,
@@ -209,7 +209,7 @@ def _probes(axis_cap: float) -> tuple:
 # Tables of the domain classes: only the keys that do not read as numbers are named.
 _MECHANISM_PARAMS = _table(MechanismParams, pin_count=_integer)
 _PROFILE = _table(FaceProfile, petal_count=_integer, groove_positions_deg=_vec3)
-_LOAD_ENVELOPE = _table(LoadEnvelope, interaction=_one_of("max-component", "linear"))
+_LOAD_ENVELOPE = _table(LoadEnvelope, interaction=_one_of(*INTERACTION_RULES))
 _WRENCH = _table(Wrench)
 _COUPLING = _table(CouplingConfig, which_sides=_one_of(*SIDES))
 _MISALIGNMENT = _table(Misalignment)
@@ -281,7 +281,7 @@ class PowerRequest:
 
 @dataclass(frozen=True, kw_only=True)
 class FrameSpec:
-    channel: str = _key(kind=_one_of("can", "ethernet"))
+    channel: str = _key(kind=_one_of(*CHANNEL_PURPOSES))
     source: str = _key(kind=_string)
     dest: str = _key(kind=_string)
     payload_text: str = _key("", _string)
