@@ -75,21 +75,27 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="scenario JSON path")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_flag_value, default=None,
                         help="optional seed recorded in report metadata")
-    parser.add_argument("--resolution", type=float, default=None,
+    parser.add_argument("--resolution", type=_flag_value, default=None,
                         help="override envelope angular resolution (degrees)")
     return parser
+
+
+def _flag_value(text: str):
+    """The number a flag's text spells, else the text: run() reads it like
+    the scenario field it stands for, so a bad one is a schema error."""
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
 
 
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed < 2 ** 64:
-        print(json.dumps(_error_payload(
-            ScenarioError("$.seed", "seed must fit in an unsigned 64-bit integer")),
-            indent=2, sort_keys=True))
-        return EXIT_SCHEMA
     try:
         scenario = load_scenario(args.scenario)
         artifacts = run(args.command, scenario, args.out,

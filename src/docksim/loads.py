@@ -46,8 +46,8 @@ class LoadEnvelope:
     """Rated single-mode capacities of one locked interface.
 
     The lateral (shear) rating is not separately published for this class
-    of interface; it defaults to the traction rating and reports carry an
-    assumption note whenever it is exercised.
+    of interface; it defaults to the traction rating, and while it equals
+    that rating, reports carry an assumption note whenever it is exercised.
     """
 
     traction_capacity_n: float = 3000.0
@@ -116,7 +116,7 @@ def check_load(
     else:
         combined = max(util.values())
     notes = []
-    if util["lateral"] > 0.0:
+    if util["lateral"] > 0.0 and env.lateral_capacity_n == env.traction_capacity_n:
         notes.append(
             "lateral capacity is assumed equal to the traction rating; "
             "no published shear rating backs it"

@@ -746,10 +746,16 @@ def _publish(staged: Path, out: Path, names: list[str]) -> None:
         os.replace(staged / name, out / name)
 
 
+# --seed: an integer recorded in report metadata
+_SEED = _Field("seed", _integer, None,
+               ((lambda v: 0 <= v < 2 ** 64, "seed must fit in an unsigned 64-bit integer"),))
+
+
 def run(command: str, scenario: Scenario, outdir: str | Path,
         seed: int | None = None, resolution: float | None = None) -> list[str]:
     """Execute one command; returns the artifact names written to outdir.
 
+    seed is read as an unsigned 64-bit integer and reported at $.seed.
     resolution overrides envelope.angular_resolution_deg, read like that
     field and reported at $.resolution. An output directory or artifact that
     cannot be written is a schema error at $.out. The artifacts are written
@@ -760,6 +766,8 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     """
     if command not in COMMANDS:
         raise ScenarioError("$", f"unknown command {command!r}")
+    if seed is not None:
+        seed = _check(seed, "$.seed", _SEED)
     if resolution is not None:
         scenario = replace(scenario, envelope=replace(
             scenario.envelope,

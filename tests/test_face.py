@@ -444,7 +444,7 @@ class TestSettleMemo:
             # memo hits served from the entries just made; they must be
             # exact too
             for variant in _distinct_variants(state):
-                assert _bits(face._floor(REFERENCE_PROFILE, variant)) == _bits(
+                assert _bits(face._floor(REFERENCE_PROFILE, variant)[0]) == _bits(
                     reference_moving_term(REFERENCE_PROFILE, variant))
                 assert _bits(face._settle(REFERENCE_PROFILE, variant)) == _bits(
                     reference_settle(REFERENCE_PROFILE, variant))
@@ -520,7 +520,7 @@ class TestFloorSkip:
         # the skip is sound only if the bound holds wherever it was asked
         consulted = [start, *(c for it in want_trace for c in face._candidate_moves(*it))]
         for state in consulted:
-            assert face._floor(REFERENCE_PROFILE, state) <= reference_settle(
+            assert face._floor(REFERENCE_PROFILE, state)[0] <= reference_settle(
                 REFERENCE_PROFILE, state)
 
 
@@ -533,6 +533,11 @@ _KERNEL_PROFILES = (
     replace(REFERENCE_PROFILE, chamfer_depth_mm=0.0),
     replace(REFERENCE_PROFILE, petal_flank_angle_deg=10.0),
 )
+
+# Finite 5-DOF states, tilts up to 75 degrees (past the contact model at 78.5)
+_STATE = st.tuples(
+    st.floats(-45.0, 45.0), st.floats(-45.0, 45.0), st.floats(-200.0, 200.0),
+    st.floats(-75.0, 75.0), st.floats(-75.0, 75.0))
 
 _INF_STATES = (
     (70.0, 0.0, 0.0, 0.0, 0.0),     # face overlap lost
@@ -606,7 +611,7 @@ class TestFrozenKernel:
             for variant in _distinct_variants(state):
                 want = reference_settle(profile, variant)
                 assert _bits(settle_height(profile, variant)) == _bits(want), variant
-                assert _bits(face._moving_term(profile, variant)) == _bits(
+                assert _bits(face._moving_term(profile, variant)[0]) == _bits(
                     reference_moving_term(profile, variant)), variant
 
     def test_descent_states(self):
@@ -619,13 +624,79 @@ class TestFrozenKernel:
     def test_origin_steep_and_infinite_states(self, profile):
         for state in _INF_STATES:
             assert settle_height(profile, state) == math.inf
-            assert face._moving_term(profile, state) == math.inf
+            assert face._moving_term(profile, state) == (math.inf, -1)
         self._check(profile, ((0.0, 0.0, 0.0, 0.0, 0.0), (0, 0, 0, 0, 0),
                               (0.0, 0.0, 60.0, 0.0, 0.0), *_STEEP_STATES, *_INF_STATES))
 
     @settings(max_examples=80, deadline=None)
-    @given(st.tuples(
-        st.floats(-45.0, 45.0), st.floats(-45.0, 45.0), st.floats(-200.0, 200.0),
-        st.floats(-75.0, 75.0), st.floats(-75.0, 75.0)))
+    @given(_STATE)
     def test_random_finite_states(self, state):
         self._check(REFERENCE_PROFILE, (state,))
+
+
+def _on_rim(profile, state, i):
+    """state with its lateral offset moved so that sample i lands on the rim."""
+    dx, dy, rot, tx, ty = state
+    wx, wy, _ = face._turned_cloud(profile, rot, tx, ty)[i]
+    ux, uy = wx + dx, wy + dy
+    r = math.hypot(ux, uy)
+    ux, uy = (ux / r, uy / r) if r > 0.0 else (1.0, 0.0)
+    rim = profile.rim_radius_mm
+    return (float(rim * ux - wx), float(rim * uy - wy), rot, tx, ty)
+
+
+class TestSampleBound:
+    """One contact sample in scalar math (face._sample_lift), less its
+    margin, is a lower bound of the moving term: the descent skips
+    candidates on it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=st.sampled_from(_KERNEL_PROFILES), state=_STATE,
+           rim_sample=st.none() | st.integers(0, 14 * 72 - 1))  # 14 radii x 72 angles
+    def test_one_sample_bounds_the_moving_term(self, profile, state, rim_sample):
+        if rim_sample is not None:
+            state = _on_rim(profile, state, rim_sample)
+        dx, dy, rot, tx, ty = state
+        w = face._turned_cloud(profile, rot, tx, ty)
+        wx, wy = w[:, 0] + dx, w[:, 1] + dy
+        r = np.hypot(wx, wy)
+        want = height_field(profile, wx, wy) - w[:, 2]
+        lift, margin = face._sample_lift(profile)
+        got = np.array([lift(state, i) for i in range(len(w))])
+        bounds = np.isfinite(got)
+        rim = profile.rim_radius_mm
+        # a sample numpy counts as outside never bounds; one dropped is at
+        # most the margin inside the rim
+        assert (r[bounds] <= rim).all()
+        assert (r[~bounds] > rim - 2.0 * face.SAMPLE_RTOL * rim).all()
+        assert np.abs(got[bounds] - want[bounds]).max(initial=0.0) <= 1e-12
+        assert 1e-9 <= margin <= 1e-6
+        assert (got - margin).max() <= reference_moving_term(profile, state)
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_rim_states_drop_the_rim_sample(self, profile):
+        # sample index = 14 * angle index + radius index; radius 13 is the rim
+        for i in (13, 14 * 36 + 13, 14 * 71 + 7):
+            state = _on_rim(profile, (1.0, -2.0, 10.0, 3.0, -1.0), i)
+            assert face._sample_lift(profile)[0](state, i) == -math.inf
+
+
+class TestWorkCounters:
+    """Hardware-independent work counts of the capture stack, from cold
+    memos: exact settles (settle_height runs) and moving-term evaluations
+    (_floor misses)."""
+
+    @staticmethod
+    def _counts(work):
+        for memo in (face._feasible, face._settle, face._floor):
+            memo.cache_clear()
+        work()
+        return face._settle.cache_info().misses, face._floor.cache_info().misses
+
+    def test_cold_reference_envelope(self):
+        assert self._counts(lambda: full_envelope(REFERENCE_PROFILE)) == (2918, 4216)
+
+    def test_three_dock_stream_descents(self):
+        draws = _dock_stream_draws(1, 3)
+        assert self._counts(
+            lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]) == (430, 575)

@@ -75,6 +75,14 @@ class TestCheckLoad:
         assert any("assumed" in n for n in rep.notes)
         assert check_load(Wrench(fz_n=100.0)).notes == ()
 
+    def test_no_assumption_note_for_a_set_lateral_rating(self):
+        rep = check_load(Wrench(fx_n=100.0), LoadEnvelope(lateral_capacity_n=1000.0))
+        assert rep.utilization["lateral"] == 0.1
+        assert rep.notes == ()
+        # a rating equal to the traction one is the case the note describes
+        same = LoadEnvelope(traction_capacity_n=1000.0, lateral_capacity_n=1000.0)
+        assert any("assumed" in n for n in check_load(Wrench(fx_n=100.0), same).notes)
+
     def test_bad_envelope(self):
         with pytest.raises(ParameterError):
             check_load(Wrench(), LoadEnvelope(traction_capacity_n=0.0))

@@ -253,7 +253,7 @@ class TestCli:
                                  "--seed", "42"])
         assert rc == 0
         report = json.loads((out / "loads_report.json").read_text())
-        assert report["meta"]["seed"] == 42
+        assert report["meta"]["seed"] == 42 and type(report["meta"]["seed"]) is int
 
     def test_negative_resisting_force_exits_2_with_path(self, capsys, tmp_path):
         p = scenario_path(tmp_path, {"schema_version": 1,
@@ -355,6 +355,35 @@ class TestCli:
                                    "--out", str(tmp_path / "o"), "--seed", "-1"])
         assert rc == 2
         assert err["error"]["path"] == "$.seed"
+
+    @pytest.mark.parametrize("flag,value,path,message", [
+        ("--seed", "x", "$.seed", "expected an integer"),
+        ("--seed", "1.5", "$.seed", "expected an integer"),
+        ("--seed", str(2 ** 64), "$.seed", "seed must fit in an unsigned 64-bit integer"),
+        ("--resolution", "abc", "$.resolution", "expected a number"),
+        ("--resolution", "", "$.resolution", "expected a number"),
+        ("--resolution", "1e400", "$.resolution", "must be finite"),
+    ])
+    def test_unconvertible_flag_exits_2_with_path(self, capsys, tmp_path, flag, value, path,
+                                                  message):
+        rc = cli.main(["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
+                       "--out", str(tmp_path / "o"), flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        err = json.loads(captured.out)["error"]
+        assert (err["kind"], err["path"], err["message"]) == ("schema", path, message)
+        assert "usage:" not in captured.err
+        assert not (tmp_path / "o").exists()
+
+    def test_set_lateral_rating_carries_no_assumption_note(self, capsys, tmp_path):
+        p = scenario_path(tmp_path, {"schema_version": 1,
+                                     "load_envelope": {"lateral_capacity_n": 1000.0},
+                                     "load_case": {"wrench": {"fx_n": 100.0}}})
+        rc, _ = run_cli(capsys, ["loads", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 0
+        check = json.loads((tmp_path / "o" / "loads_report.json").read_text())["check"]
+        assert check["utilization"]["lateral"] == 0.1
+        assert check["notes"] == []
 
     def test_fast_commands_are_byte_identical(self, capsys, tmp_path):
         for cmd in ("mechanism", "couple", "loads", "assembly"):
