@@ -93,9 +93,24 @@ def _flag_value(text: str):
     return text
 
 
+_VALUE_FLAGS = ("--seed", "--resolution")
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each --seed and --resolution joined to its next token as
+    `--flag=value`, so that a value starting with '-' (such as -inf) stays
+    a value and is not read as an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _VALUE_FLAGS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         scenario = load_scenario(args.scenario)
         artifacts = run(args.command, scenario, args.out,

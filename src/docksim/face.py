@@ -144,9 +144,9 @@ def canonicalize(mis: Misalignment) -> Misalignment:
     """Map a misalignment into the fundamental domain of the 3-fold symmetry.
 
     The reference vector (lateral offset if nonzero, else tilt axis) is
-    rotated into angle [0, 120); rot wraps to (-60, 60]. Feasibility is
-    solved on canonical states only, which makes the symmetry invariant
-    exact by construction.
+    rotated into angle [0, 120), or at most 1e-9 degrees below 0; rot wraps
+    to (-60, 60]. Feasibility is solved on canonical states only, which
+    makes the symmetry invariant exact by construction.
     """
     rot = math.remainder(mis.rot_deg, 120.0) if mis.rot_deg else mis.rot_deg
     if rot == -60.0:  # remainder rounds half to even: 180 -> -60 but 60 -> 60
@@ -157,9 +157,12 @@ def canonicalize(mis: Misalignment) -> Misalignment:
         rx, ry = out.tilt_x_deg, out.tilt_y_deg
         if rx == 0.0 and ry == 0.0:
             return out
-    for _ in range(3):
-        ang = math.degrees(math.atan2(ry, rx)) % 360.0
-        if ang < 120.0:
+    # A vector on a symmetry axis turns by rounding to a hair either side of
+    # it, so a copy just below the 0 axis is taken as in the domain: else
+    # that copy and the one read as 120.0 could both miss [0, 120). With the
+    # slack, the third copy is in the domain when the first two are not.
+    for _ in range(2):
+        if -1e-9 < math.degrees(math.atan2(ry, rx)) < 120.0:
             return out
         out = rotate_misalignment_120(out)
         rx, ry = (out.dx_mm, out.dy_mm) if (out.dx_mm, out.dy_mm) != (0.0, 0.0) \
@@ -322,18 +325,23 @@ def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
 _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 
 # Slack, relative to the face's size, that keeps one scalar contact sample
-# a lower bound of the moving term: the scalar path and numpy's differ by
-# ulps (at most 2.5e-14 mm over 611,388 sample values on three profiles).
+# a lower bound of a settle term: the scalar path and numpy's differ by ulps
+# (at most 2.5e-14 mm over 611,388 moving-face sample values on three
+# profiles, and 3.8e-13 mm over 820,129 fixed-face solves on four).
 SAMPLE_RTOL = 1e-9
 
 
 def _sample_lift(profile: FaceProfile):
-    """(lift, margin): lift(state, i) is sample i's term of _moving_term in
-    scalar math, or -inf if the sample may lie outside the rim; margin
-    covers its rounding.
+    """(lift, margin, fixed): one contact sample's term of settle_height in
+    scalar math, for either face.
 
-    The moving term is a max over inside samples, so lift - margin is a
-    lower bound of it, and of settle_height. Built once per descent: the
+    lift(state, i) is moving-face sample i's term of _moving_term, or -inf
+    if the sample may lie outside the rim; margin covers its rounding.
+    fixed(state, i) is fixed-face sample i's final gap in the solve of
+    _fixed_term with its margin, as (gap, margin); the gap is -inf if the
+    sample may end outside the rim. Each term is a max over the samples
+    inside the rim, so a sample's value less its margin is a lower bound of
+    that term, and of settle_height. Built once per descent: the
     per-profile constants and sample rows are fetched here, not per
     candidate.
     """
@@ -352,6 +360,16 @@ def _sample_lift(profile: FaceProfile):
         x = min(max(x, 0.0), 1.0)
         return x * x * (3.0 - 2.0 * x)
 
+    def surface(x, y, r):
+        """height_field at (x, y), r = hypot(x, y), in the same operations."""
+        pm = math.fmod(math.atan2(y, x) * _DEG_PER_RAD - phase, 120.0) + 0.0
+        pm += 60.0 - math.copysign(60.0, pm)
+        rising = 60.0 - pm
+        pm = min(pm, 120.0 - pm)
+        pm = min(pm, 60.0 - pm)
+        window = (1.0 - cfrac * smooth((r - cstart) / crun)) * smooth((r - hub) / inner_run)
+        return math.copysign(smooth(pm / ramp), rising) * height * window
+
     def lift(state, i):
         dx, dy, rot, tx, ty = state
         (a, b, c), (d, e, f), (g, h, k) = _pose_matrix(rot, tx, ty).tolist()
@@ -361,16 +379,37 @@ def _sample_lift(profile: FaceProfile):
         r = math.hypot(x, y)
         if not r <= inner_rim:
             return -math.inf
-        pm = math.fmod(math.atan2(y, x) * _DEG_PER_RAD - phase, 120.0) + 0.0
-        pm += 60.0 - math.copysign(60.0, pm)
-        rising = 60.0 - pm
-        pm = min(pm, 120.0 - pm)
-        pm = min(pm, 60.0 - pm)
-        window = (1.0 - cfrac * smooth((r - cstart) / crun)) * smooth((r - hub) / inner_run)
-        hump = math.copysign(smooth(pm / ramp), rising) * height * window
-        return hump - (g * cx + h * cy + k * cz)
+        return surface(x, y, r) - (g * cx + h * cy + k * cz)
 
-    return lift, margin
+    def fixed(state, i):
+        dx, dy, rot, tx, ty = state
+        (a, b, c), (d, e, f), (g, h, k) = _pose_matrix(rot, tx, ty).tolist()
+        cos_t = abs(k)
+        if cos_t < 0.2:  # past the contact model: settle_height is +inf
+            return -math.inf, 0.0
+        # A gap error err moves the sample by err * lean, so the next
+        # evaluation's error is at most margin / cos_t + grow * err; the
+        # solve evaluates at most four times.
+        lean = math.hypot(g, h)
+        grow = slope * lean / cos_t
+        margin_f = margin * (1.0 + grow * (1.0 + grow * (1.0 + grow))) / cos_t
+        cx, cy, cz = rows[i]
+        px, py = cx - dx, cy - dy
+        qx = px * a + py * d + cz * g
+        qy = px * b + py * e + cz * h
+        qz = px * c + py * f + cz * k
+        x, y, dz = qx, qy, None
+        for _ in range(4):
+            nxt = (surface(x, y, math.hypot(x, y)) - qz) / cos_t
+            if nxt == dz:
+                break  # this sample's fixed point: x, y already belong to it
+            dz = nxt
+            x, y = qx - dz * g, qy - dz * h
+        if not math.hypot(x, y) <= inner_rim - lean * margin_f:
+            return -math.inf, margin_f
+        return dz, margin_f
+
+    return lift, margin, fixed
 
 
 def _lateral(lat: np.ndarray, q0: np.ndarray, dz: np.ndarray, m: np.ndarray) -> None:
@@ -380,20 +419,17 @@ def _lateral(lat: np.ndarray, q0: np.ndarray, dz: np.ndarray, m: np.ndarray) -> 
         np.subtract(q0[:, j], lat[:, j], out=lat[:, j])
 
 
-def settle_height(profile: FaceProfile, state) -> float:
-    """Axial separation at first contact for pose state (dx, dy, rot, tx, ty).
+def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
+    """Fixed-face samples against the moving body.
 
-    Two-sided rigid contact: moving-face samples against the fixed analytic
-    surface, and fixed-face samples against the moving body (fixed-point
-    solve along the approach axis, at most four evaluations). Returns +inf
-    when face overlap is lost. The moving-face term is read from the
-    `_floor` memo. Each sample's update depends only on its own gap, so an
-    evaluation that returns the previous gaps bit for bit is a fixed point
-    and the solve stops there: the remaining evaluations would repeat it.
+    A fixed-point solve along the approach axis, at most four evaluations.
+    Each sample's update depends only on its own gap, so an evaluation that
+    returns the previous gaps bit for bit is a fixed point and the solve
+    stops there: the remaining evaluations would repeat it. Returns the
+    highest final gap among the samples that end inside the rim and the
+    cloud index of that (binding) sample; (-inf, -1) when none does. Only
+    meaningful where the moving term is finite.
     """
-    d_move = _floor(profile, state)[0]
-    if d_move == math.inf:
-        return math.inf
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
     cloud = _sample_cloud(profile)
@@ -414,10 +450,31 @@ def settle_height(profile: FaceProfile, state) -> float:
         dz = nxt
     else:
         _lateral(lat, q0, dz, m)
-    keep = np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm
-    d_fixed = np.max(dz[keep]) if keep.any() else -math.inf
+    kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
+    if not len(kept):
+        return -math.inf, -1
+    gaps = dz[kept]
+    return float(np.max(gaps)), int(kept[np.argmax(gaps)])
 
-    return float(max(d_move, d_fixed))
+
+# settle_height solves the fixed-face term once per exact settle; the
+# descent reads the binding sample of the states it settled from here.
+_fixed = functools.lru_cache(maxsize=1024)(_fixed_term)
+
+
+def settle_height(profile: FaceProfile, state) -> float:
+    """Axial separation at first contact for pose state (dx, dy, rot, tx, ty).
+
+    Two-sided rigid contact: the larger of the moving-face term (moving-face
+    samples against the fixed analytic surface) and the fixed-face term
+    (fixed-face samples against the moving body). Returns +inf when face
+    overlap is lost. The terms are read from the `_floor` and `_fixed`
+    memos.
+    """
+    d_move = _floor(profile, state)[0]
+    if d_move == math.inf:
+        return math.inf
+    return max(d_move, _fixed(profile, state)[0])
 
 
 # --- capture descent -----------------------------------------------------
@@ -487,22 +544,24 @@ def _descend(profile: FaceProfile, state) -> bool:
 
     Steps start small and only shrink, so the search cannot hop over
     physical feature barriers; a stall at the finest step is a jam.
-    A candidate whose moving-face bound already fails the acceptance test
-    cannot pass it with its exact settle height, so that is not evaluated;
-    it still spends one evaluation of the budget. Before that bound is
-    computed, one contact sample in scalar math (_sample_lift) is tried as
-    a cheaper bound of it: first the incumbent's binding sample, then the
-    one that bound the same candidate slot last time. Any sample bounds the
-    moving term; these two are the ones most likely to bind.
+    A candidate whose lower bound of the settle height already fails the
+    acceptance test cannot pass it with its exact settle height, so that is
+    not evaluated; it still spends one evaluation of the budget. The bounds
+    are tried cheapest first. One contact sample in scalar math
+    (_sample_lift) of the moving face, then of the fixed face: first the
+    incumbent's binding sample of that face, then the one that bound the
+    same candidate slot last time. Any sample bounds its term; these two
+    are the ones most likely to bind. Then the full moving term.
     """
     d = _settle(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
         # Faces land on top of the features instead of interleaving:
         # the funnel never catches.
         return False
-    lift, margin = _sample_lift(profile)
-    binding = _floor(profile, state)[1]  # the incumbent's binding sample
-    slots = {}  # each candidate slot's last binding sample
+    lift, margin, fixed = _sample_lift(profile)
+    # the incumbent's binding samples, of the moving and the fixed face
+    binding, fbinding = _floor(profile, state)[1], _fixed(profile, state)[1]
+    slots, fslots = {}, {}  # each candidate slot's last binding samples
     s_lat, s_rot, s_tilt = 0.5, 1.5, 0.5
     evals = 1
     while evals < DESCENT_BUDGET:
@@ -516,12 +575,23 @@ def _descend(profile: FaceProfile, state) -> bool:
             last = slots.get(j, binding)
             if last != binding and lift(cand, last) - margin >= best_d - 1e-10:
                 continue
+            gap, margin_f = fixed(cand, fbinding)
+            if gap - margin_f >= best_d - 1e-10:
+                continue
+            last = fslots.get(j, fbinding)
+            if last != fbinding:
+                gap, margin_f = fixed(cand, last)
+                if gap - margin_f >= best_d - 1e-10:
+                    continue
             floor, slots[j] = _floor(profile, cand)
             if floor >= best_d - 1e-10:
                 continue
             dc = _settle(profile, cand)
-            if math.isfinite(dc) and dc < best_d - 1e-10:
-                best, best_d, best_i = cand, dc, slots[j]
+            if not math.isfinite(dc):
+                continue
+            fslots[j] = _fixed(profile, cand)[1]
+            if dc < best_d - 1e-10:
+                best, best_d, best_i, best_f = cand, dc, slots[j], fslots[j]
         if best is None:
             if s_lat <= 0.004 and s_rot <= 0.004 and s_tilt <= 0.004:
                 return _converged(state)
@@ -529,7 +599,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             s_rot = max(s_rot * 0.5, 0.002)
             s_tilt = max(s_tilt * 0.5, 0.002)
         else:
-            state, d, binding = best, best_d, best_i
+            state, d, binding, fbinding = best, best_d, best_i, best_f
     return _converged(state)
 
 

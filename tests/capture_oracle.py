@@ -133,13 +133,10 @@ def _remembered(term):
 reference_moving_term = _floor = _remembered(_moving_term)
 
 
-def settle_height(profile: FaceProfile, state) -> float:
-    """Axial separation at first contact for pose state (dx, dy, rot, tx, ty)."""
-    d_move = _floor(profile, state)
-    if d_move == math.inf:
-        return math.inf
+def fixed_samples(profile: FaceProfile, state) -> tuple[np.ndarray, np.ndarray]:
+    """Each fixed-face sample's final gap along the approach axis after the
+    full four-evaluation solve, and its final lateral position."""
     dx, dy = state[0], state[1]
-    rim = profile.rim_radius_mm
     m = _pose_matrix(state)
     cloud = _sample_cloud(profile)
     cos_t = abs(m[2, 2])
@@ -149,8 +146,16 @@ def settle_height(profile: FaceProfile, state) -> float:
     for _ in range(3):
         lat = q0[:, :2] - dz[:, None] * m3
         dz = (height_field(profile, lat[:, 0], lat[:, 1]) - q0[:, 2]) / cos_t
-    lat = q0[:, :2] - dz[:, None] * m3
-    keep = np.hypot(lat[:, 0], lat[:, 1]) <= rim
+    return dz, q0[:, :2] - dz[:, None] * m3
+
+
+def settle_height(profile: FaceProfile, state) -> float:
+    """Axial separation at first contact for pose state (dx, dy, rot, tx, ty)."""
+    d_move = _floor(profile, state)
+    if d_move == math.inf:
+        return math.inf
+    dz, lat = fixed_samples(profile, state)
+    keep = np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm
     d_fixed = np.max(dz[keep]) if keep.any() else -math.inf
 
     return float(max(d_move, d_fixed))

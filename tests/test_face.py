@@ -195,6 +195,78 @@ class TestCanonicalization:
                 assert ck.tilt_y_deg == pytest.approx(c0.tilt_y_deg, abs=1e-9)
 
 
+def _turned(x, y, turns):
+    for _ in range(turns):
+        x, y = face._rot120(x, y)
+    return x, y
+
+
+def _nudged(v):
+    """v, or v moved one ulp either way."""
+    return st.sampled_from((v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)))
+
+
+# Rotations at the wrap of the 120-degree period, and a vector on one of the
+# symmetry axes at 0/120/240 degrees (a lateral offset or a tilt axis), built
+# by the same exact 120-degree turns the symmetry machinery uses, with each
+# component possibly nudged one ulp off the axis.
+_BOUNDARY_ROT = st.sampled_from((60.0, -60.0, 180.0, -180.0, 300.0, -300.0, 120.0, -120.0,
+                                 0.0, -0.0)).flatmap(_nudged) | st.floats(-1000.0, 1000.0)
+_AXIS_VECTOR = st.builds(
+    _turned, st.floats(1e-6, 50.0), st.sampled_from((0.0, -0.0)), st.integers(0, 2)
+).flatmap(lambda v: st.tuples(_nudged(v[0]), _nudged(v[1])))
+_ZERO = st.sampled_from((0.0, -0.0))
+
+
+def _reference_angle(m: Misalignment):
+    """Polar angle in (-180, 180] of the vector canonicalize turns: the
+    lateral offset, else the tilt axis; None when both are zero."""
+    rx, ry = (m.dx_mm, m.dy_mm) if (m.dx_mm, m.dy_mm) != (0.0, 0.0) \
+        else (m.tilt_x_deg, m.tilt_y_deg)
+    if (rx, ry) == (0.0, 0.0):
+        return None
+    return math.degrees(math.atan2(ry, rx))
+
+
+class TestCanonicalBoundaries:
+    """canonicalize at the edges of the fundamental domain: rotations that
+    wrap at +-60 and +-180, reference vectors on the 0/120/240 axes, and
+    the zero-lateral fallback to the tilt axis."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rot=_BOUNDARY_ROT,
+           lateral=_AXIS_VECTOR | st.tuples(_ZERO, _ZERO),
+           tilt=_AXIS_VECTOR | st.tuples(_ZERO, _ZERO) | st.tuples(
+               st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)))
+    def test_lands_in_the_fundamental_domain(self, rot, lateral, tilt):
+        mis = Misalignment(lateral[0], lateral[1], rot, tilt[0], tilt[1])
+        c = canonicalize(mis)
+        assert -60.0 < c.rot_deg <= 60.0
+        assert math.remainder(c.rot_deg - rot, 120.0) == pytest.approx(0.0, abs=1e-9)
+        ang = _reference_angle(c)
+        assert ang is None or -1e-9 < ang < 120.0
+        # one of the three symmetry copies, bit for bit
+        same_rot = replace(mis, rot_deg=c.rot_deg)
+        assert c in [rotate_misalignment_120(same_rot, k) for k in range(3)]
+
+    # on the 240 axis, its three copies read 240, 360.0 and 120.0 degrees
+    @pytest.mark.parametrize("mis", [Misalignment(dx_mm=-5e-07, dy_mm=-8.660254037844385e-07),
+                                     Misalignment(tilt_x_deg=-5e-07,
+                                                  tilt_y_deg=-8.660254037844385e-07)])
+    def test_axis_vector_that_rounds_past_every_copy(self, mis):
+        assert -1e-9 < _reference_angle(canonicalize(mis)) < 120.0
+
+    @settings(max_examples=12, deadline=None)
+    @given(rot=st.sampled_from((60.0, -60.0, 180.0, 0.0, 10.0)),
+           lateral=st.builds(_turned, st.floats(0.0, 2.0), st.just(0.0), st.integers(0, 2)),
+           tilt=st.builds(_turned, st.floats(0.0, 2.0), st.just(0.0), st.integers(0, 2)))
+    def test_symmetry_copies_share_a_verdict(self, rot, lateral, tilt):
+        mis = Misalignment(lateral[0], lateral[1], rot, tilt[0], tilt[1])
+        verdicts = {mate_feasible(REFERENCE_PROFILE, rotate_misalignment_120(mis, k))
+                    for k in range(3)}
+        assert len(verdicts) == 1
+
+
 class TestSettleHeight:
     def test_aligned_faces_mesh_flush(self):
         # conjugate surfaces: at zero misalignment the faces close to zero
@@ -408,23 +480,33 @@ def _distinct_variants(state):
 
 @functools.cache
 def _visited_states() -> tuple:
-    """Every state four short descents consult, in first-visit order: each
-    one's moving-face bound is asked for, whether or not it is then settled."""
+    """Every state four short descents consult past the moving-face sample,
+    in first-visit order: each one's fixed-face sample bound or moving-face
+    term is asked for, whether or not it is then settled."""
     visited = []
-    real = face._floor
+    real_floor, real_sample_lift = face._floor, face._sample_lift
 
     def record(profile, state):
         visited.append(state)
-        return real(profile, state)
+        return real_floor(profile, state)
+
+    def sample_lift(profile):
+        lift, margin, fixed = real_sample_lift(profile)
+
+        def record_fixed(state, i):
+            visited.append(state)
+            return fixed(state, i)
+
+        return lift, margin, record_fixed
 
     face._settle.cache_clear()
-    face._floor = record
+    face._floor, face._sample_lift = record, sample_lift
     try:
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
                       (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
             face._descend(REFERENCE_PROFILE, start)
     finally:
-        face._floor = real
+        face._floor, face._sample_lift = real_floor, real_sample_lift
     return tuple(dict.fromkeys(visited))
 
 
@@ -661,7 +743,7 @@ class TestSampleBound:
         wx, wy = w[:, 0] + dx, w[:, 1] + dy
         r = np.hypot(wx, wy)
         want = height_field(profile, wx, wy) - w[:, 2]
-        lift, margin = face._sample_lift(profile)
+        lift, margin, _ = face._sample_lift(profile)
         got = np.array([lift(state, i) for i in range(len(w))])
         bounds = np.isfinite(got)
         rim = profile.rim_radius_mm
@@ -681,22 +763,113 @@ class TestSampleBound:
             assert face._sample_lift(profile)[0](state, i) == -math.inf
 
 
+def _solve_on_rim(profile, state, i):
+    """state with its lateral offset moved so that fixed-face sample i ends
+    its solve on the rim, to within 1e-12 mm; state itself if no move found.
+
+    Moves along the offset that carries the sample's start straight
+    outward. Its final position moves with its gap too, at steep tilts
+    even against the start, but continuously: so scan for the crossing
+    nearest the state, then close in by false position (Illinois).
+    """
+    m = face._pose_matrix(*state[2:])
+    if abs(m[2, 2]) < 0.2:
+        return state
+    rim = profile.rim_radius_mm
+
+    def moved(s):
+        return (float(state[0] + s * step[0]), float(state[1] + s * step[1]), *state[2:])
+
+    def excess(s):
+        return math.hypot(*capture_oracle.fixed_samples(profile, moved(s))[1][i]) - rim
+
+    lat = capture_oracle.fixed_samples(profile, state)[1][i]
+    r = math.hypot(*lat)
+    # the start moves by -m[:2, :2].T @ offset: step moves it 1 mm outward
+    step = np.linalg.solve(-m[:2, :2].T, lat / r if r > 0.0 else np.array([1.0, 0.0]))
+    grid = [(s, excess(s)) for s in range(-64, 65, 8)]
+    pairs = [(a, b) for a, b in zip(grid, grid[1:]) if (a[1] > 0.0) != (b[1] > 0.0)]
+    if not pairs:
+        return state
+    (a, fa), (b, fb) = min(pairs, key=lambda pair: abs(pair[0][0]))
+    side = 0
+    for _ in range(100):
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = excess(c)
+        if abs(fc) <= 1e-12 or abs(b - a) <= 1e-13:
+            break
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return moved(c)
+
+
+class TestFixedSampleBound:
+    """One fixed-face sample's solve in scalar math (face._sample_lift),
+    less its margin, is a lower bound of the fixed-face term: the descent
+    skips candidates on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile=st.sampled_from(_KERNEL_PROFILES),
+           state=_STATE | st.sampled_from(_STEEP_STATES),
+           rim_sample=st.none() | st.integers(0, 14 * 72 - 1))  # 14 radii x 72 angles
+    def test_one_sample_bounds_the_fixed_term(self, profile, state, rim_sample):
+        if rim_sample is not None:
+            state = _solve_on_rim(profile, state, rim_sample)
+        fixed = face._sample_lift(profile)[2]
+        got, margin = np.array([fixed(state, i) for i in range(14 * 72)]).T
+        bounds = np.isfinite(got)
+        cos_t = abs(face._pose_matrix(*state[2:])[2, 2])
+        if cos_t < 0.2:  # past the contact model: no sample bounds
+            assert not bounds.any()
+            return
+        want, lat = capture_oracle.fixed_samples(profile, state)
+        kept = np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm
+        # a sample the solve drops at the rim never bounds; a kept one
+        # ends within its margin of the solve's final gap
+        assert kept[bounds].all()
+        assert (np.abs(got[bounds] - want[bounds]) <= margin[bounds]).all()
+        if cos_t >= math.cos(math.radians(45.0)):
+            assert margin.max() <= 1e-4
+        lower = (got - margin).max()
+        assert lower <= (want[kept].max() if kept.any() else -math.inf)
+        assert lower <= reference_settle(profile, state)
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_rim_solve_ends_drop_the_sample(self, profile):
+        fixed = face._sample_lift(profile)[2]
+        for i in (13, 14 * 36 + 13, 14 * 71 + 7):
+            for state in ((1.0, -2.0, 10.0, 3.0, -1.0), _STEEP_STATES[1]):
+                state = _solve_on_rim(profile, state, i)
+                lat = capture_oracle.fixed_samples(profile, state)[1][i]
+                assert math.hypot(*lat) == pytest.approx(profile.rim_radius_mm, abs=1e-9)
+                assert fixed(state, i)[0] == -math.inf
+
+
 class TestWorkCounters:
     """Hardware-independent work counts of the capture stack, from cold
-    memos: exact settles (settle_height runs) and moving-term evaluations
-    (_floor misses)."""
+    memos: exact settles (settle_height runs), moving-term evaluations
+    (_floor misses) and fixed-face solves (_fixed misses)."""
 
     @staticmethod
     def _counts(work):
-        for memo in (face._feasible, face._settle, face._floor):
+        memos = (face._settle, face._floor, face._fixed)
+        for memo in (face._feasible, *memos):
             memo.cache_clear()
         work()
-        return face._settle.cache_info().misses, face._floor.cache_info().misses
+        return tuple(memo.cache_info().misses for memo in memos)
 
     def test_cold_reference_envelope(self):
-        assert self._counts(lambda: full_envelope(REFERENCE_PROFILE)) == (2918, 4216)
+        assert self._counts(lambda: full_envelope(REFERENCE_PROFILE)) == (1935, 2769, 1935)
 
     def test_three_dock_stream_descents(self):
         draws = _dock_stream_draws(1, 3)
         assert self._counts(
-            lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]) == (430, 575)
+            lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]) == (275, 386, 275)

@@ -363,6 +363,10 @@ class TestCli:
         ("--resolution", "abc", "$.resolution", "expected a number"),
         ("--resolution", "", "$.resolution", "expected a number"),
         ("--resolution", "1e400", "$.resolution", "must be finite"),
+        # a value that starts with '-' and is no plain number stays a value
+        ("--resolution", "-inf", "$.resolution", "must be finite"),
+        ("--resolution", "-abc", "$.resolution", "expected a number"),
+        ("--seed", "-x", "$.seed", "expected an integer"),
     ])
     def test_unconvertible_flag_exits_2_with_path(self, capsys, tmp_path, flag, value, path,
                                                   message):
