@@ -539,6 +539,16 @@ def _settle(profile: FaceProfile, state) -> float:
     return settle_height(profile, state)
 
 
+@functools.lru_cache(maxsize=4096)
+def _join(profile: FaceProfile, state, s_lat: float, s_rot: float, s_tilt: float) -> list:
+    """The path-join cell of one descent iteration: empty, or [verdict,
+    spent] once a descent that passed through (state, step sizes) ended
+    by convergence or by a jam, spent being the evaluations it made from
+    there to its last budget check. A cold default envelope of the
+    reference face fills 1,120 cells."""
+    return []
+
+
 def _descend(profile: FaceProfile, state) -> bool:
     """Strict best-improvement pattern descent of the settle potential.
 
@@ -552,6 +562,14 @@ def _descend(profile: FaceProfile, state) -> bool:
     incumbent's binding sample of that face, then the one that bound the
     same candidate slot last time. Any sample bounds its term; these two
     are the ones most likely to bind. Then the full moving term.
+
+    The skips change only the work, never the accepted state, so the rest
+    of the path from a (state, step sizes) pair is fixed and only the
+    remaining budget can change its verdict. A descent that reaches a pair
+    an earlier one passed through (its _join cell is filled) takes that
+    verdict if its budget covers the evaluations the earlier one spent
+    from there. A descent that ends by convergence or a jam fills the cells
+    of its path; one that runs out of budget fills none.
     """
     d = _settle(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
@@ -564,9 +582,16 @@ def _descend(profile: FaceProfile, state) -> bool:
     slots, fslots = {}, {}  # each candidate slot's last binding samples
     s_lat, s_rot, s_tilt = 0.5, 1.5, 0.5
     evals = 1
+    path = []  # (join cell, evals) at each budget check passed
     while evals < DESCENT_BUDGET:
+        cell = _join(profile, state, s_lat, s_rot, s_tilt)
+        if cell and evals + cell[1] < DESCENT_BUDGET:
+            verdict, end = cell[0], evals + cell[1]
+            break
+        path.append((cell, evals))
         if _converged(state):
-            return True
+            verdict, end = True, evals
+            break
         best, best_d = None, d
         for j, cand in enumerate(_candidate_moves(state, s_lat, s_rot, s_tilt)):
             evals += 1
@@ -594,13 +619,18 @@ def _descend(profile: FaceProfile, state) -> bool:
                 best, best_d, best_i, best_f = cand, dc, slots[j], fslots[j]
         if best is None:
             if s_lat <= 0.004 and s_rot <= 0.004 and s_tilt <= 0.004:
-                return _converged(state)
+                verdict, end = False, path[-1][1]  # a jam: state is not converged
+                break
             s_lat = max(s_lat * 0.5, 0.002)
             s_rot = max(s_rot * 0.5, 0.002)
             s_tilt = max(s_tilt * 0.5, 0.002)
         else:
             state, d, binding, fbinding = best, best_d, best_i, best_f
-    return _converged(state)
+    else:  # out of budget: the path's cells stay as they are
+        return _converged(state)
+    for cell, at in path:
+        cell[:] = verdict, end - at
+    return verdict
 
 
 _feasible = functools.lru_cache(maxsize=500_000)(_descend)
@@ -642,8 +672,8 @@ def _axis_cap(profile: FaceProfile, axis: str) -> float:
 
 def _lattice_points(profile: FaceProfile, axis: str, tol: float) -> int:
     """Lattice points a scan along axis walks; at most MAX_AXIS_PROBES."""
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise ParameterError("tol must be positive and finite")
     points = _axis_cap(profile, axis) / tol
     if points > MAX_AXIS_PROBES:
         raise ParameterError(
@@ -665,6 +695,8 @@ def envelope_axis_limit(
     """
     profile.validate()
     kmax = _lattice_points(profile, axis, tol)
+    if not math.isfinite(direction_deg):
+        raise ParameterError(f"direction {direction_deg!r} deg must be finite")
     if not mate_feasible(profile, Misalignment()):
         raise DegenerateProfileError("profile cannot mate at zero misalignment")
     for k in range(1, kmax + 1):
@@ -687,8 +719,8 @@ def full_envelope(
     under 120-degree rotation by construction.
     """
     profile.validate()
-    if angular_resolution_deg <= 0.0:
-        raise ParameterError("angular resolution must be positive")
+    if not 0.0 < angular_resolution_deg < math.inf:  # NaN fails too
+        raise ParameterError("angular resolution must be positive and finite")
     if 120.0 / angular_resolution_deg > MAX_SWEEP_RAYS:
         raise ParameterError(f"angular resolution {angular_resolution_deg!r} deg needs more "
                              f"than {MAX_SWEEP_RAYS} rays")
@@ -733,19 +765,13 @@ REFERENCE_PROFILE = FaceProfile(
     chamfer_depth_mm=1.0,
 )
 
-_CAL_DIRECTIONS = (0.0, 30.0, 60.0, 90.0)
 _CAL_ROUNDS = 3  # coordinate-search rounds before giving up
 
 
 def _measured_limits(profile: FaceProfile) -> tuple[float, float, float]:
-    """Quoted (translation, rotation, deflection) limits on the worst directions."""
-    t = min(envelope_axis_limit(profile, "translation", 1.0, d) for d in _CAL_DIRECTIONS)
-    r = min(
-        envelope_axis_limit(profile, "rotation", 1.0, 1.0),
-        envelope_axis_limit(profile, "rotation", 1.0, -1.0),
-    )
-    f = min(envelope_axis_limit(profile, "deflection", 1.0, d) for d in _CAL_DIRECTIONS)
-    return t, r, f
+    """Quoted (translation, rotation, deflection) limits of the default envelope."""
+    env = full_envelope(profile)
+    return env.translation_limit_mm, env.rotation_limit_deg, env.deflection_limit_deg
 
 
 def calibrate_profile(

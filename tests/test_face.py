@@ -374,6 +374,17 @@ class TestEnvelopeSearch:
         with pytest.raises(ParameterError, match="lattice points"):
             envelope_axis_limit(REFERENCE_PROFILE, axis, tol)
 
+    @pytest.mark.parametrize("axis,tol,direction", [
+        ("rotation", 1.0, math.nan), ("translation", 1.0, math.inf),
+        ("deflection", 1.0, -math.inf), ("translation", math.nan, 0.0),
+        ("rotation", math.inf, 1.0)])
+    def test_non_finite_arguments(self, axis, tol, direction, monkeypatch):
+        # a NaN direction once read as +1 on the rotation axis, an infinite
+        # one or a NaN tol raised a bare ValueError; all fail before a probe
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match="finite"):
+            envelope_axis_limit(REFERENCE_PROFILE, axis, tol, direction)
+
     def test_degenerate_guard(self, monkeypatch):
         monkeypatch.setattr(face, "mate_feasible", lambda p, m: False)
         with pytest.raises(DegenerateProfileError):
@@ -424,6 +435,17 @@ class TestFullEnvelope:
         # every cap is checked before the sweep probes anything
         monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
         with pytest.raises(ParameterError, match=match):
+            full_envelope(REFERENCE_PROFILE, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"angular_resolution_deg": math.nan}, {"angular_resolution_deg": math.inf},
+        {"tol_translation_mm": math.nan}, {"tol_rotation_deg": math.inf},
+        {"tol_deflection_deg": math.nan}])
+    def test_non_finite_arguments(self, kwargs, monkeypatch):
+        # a NaN resolution once swept one ray per axis, a NaN tol raised a
+        # bare ValueError; all fail before a probe
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match="finite"):
             full_envelope(REFERENCE_PROFILE, **kwargs)
 
     def test_envelope_type(self, reference_envelope):
@@ -561,6 +583,7 @@ def _visited_states() -> tuple:
         return lift, margin, record_fixed
 
     face._settle.cache_clear()
+    face._join.cache_clear()
     face._floor, face._sample_lift = record, sample_lift
     try:
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
@@ -600,6 +623,7 @@ class TestSettleMemo:
     ])
     def test_descend_same_verdict_cold_and_warm(self, start, verdict):
         face._settle.cache_clear()
+        face._join.cache_clear()
         cold = face._descend(REFERENCE_PROFILE, start)
         warm = face._descend(REFERENCE_PROFILE, start)
         assert cold == warm == verdict
@@ -616,6 +640,7 @@ def _production_trace(monkeypatch, start):
 
     face._settle.cache_clear()
     face._floor.cache_clear()
+    face._join.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(face, "_candidate_moves", record)
         verdict = face._descend(REFERENCE_PROFILE, start)
@@ -917,20 +942,66 @@ class TestFixedSampleBound:
 class TestWorkCounters:
     """Hardware-independent work counts of the capture stack, from cold
     memos: exact settles (settle_height runs), moving-term evaluations
-    (_floor misses) and fixed-face solves (_fixed misses)."""
+    (_floor misses), fixed-face solves (_fixed misses), path joins (_join
+    lookups that find a filled cell) and candidate generations."""
 
     @staticmethod
-    def _counts(work):
+    def _counts(monkeypatch, work):
         memos = (face._settle, face._floor, face._fixed)
-        for memo in (face._feasible, *memos):
+        for memo in (face._feasible, face._join, *memos):
             memo.cache_clear()
-        work()
-        return tuple(memo.cache_info().misses for memo in memos)
+        joins, generations = [], []
+        real_join, real_moves = face._join, face._candidate_moves
 
-    def test_cold_reference_envelope(self):
-        assert self._counts(lambda: full_envelope(REFERENCE_PROFILE)) == (1935, 2769, 1935)
+        def join(*key):
+            cell = real_join(*key)
+            joins.extend(cell[:1])
+            return cell
 
-    def test_three_dock_stream_descents(self):
+        def moves(*args):
+            generations.append(args)
+            return real_moves(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(face, "_join", join)
+            m.setattr(face, "_candidate_moves", moves)
+            work()
+        return (*(memo.cache_info().misses for memo in memos), len(joins), len(generations))
+
+    def test_cold_reference_envelope(self, monkeypatch):
+        assert self._counts(monkeypatch, lambda: full_envelope(REFERENCE_PROFILE)) == (
+            1935, 2744, 1935, 151, 1078)
+        assert face._join.cache_info().currsize == 1120
+
+    def test_three_dock_stream_descents(self, monkeypatch):
         draws = _dock_stream_draws(1, 3)
         assert self._counts(
-            lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]) == (275, 386, 275)
+            monkeypatch, lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]
+        ) == (275, 386, 275, 0, 137)
+
+
+def _ray_starts(axis, direction_deg, n):
+    """Canonical states of the first n lattice points of one envelope ray."""
+    out = []
+    for k in range(1, n + 1):
+        c = canonicalize(face._axis_state(axis, direction_deg, float(k)))
+        out.append((c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg))
+    return out
+
+
+class TestPathJoin:
+    """A descent that reaches a (state, step sizes) pair an earlier descent
+    passed through takes its verdict only if its own remaining budget
+    covers the rest of that path."""
+
+    @pytest.mark.parametrize("budget", [20, 45, 80, 150, 300])
+    def test_joined_verdicts_match_reference_under_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(face, "DESCENT_BUDGET", budget)
+        for memo in (face._feasible, face._join, face._settle, face._floor, face._fixed):
+            memo.cache_clear()
+        starts = [*_ray_starts("translation", 0.0, 15), *_ray_starts("translation", 30.0, 15),
+                  *_ray_starts("deflection", 0.0, 15)]
+        got = [face._descend(REFERENCE_PROFILE, s) for s in starts]
+        assert got == [reference_descend(REFERENCE_PROFILE, s) for s in starts]
+        info = face._join.cache_info()
+        assert 0 < info.currsize <= info.maxsize == 4096
