@@ -955,7 +955,8 @@ class TestWorkCounters:
 
         def join(*key):
             cell = real_join(*key)
-            joins.extend(cell[:1])
+            if cell:
+                joins.append(key)
             return cell
 
         def moves(*args):
