@@ -532,13 +532,6 @@ def _converged(state) -> bool:
     )
 
 
-@functools.lru_cache(maxsize=1024)
-def _settle(profile: FaceProfile, state) -> float:
-    """settle_height memoised across descents: neighbouring probes of one
-    ray walk through the same states, and every step re-visits the last."""
-    return settle_height(profile, state)
-
-
 @functools.lru_cache(maxsize=4096)
 def _join(profile: FaceProfile, state, s_lat: float, s_rot: float, s_tilt: float) -> list:
     """The path-join cell of one descent iteration: empty, or [verdict,
@@ -571,7 +564,7 @@ def _descend(profile: FaceProfile, state) -> bool:
     from there. A descent that ends by convergence or a jam fills the cells
     of its path; one that runs out of budget fills none.
     """
-    d = _settle(profile, state)
+    d = settle_height(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
         # Faces land on top of the features instead of interleaving:
         # the funnel never catches.
@@ -611,7 +604,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             floor, slots[j] = _floor(profile, cand)
             if floor >= best_d - 1e-10:
                 continue
-            dc = _settle(profile, cand)
+            dc = settle_height(profile, cand)
             if not math.isfinite(dc):
                 continue
             fslots[j] = _fixed(profile, cand)[1]
@@ -656,10 +649,8 @@ def _axis_state(axis: str, direction_deg: float, magnitude: float) -> Misalignme
     if axis == "rotation":
         sign = -1.0 if direction_deg < 0.0 else 1.0
         return Misalignment(rot_deg=sign * magnitude)
-    if axis == "deflection":
-        ux, uy = math.cos(math.radians(direction_deg)), math.sin(math.radians(direction_deg))
-        return Misalignment(tilt_x_deg=magnitude * ux, tilt_y_deg=magnitude * uy)
-    raise ParameterError(f"unknown axis {axis!r}; expected one of {_AXES}")
+    ux, uy = math.cos(math.radians(direction_deg)), math.sin(math.radians(direction_deg))
+    return Misalignment(tilt_x_deg=magnitude * ux, tilt_y_deg=magnitude * uy)
 
 
 def _axis_cap(profile: FaceProfile, axis: str) -> float:
@@ -694,6 +685,8 @@ def envelope_axis_limit(
     its first crossing.
     """
     profile.validate()
+    if axis not in _AXES:  # before the scan is sized or probed
+        raise ParameterError(f"unknown axis {axis!r}; expected one of {_AXES}")
     kmax = _lattice_points(profile, axis, tol)
     if not math.isfinite(direction_deg):
         raise ParameterError(f"direction {direction_deg!r} deg must be finite")

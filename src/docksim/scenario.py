@@ -454,10 +454,17 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: str, rows) -> None:
+def write_csv(path: Path, table: tuple) -> None:
+    """table is (header line, rows)."""
+    header, rows = table
     lines = [header]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_jsonl(path: Path, records) -> None:
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+                    encoding="utf-8")
 
 
 def _cell(value) -> str:
@@ -473,10 +480,6 @@ def _edge_label(edge) -> str:
     return f"{ida}.{pa}--{idb}.{pb}"
 
 
-def _meta(command: str, seed: int | None) -> dict:
-    return {"command": command, "schema_version": SCHEMA_VERSION, "seed": seed}
-
-
 def _require(section, name: str):
     if section is None:
         raise ScenarioError(f"$.{name}", "section required by this command is missing")
@@ -484,8 +487,10 @@ def _require(section, name: str):
 
 
 # ------------------------------------------------------------------ commands
+# A command returns its artifacts in publishing order, name -> content: the
+# object of a .json, (header, rows) of a .csv, the records of a .jsonl.
 
-def run_mechanism(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_mechanism(scenario: Scenario, meta: dict) -> dict:
     sec = _require(scenario.mechanism, "mechanism")
     report = movability_report(sec.params)
     rod = required_rod_force(sec.resisting_force_n, sec.params)
@@ -496,25 +501,23 @@ def run_mechanism(scenario: Scenario, outdir: Path, seed: int | None) -> list[st
         dt=sec.dt_s,
         rod_capacity_n=sec.rod_capacity_n,
     )
-    write_json(outdir / "mechanism_report.json", {
-        "meta": _meta("mechanism", seed),
-        "movability_margin": report.margin,
-        "normalized_rhs": report.normalized_rhs,
-        "movable": report.movable,
-        "self_locking": self_locking(sec.params, sec.mu_rail),
-        "mu_rail": sec.mu_rail,
-        "required_rod_force_n": rod,
-        "stroke_duration_s": trace.duration_s,
-    })
-    write_csv(
-        outdir / "stroke_trace.csv",
-        "t_s,rod_travel_mm,radial_travel_mm,pin_normal_force_N",
-        trace.samples,
-    )
-    return ["mechanism_report.json", "stroke_trace.csv"]
+    return {
+        "mechanism_report.json": {
+            "meta": meta,
+            "movability_margin": report.margin,
+            "normalized_rhs": report.normalized_rhs,
+            "movable": report.movable,
+            "self_locking": self_locking(sec.params, sec.mu_rail),
+            "mu_rail": sec.mu_rail,
+            "required_rod_force_n": rod,
+            "stroke_duration_s": trace.duration_s,
+        },
+        "stroke_trace.csv": ("t_s,rod_travel_mm,radial_travel_mm,pin_normal_force_N",
+                             trace.samples),
+    }
 
 
-def run_envelope(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_envelope(scenario: Scenario, meta: dict) -> dict:
     profile = _require(scenario.profile, "profile")
     opts = scenario.envelope
     if profile.outer_diameter_mm / opts.translation_tol_mm > MAX_AXIS_PROBES:
@@ -527,52 +530,49 @@ def run_envelope(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
         tol_rotation_deg=opts.rotation_tol_deg,
         tol_deflection_deg=opts.deflection_tol_deg,
     )
-    write_json(outdir / "envelope_limits.json", {
-        "meta": _meta("envelope", seed),
-        "translation_limit_mm": env.translation_limit_mm,
-        "rotation_limit_deg": env.rotation_limit_deg,
-        "deflection_limit_deg": env.deflection_limit_deg,
-        "profile": profile_to_json(profile),
-    })
-    write_csv(
-        outdir / "envelope_directions.csv",
-        "axis,direction_deg,limit,unit",
-        [
+    return {
+        "envelope_limits.json": {
+            "meta": meta,
+            "translation_limit_mm": env.translation_limit_mm,
+            "rotation_limit_deg": env.rotation_limit_deg,
+            "deflection_limit_deg": env.deflection_limit_deg,
+            "profile": profile_to_json(profile),
+        },
+        "envelope_directions.csv": ("axis,direction_deg,limit,unit", [
             (axis, direction, limit, "mm" if axis == "translation" else "deg")
             for axis, direction, limit in env.per_direction
-        ],
-    )
-    return ["envelope_limits.json", "envelope_directions.csv"]
+        ]),
+    }
 
 
-def run_calibrate(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_calibrate(scenario: Scenario, meta: dict) -> dict:
     targets = _require(scenario.calibration_targets, "calibration_targets")
     profile = calibrate_profile(
         (targets.translation_mm, targets.rotation_deg, targets.deflection_deg),
         tolerance=targets.tolerance,
     )
     env = full_envelope(profile)
-    write_json(outdir / "calibrated_profile.json", profile_to_json(profile))
-    write_json(outdir / "calibration_report.json", {
-        "meta": _meta("calibrate", seed),
-        "targets": asdict(targets),
-        "achieved": {
-            "translation_mm": env.translation_limit_mm,
-            "rotation_deg": env.rotation_limit_deg,
-            "deflection_deg": env.deflection_limit_deg,
+    return {
+        "calibrated_profile.json": profile_to_json(profile),
+        "calibration_report.json": {
+            "meta": meta,
+            "targets": asdict(targets),
+            "achieved": {
+                "translation_mm": env.translation_limit_mm,
+                "rotation_deg": env.rotation_limit_deg,
+                "deflection_deg": env.deflection_limit_deg,
+            },
         },
-    })
-    return ["calibrated_profile.json", "calibration_report.json"]
+    }
 
 
-def run_couple(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_couple(scenario: Scenario, meta: dict) -> dict:
     events = _require(scenario.events, "events")
     config = scenario.coupling
     profile = scenario.profile if scenario.profile is not None else REFERENCE_PROFILE
 
     state = InterfaceState()
-    initial = state
-    lines = []
+    log = []
     t_cur = 0.0
     for ev in events:
         if ev.t > t_cur:
@@ -581,29 +581,26 @@ def run_couple(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
             t_cur = ev.t
         if ev.event is not None:
             state = step(state, ev.event, 0.0, config, profile)
-        lines.append(json.dumps(
-            {"t": ev.t, "event": ev.kind, "payload": ev.payload, "state": asdict(state)},
-            sort_keys=True,
-        ))
-    (outdir / "couple_log.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8")
-    write_json(outdir / "couple_report.json", {
-        "meta": _meta("couple", seed),
-        "initial_state": asdict(initial),
-        "final_state": asdict(state),
-        "events_applied": len(events),
-        "lock_duration_s": config.lock_duration_s,
-    })
-    return ["couple_log.jsonl", "couple_report.json"]
+        log.append({"t": ev.t, "event": ev.kind, "payload": ev.payload, "state": asdict(state)})
+    return {
+        "couple_log.jsonl": log,
+        "couple_report.json": {
+            "meta": meta,
+            "initial_state": asdict(InterfaceState()),
+            "final_state": asdict(state),
+            "events_applied": len(events),
+            "lock_duration_s": config.lock_duration_s,
+        },
+    }
 
 
-def run_loads(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_loads(scenario: Scenario, meta: dict) -> dict:
     case = _require(scenario.load_case, "load_case")
     env = scenario.load_envelope
     report = check_load(case.wrench, envelope=env, dual_lock=case.dual_lock)
     stress = stress_estimate(case.wrench)
-    write_json(outdir / "loads_report.json", {
-        "meta": _meta("loads", seed),
+    return {"loads_report.json": {
+        "meta": meta,
         "wrench": asdict(case.wrench),
         "dual_lock": case.dual_lock,
         "check": {
@@ -620,11 +617,10 @@ def run_loads(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
                 for k, v in sorted(stress.per_component.items())
             },
         },
-    })
-    return ["loads_report.json"]
+    }}
 
 
-def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str]:
+def run_assembly(scenario: Scenario, meta: dict) -> dict:
     sec = _require(scenario.assembly, "assembly")
     graph = ModuleGraph()
     for module in sec.modules:
@@ -690,38 +686,33 @@ def run_assembly(scenario: Scenario, outdir: Path, seed: int | None) -> list[str
                        path=list(delivery.path))
         frame_rows.append(row)
 
-    write_json(outdir / "assembly_report.json", {
-        "meta": _meta("assembly", seed),
-        "docks": dock_rows,
-        "plan": {
-            "completed": plan_report.completed,
-            "aborted_index": plan_report.aborted_index,
-            "steps": plan_rows,
+    return {
+        "assembly_report.json": {
+            "meta": meta,
+            "docks": dock_rows,
+            "plan": {
+                "completed": plan_report.completed,
+                "aborted_index": plan_report.aborted_index,
+                "steps": plan_rows,
+            },
+            "edges": [
+                {"edge": _edge_label(e),
+                 "phase": graph.edge_info(e).state.phase,
+                 "dual_lock": graph.edge_info(e).dual_lock}
+                for e in graph.edges()
+            ],
+            "ground_reactions": {
+                mid: asdict(w) for mid, w in sorted(result.ground_reactions.items())
+            },
+            "loads_ok": all(c.ok for c in result.load_checks.values()),
+            "power": power_rows,
+            "frames": frame_rows,
         },
-        "edges": [
-            {"edge": _edge_label(e),
-             "phase": graph.edge_info(e).state.phase,
-             "dual_lock": graph.edge_info(e).dual_lock}
-            for e in graph.edges()
-        ],
-        "ground_reactions": {
-            mid: asdict(w) for mid, w in sorted(result.ground_reactions.items())
-        },
-        "loads_ok": all(c.ok for c in result.load_checks.values()),
-        "power": power_rows,
-        "frames": frame_rows,
-    })
-    write_csv(
-        outdir / "wrench_map.csv",
-        "interface,fx_N,fy_N,fz_N,mx_Nm,my_Nm,mz_Nm,combined_utilization,ok,dual_lock",
-        wrench_rows,
-    )
-    write_csv(
-        outdir / "power_ledger.csv",
-        "time_s,interface,bus,rail_V,allocated_W",
-        ledger_rows,
-    )
-    return ["assembly_report.json", "wrench_map.csv", "power_ledger.csv"]
+        "wrench_map.csv": (
+            "interface,fx_N,fy_N,fz_N,mx_Nm,my_Nm,mz_Nm,combined_utilization,ok,dual_lock",
+            wrench_rows),
+        "power_ledger.csv": ("time_s,interface,bus,rail_V,allocated_W", ledger_rows),
+    }
 
 
 COMMANDS = {
@@ -759,9 +750,9 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     resolution overrides envelope.angular_resolution_deg, read like that
     field and reported at $.resolution. An output directory or artifact that
     cannot be written is a schema error at $.out. The artifacts are written
-    as a set: the command writes into a temporary directory inside outdir,
-    and its files replace those in outdir only when all of them were written
-    and none of their targets is a directory; on any error the temporary
+    as a set: run writes them into a temporary directory inside outdir, and
+    they replace those in outdir only when all of them were written and
+    none of their targets is a directory; on any error the temporary
     directory is removed and outdir keeps its files.
     """
     if command not in COMMANDS:
@@ -772,12 +763,17 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
         scenario = replace(scenario, envelope=replace(
             scenario.envelope,
             angular_resolution_deg=_check(resolution, "$.resolution", _ENVELOPE[0])))
+    meta = {"command": command, "schema_version": SCHEMA_VERSION, "seed": seed}
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".docksim-", dir=out) as staged:
-            names = COMMANDS[command](scenario, Path(staged), seed)
-            _publish(Path(staged), out, names)
-        return names
+            artifacts = COMMANDS[command](scenario, meta)
+            # read per call, so a wrapper on a writer sees each write
+            writers = {".csv": write_csv, ".jsonl": write_jsonl}
+            for name, content in artifacts.items():
+                writers.get(Path(name).suffix, write_json)(Path(staged, name), content)
+            _publish(Path(staged), out, list(artifacts))
+        return list(artifacts)
     except OSError as err:
         raise ScenarioError("$.out", f"cannot write artifacts: {err}") from err

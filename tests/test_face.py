@@ -362,9 +362,13 @@ class TestEnvelopeSearch:
         with pytest.raises(ParameterError):
             envelope_axis_limit(REFERENCE_PROFILE, "translation", 0.0)
 
-    def test_bad_axis(self):
-        with pytest.raises(ParameterError):
-            envelope_axis_limit(REFERENCE_PROFILE, "yaw", 1.0)
+    @pytest.mark.parametrize("tol", [1.0, 0.001, math.nan])
+    def test_unknown_axis_fails_before_a_probe(self, tol, monkeypatch):
+        # an unknown axis once ran the zero-misalignment probe first, and
+        # a fine tol sized its scan as deflection's and reported that
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match="unknown axis 'yaw'"):
+            envelope_axis_limit(REFERENCE_PROFILE, "yaw", tol)
 
     @pytest.mark.parametrize("axis,tol", [("translation", 1e-9), ("translation", 0.0079),
                                           ("rotation", 0.0059), ("deflection", 1e-9)])
@@ -561,6 +565,14 @@ def _distinct_variants(state):
     return {_bits(v): v for v in (state, *_signed_zero_variants(state))}.values()
 
 
+def _go_cold() -> None:
+    """Clear every memo that lets a descent skip work or reuse a result, so
+    the next descent runs cold: the verdicts, the path joins and the two
+    settle terms."""
+    for memo in (face._feasible, face._join, face._floor, face._fixed):
+        memo.cache_clear()
+
+
 @functools.cache
 def _visited_states() -> tuple:
     """Every state four short descents consult past the moving-face sample,
@@ -582,8 +594,7 @@ def _visited_states() -> tuple:
 
         return lift, margin, record_fixed
 
-    face._settle.cache_clear()
-    face._join.cache_clear()
+    _go_cold()
     face._floor, face._sample_lift = record, sample_lift
     try:
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
@@ -596,23 +607,23 @@ def _visited_states() -> tuple:
 
 class TestSettleMemo:
     def test_memo_bounded_after_reference_envelope(self, reference_envelope):
-        info = face._settle.cache_info()
-        assert 0 < info.currsize <= info.maxsize
+        for memo in (face._floor, face._fixed):
+            info = memo.cache_info()
+            assert 0 < info.currsize <= info.maxsize
 
     def test_memo_returns_exact_bits(self):
         visited = _visited_states()
         assert len(visited) > 100
 
-        face._settle.cache_clear()
-        face._floor.cache_clear()
+        _go_cold()
         for state in visited:
             # a -0.0 hashes and compares equal to 0.0, so the variants are
-            # memo hits served from the entries just made; they must be
-            # exact too
+            # memo hits served from the entries just made, and settle_height
+            # reads both its terms from them; they must be exact too
             for variant in _distinct_variants(state):
                 assert _bits(face._floor(REFERENCE_PROFILE, variant)[0]) == _bits(
                     reference_moving_term(REFERENCE_PROFILE, variant))
-                assert _bits(face._settle(REFERENCE_PROFILE, variant)) == _bits(
+                assert _bits(settle_height(REFERENCE_PROFILE, variant)) == _bits(
                     reference_settle(REFERENCE_PROFILE, variant))
 
     @pytest.mark.parametrize("start, verdict", [
@@ -622,8 +633,7 @@ class TestSettleMemo:
         (_JAM_12MM_AT_30, False),                 # jams after a descent
     ])
     def test_descend_same_verdict_cold_and_warm(self, start, verdict):
-        face._settle.cache_clear()
-        face._join.cache_clear()
+        _go_cold()
         cold = face._descend(REFERENCE_PROFILE, start)
         warm = face._descend(REFERENCE_PROFILE, start)
         assert cold == warm == verdict
@@ -638,9 +648,7 @@ def _production_trace(monkeypatch, start):
         trace.append((state, s_lat, s_rot, s_tilt))
         return real(state, s_lat, s_rot, s_tilt)
 
-    face._settle.cache_clear()
-    face._floor.cache_clear()
-    face._join.cache_clear()
+    _go_cold()
     with monkeypatch.context() as m:
         m.setattr(face, "_candidate_moves", record)
         verdict = face._descend(REFERENCE_PROFILE, start)
@@ -941,15 +949,14 @@ class TestFixedSampleBound:
 
 class TestWorkCounters:
     """Hardware-independent work counts of the capture stack, from cold
-    memos: exact settles (settle_height runs), moving-term evaluations
-    (_floor misses), fixed-face solves (_fixed misses), path joins (_join
-    lookups that find a filled cell) and candidate generations."""
+    memos: exact settles (_fixed misses: an exact settle is the one place the
+    fixed-face term is solved), moving-term evaluations (_floor misses),
+    path joins (_join lookups that find a filled cell) and candidate
+    generations."""
 
     @staticmethod
     def _counts(monkeypatch, work):
-        memos = (face._settle, face._floor, face._fixed)
-        for memo in (face._feasible, face._join, *memos):
-            memo.cache_clear()
+        _go_cold()
         joins, generations = [], []
         real_join, real_moves = face._join, face._candidate_moves
 
@@ -967,18 +974,19 @@ class TestWorkCounters:
             m.setattr(face, "_join", join)
             m.setattr(face, "_candidate_moves", moves)
             work()
-        return (*(memo.cache_info().misses for memo in memos), len(joins), len(generations))
+        return (face._fixed.cache_info().misses, face._floor.cache_info().misses,
+                len(joins), len(generations))
 
     def test_cold_reference_envelope(self, monkeypatch):
         assert self._counts(monkeypatch, lambda: full_envelope(REFERENCE_PROFILE)) == (
-            1935, 2744, 1935, 151, 1078)
+            1935, 2744, 151, 1078)
         assert face._join.cache_info().currsize == 1120
 
     def test_three_dock_stream_descents(self, monkeypatch):
         draws = _dock_stream_draws(1, 3)
         assert self._counts(
             monkeypatch, lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]
-        ) == (275, 386, 275, 0, 137)
+        ) == (275, 386, 0, 137)
 
 
 def _ray_starts(axis, direction_deg, n):
@@ -998,8 +1006,7 @@ class TestPathJoin:
     @pytest.mark.parametrize("budget", [20, 45, 80, 150, 300])
     def test_joined_verdicts_match_reference_under_budget(self, monkeypatch, budget):
         monkeypatch.setattr(face, "DESCENT_BUDGET", budget)
-        for memo in (face._feasible, face._join, face._settle, face._floor, face._fixed):
-            memo.cache_clear()
+        _go_cold()
         starts = [*_ray_starts("translation", 0.0, 15), *_ray_starts("translation", 30.0, 15),
                   *_ray_starts("deflection", 0.0, 15)]
         got = [face._descend(REFERENCE_PROFILE, s) for s in starts]

@@ -17,6 +17,7 @@ from docksim.face import Misalignment
 from docksim.scenario import load_scenario, parse_scenario, parse_profile, run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def scenario_path(tmp_path: Path, doc: dict) -> str:
@@ -29,6 +30,13 @@ def run_cli(capsys, argv):
     rc = cli.main(argv)
     out = capsys.readouterr().out
     return rc, json.loads(out) if out.strip() else None
+
+
+def readme_artifacts() -> dict[str, list[str]]:
+    """The README's command table: command -> its artifact names, in order."""
+    rows = (re.fullmatch(r"\| `(\w+)` +\|[^|]*\|(.*)\|", line)
+            for line in README.read_text(encoding="utf-8").splitlines())
+    return {m[1]: re.findall(r"`([^`]+)`", m[2]) for m in rows if m}
 
 
 # ------------------------------------------------------------- parsing
@@ -348,6 +356,17 @@ class TestCli:
         assert first["notes.txt"] == b"kept"
         assert run_cli(capsys, argv)[0] == 0
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    @pytest.mark.parametrize("command", list(scenario_module.COMMANDS))
+    def test_artifact_set_is_the_readme_table(self, tmp_path, reference_envelope, command):
+        # reference_envelope serves envelope and calibrate from the memo
+        table = readme_artifacts()
+        assert list(table) == list(scenario_module.COMMANDS)
+        out = tmp_path / "o"
+        names = run(command, load_scenario(SCENARIOS / f"{command}.json"), out, seed=7)
+        assert names == table[command]
+        # exactly the set: nothing else published, no staging directory left
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
     def test_bad_seed_rejected(self, capsys, tmp_path):
         rc, err = run_cli(capsys, ["loads", "--scenario",
