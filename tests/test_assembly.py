@@ -18,6 +18,8 @@ from docksim.assembly import (
     ModuleGraph,
     Pose,
     Port,
+    ReconfigureReport,
+    StepOutcome,
     _cross,
     mate_world_pose,
 )
@@ -318,6 +320,31 @@ class TestGraphEditing:
         g.add_module(simple_module("a"))
         with pytest.raises(NotConnectedError):
             g.undock("a", "px")
+
+    def test_edge_info_needs_the_two_ports_docked_to_each_other(self):
+        # a.px and c.nx are both docked, each to b: no interface joins them
+        g = ModuleGraph()
+        for mid in ("a", "b", "c"):
+            g.add_module(simple_module(mid))
+        dock_ok(g, "a", "px", "b", "nx")
+        dock_ok(g, "b", "px", "c", "nx")
+        edge = (("a", "px"), ("c", "nx"))
+        with pytest.raises(NotConnectedError, match=r"^interface .* is not docked$"):
+            g.edge_info(edge)
+        with pytest.raises(NotConnectedError, match=r"^interface .* is not docked$"):
+            g.interface_allocation_w(edge)
+
+    def test_edge_info_of_an_unlocked_interface_from_either_end(self):
+        g = ModuleGraph()
+        g.add_module(simple_module("a"))
+        g.add_module(simple_module("b"))
+        dock_ok(g, "a", "px", "b", "nx")
+        g.unlock("b", "nx")
+        info = g.edge_info((("a", "px"), ("b", "nx")))
+        assert g.edge_info((("b", "nx"), ("a", "px"))) is info
+        assert not info.locked and info.state.phase == "aligned"
+        assert info.channels is None
+        assert g.interface_allocation_w((("b", "nx"), ("a", "px"))) == 0.0
 
     def test_module_validation(self):
         with pytest.raises(ParameterError):
@@ -767,3 +794,62 @@ class TestReconfigure:
         ])
         assert not report.completed
         assert "capture" in report.steps[0].detail
+
+    # Every outcome a plan step can have, pinned whole: applied, detail,
+    # stranded, and where the plan stopped.
+
+    def test_outcome_of_a_dock_that_raises(self):
+        g = self.walker()
+        op = ("dock", "base", "px", "foot", "pz")
+        assert g.reconfigure([op]) == ReconfigureReport(
+            steps=(StepOutcome(0, op, applied=False,
+                               detail="port ('base', 'px') is already docked to ('foot', 'nx')"),),
+            completed=False, aborted_index=0,
+        )
+        op = ("dock", "base", "pz", "ghost", "pz")
+        assert g.reconfigure([op]).steps == (
+            StepOutcome(0, op, applied=False, detail="no module 'ghost'"),
+        )
+
+    def test_outcome_of_a_dock_that_capture_rejects(self):
+        g = self.walker()
+        ok = ("dock", "base", "pz", "foot", "pz")
+        op = ("dock", "base", "nx", "foot", "px", Misalignment(dx_mm=80.0))
+        assert g.reconfigure([ok, op]) == ReconfigureReport(
+            steps=(
+                StepOutcome(0, ok, applied=True, detail="locked"),
+                StepOutcome(1, op, applied=False,
+                            detail="approach misalignment is outside the capture envelope"),
+            ),
+            completed=False, aborted_index=1,
+        )
+
+    def test_outcome_of_an_undock_of_a_free_port(self):
+        g = self.walker()
+        op = ("undock", "foot", "px")
+        assert g.reconfigure([op]) == ReconfigureReport(
+            steps=(StepOutcome(0, op, applied=False, detail="port ('foot', 'px') is not docked"),),
+            completed=False, aborted_index=0,
+        )
+
+    def test_outcome_of_an_undock_that_strands(self):
+        g = self.walker()
+        op = ("undock", "foot", "nx")
+        assert g.reconfigure([op]) == ReconfigureReport(
+            steps=(StepOutcome(0, op, applied=False,
+                               detail="undock would strand modules from their anchor",
+                               stranded=("foot",)),),
+            completed=False, aborted_index=0,
+        )
+
+    def test_outcomes_of_a_completed_relocation(self):
+        g = self.walker()
+        dock, undock = ("dock", "foot", "pz", "base", "pz"), ("undock", "foot", "nx")
+        assert g.reconfigure([dock, undock]) == ReconfigureReport(
+            steps=(
+                StepOutcome(0, dock, applied=True, detail="locked"),
+                StepOutcome(1, undock, applied=True, detail="undocked"),
+            ),
+            completed=True, aborted_index=None,
+        )
+        assert g.edges() == ((("base", "pz"), ("foot", "pz")),)
