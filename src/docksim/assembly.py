@@ -26,7 +26,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .bus import ChannelSet, connect, shortest_path
+from .bus import RAIL_RATINGS_W, ChannelSet, connect, shortest_path
 from .coupling import CouplingConfig, Event, InterfaceState, step
 from .errors import (
     IndeterminateError,
@@ -193,6 +193,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
 
 
+def _check_rail(rail_v: float) -> None:
+    if rail_v not in RAIL_RATINGS_W:
+        raise ParameterError(f"rail_v must be {' or '.join(map(str, RAIL_RATINGS_W))}")
+
+
 def _wrench_from_vecs(f, m) -> Wrench:
     return Wrench(
         fx_n=float(f[0]), fy_n=float(f[1]), fz_n=float(f[2]),
@@ -286,12 +291,14 @@ class PowerRoute:
 class ModuleGraph:
     """Mutable assembly of docked modules.
 
-    _peers holds every docked interface, both directions. _locked is the
-    index every traversal walks: module_id -> {port_name: peer PortRef} for
+    _docked holds every docked interface once per end: PortRef -> (peer
+    PortRef, EdgeInfo), the two ends sharing one EdgeInfo, so either end
+    finds the interface. Two indexes serve the walks. _locked is the index
+    every traversal walks: module_id -> {port_name: peer PortRef} for
     Locked interfaces only, kept by add_module, dock, undock and unlock.
     Each module's dict is in dock order (an undocked port that docks again
     goes to the end), so walks visit modules in the same order as a filtered
-    pass over _peers would. That order fixes the summation order of the
+    pass over _docked would. That order fixes the summation order of the
     interface loads and the order of the loop-closure checks, and with them
     the bytes of every wrench. _adjacent holds each module's Locked peer ids
     sorted, the neighbours every path search visits; it changes only where
@@ -300,8 +307,7 @@ class ModuleGraph:
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
-        self._peers: dict[PortRef, PortRef] = {}
-        self._edges: dict[frozenset, EdgeInfo] = {}
+        self._docked: dict[PortRef, tuple[PortRef, EdgeInfo]] = {}
         self._locked: dict[str, dict[str, PortRef]] = {}
         self._adjacent: dict[str, tuple[str, ...]] = {}
 
@@ -347,8 +353,8 @@ class ModuleGraph:
             raise ParameterError("a module cannot dock to itself")
         ref_a, ref_b = (id_a, port_a), (id_b, port_b)
         for ref in (ref_a, ref_b):
-            if ref in self._peers:
-                raise PortInUseError(f"port {ref} is already docked to {self._peers[ref]}")
+            if ref in self._docked:
+                raise PortInUseError(f"port {ref} is already docked to {self._docked[ref][0]}")
 
         mis = misalignment if misalignment is not None else Misalignment()
         prof = profile if profile is not None else REFERENCE_PROFILE
@@ -368,9 +374,8 @@ class ModuleGraph:
 
         info = EdgeInfo(state, cfg, prof)
         info.channels = connect(state, rotation_slot=0)
-        self._peers[ref_a] = ref_b
-        self._peers[ref_b] = ref_a
-        self._edges[frozenset((ref_a, ref_b))] = info
+        self._docked[ref_a] = (ref_b, info)
+        self._docked[ref_b] = (ref_a, info)
         if info.locked:
             self._locked[id_a][port_a] = ref_b
             self._locked[id_b][port_b] = ref_a
@@ -381,25 +386,16 @@ class ModuleGraph:
 
     def undock(self, module_id: str, port_name: str) -> None:
         """Remove an interface; its channels drop and its grants vanish."""
-        ref = (module_id, port_name)
-        peer = self._peers.get(ref)
-        if peer is None:
-            raise NotConnectedError(f"port {ref} is not docked")
-        info = self._edges[frozenset((ref, peer))]
+        ref, peer, info = self._docked_at(module_id, port_name)
         if info.channels is not None:
             info.channels.disconnect()
-        del self._peers[ref]
-        del self._peers[peer]
-        del self._edges[frozenset((ref, peer))]
+        del self._docked[ref]
+        del self._docked[peer]
         self._unindex(ref, peer)
 
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop."""
-        ref = (module_id, port_name)
-        peer = self._peers.get(ref)
-        if peer is None:
-            raise NotConnectedError(f"port {ref} is not docked")
-        info = self._edges[frozenset((ref, peer))]
+        ref, peer, info = self._docked_at(module_id, port_name)
         state = step(info.state, Event("start_unlock"), 0.0, info.config, info.profile)
         while state.phase == "unlocking":
             state = step(state, Event("tick", dt_s=1.0), 1.0, info.config, info.profile)
@@ -410,6 +406,14 @@ class ModuleGraph:
             info.channels.disconnect()
             info.channels = None
         return state
+
+    def _docked_at(self, module_id: str, port_name: str) -> tuple[PortRef, PortRef, EdgeInfo]:
+        """(port, peer, interface) of a docked port."""
+        ref = (module_id, port_name)
+        entry = self._docked.get(ref)
+        if entry is None:
+            raise NotConnectedError(f"port {ref} is not docked")
+        return (ref, *entry)
 
     def _unindex(self, ref: PortRef, peer: PortRef) -> None:
         self._locked[ref[0]].pop(ref[1], None)
@@ -423,11 +427,7 @@ class ModuleGraph:
         ))
 
     def edges(self) -> tuple[EdgeKey, ...]:
-        out = []
-        for ref, peer in self._peers.items():
-            if ref < peer:
-                out.append((ref, peer))
-        return tuple(sorted(out))
+        return tuple(sorted((ref, peer) for ref, (peer, _) in self._docked.items() if ref < peer))
 
     def locked_edges(self) -> tuple[EdgeKey, ...]:
         return tuple(sorted(
@@ -438,17 +438,14 @@ class ModuleGraph:
         ))
 
     def edge_info(self, edge: EdgeKey) -> EdgeInfo:
-        info = self._edges.get(frozenset(edge))
-        if info is None:
+        """The interface between edge's two ports, named in either order."""
+        entry = self._docked.get(edge[0]) if len(edge) == 2 else None
+        if entry is None or entry[0] != edge[1]:
             raise NotConnectedError(f"interface {edge} is not docked")
-        return info
+        return entry[1]
 
     def interface_state(self, module_id: str, port_name: str) -> InterfaceState:
-        ref = (module_id, port_name)
-        peer = self._peers.get(ref)
-        if peer is None:
-            raise NotConnectedError(f"port {ref} is not docked")
-        return self._edges[frozenset((ref, peer))].state
+        return self._docked_at(module_id, port_name)[2].state
 
     # --- topology (duck-typed for frame transport) -------------------------
 
@@ -624,7 +621,7 @@ class ModuleGraph:
             edge: check_load(
                 local[edge],
                 envelope=envelope,
-                dual_lock=self._edges[frozenset(edge)].dual_lock,
+                dual_lock=self._docked[edge[0]][1].dual_lock,
             )
             for edge in loads
         }
@@ -695,18 +692,18 @@ class ModuleGraph:
         """
         self.module(src)
         self.module(dst)
-        if rail_v not in (48.0, 24.0):
-            raise ParameterError("rail_v must be 48.0 or 24.0")
+        _check_rail(rail_v)
         path = shortest_path(self.neighbors, src, dst)  # lowest module ids win ties
         if path is None:
             raise UnreachableError(f"no locked path from {src!r} to {dst!r}")
-        edge_keys = []
-        for a, b in zip(path, path[1:]):
-            edge_keys.append(self._edge_between(a, b))
+        # a zero-hop route requests no grant, so no bus would check watts
+        if not (math.isfinite(watts) and watts > 0.0):
+            raise ParameterError("watts must be positive and finite")
         grants: list[tuple[EdgeKey, int]] = []
         issuers: list[ChannelSet] = []
-        for ek in edge_keys:
-            channels = self._edges[frozenset(ek)].channels
+        for a, b in zip(path, path[1:]):
+            ek = self._edge_between(a, b)
+            channels = self._docked[ek[0]][1].channels
             gid = channels.buses[rail_v].request_power(watts)
             if gid is None:
                 for issuer, (_, ggid) in zip(issuers, grants):
@@ -728,8 +725,8 @@ class ModuleGraph:
         """
         gone = []
         for (ek, gid), issuer in zip(route.grants, route.channels):
-            info = self._edges.get(frozenset(ek))
-            if info is None or info.channels is not issuer:
+            entry = self._docked.get(ek[0])
+            if entry is None or entry[1].channels is not issuer:
                 gone.append(ek)
             else:
                 issuer.buses[route.rail_v].release_power(gid)
@@ -737,9 +734,8 @@ class ModuleGraph:
             raise NotConnectedError(f"interface {gone[0]} is no longer connected")
 
     def interface_allocation_w(self, edge: EdgeKey, rail_v: float = 48.0) -> float:
-        info = self._edges.get(frozenset(edge))
-        if info is None:
-            raise NotConnectedError(f"interface {edge} is not docked")
+        info = self.edge_info(edge)
+        _check_rail(rail_v)
         if info.channels is None:
             return 0.0
         return info.channels.buses[rail_v].allocated_w
@@ -748,7 +744,7 @@ class ModuleGraph:
         """(edge, rail_v, allocated_W) rows for every connected interface."""
         rows = []
         for edge in self.edges():
-            info = self._edges[frozenset(edge)]
+            info = self._docked[edge[0]][1]
             if info.channels is None:
                 continue
             for rail_v in sorted(info.channels.buses, reverse=True):
@@ -769,19 +765,22 @@ class ModuleGraph:
         """Execute dock/undock steps sequentially with per-step safety checks.
 
         Each op is ("dock", id_a, port_a, id_b, port_b[, misalignment]) or
-        ("undock", id, port). Op shapes are validated up front (raises
-        ParameterError before anything is applied). During execution a step
-        that violates dock/undock preconditions, is rejected by capture, or
-        whose undock would strand modules from their anchor aborts the plan
-        at that step; earlier steps stay applied. A relocation must
-        therefore dock its new interface before undocking the old one, the
-        way a walking robot moves.
+        ("undock", id, port), a misalignment being a Misalignment. Op shapes
+        are validated up front (raises ParameterError before anything is
+        applied). During execution a step that violates dock/undock
+        preconditions, is rejected by capture, or whose undock would strand
+        modules from their anchor aborts the plan at that step; earlier
+        steps stay applied. A relocation must therefore dock its new
+        interface before undocking the old one, the way a walking robot
+        moves.
         """
         ops = list(ops)
         for i, op in enumerate(ops):
             if not op or op[0] not in ("dock", "undock"):
                 raise ParameterError(f"op {i}: expected ('dock', ...) or ('undock', ...)")
-            if op[0] == "dock" and len(op) not in (5, 6):
+            if op[0] == "dock" and not (
+                len(op) == 5 or len(op) == 6 and isinstance(op[5], Misalignment)
+            ):
                 raise ParameterError(
                     f"op {i}: dock takes (id_a, port_a, id_b, port_b[, misalignment])"
                 )
@@ -790,37 +789,33 @@ class ModuleGraph:
 
         outcomes: list[StepOutcome] = []
         for i, op in enumerate(ops):
-            if op[0] == "dock":
-                mis = op[5] if len(op) == 6 else None
-                try:
-                    report = self.dock(op[1], op[2], op[3], op[4], misalignment=mis)
-                except (ParameterError, PortInUseError) as err:
-                    outcomes.append(StepOutcome(i, op, applied=False, detail=str(err)))
-                    return ReconfigureReport(tuple(outcomes), completed=False, aborted_index=i)
-                if not report.accepted:
-                    outcomes.append(StepOutcome(i, op, applied=False, detail=report.reason))
-                    return ReconfigureReport(tuple(outcomes), completed=False, aborted_index=i)
-                outcomes.append(StepOutcome(i, op, applied=True, detail="locked"))
-            else:
-                ref = (op[1], op[2])
-                if ref not in self._peers:
-                    outcomes.append(
-                        StepOutcome(i, op, applied=False, detail=f"port {ref} is not docked")
-                    )
-                    return ReconfigureReport(tuple(outcomes), completed=False, aborted_index=i)
-                stranded = self._would_strand(ref)
-                if stranded:
-                    outcomes.append(
-                        StepOutcome(
-                            i, op, applied=False,
-                            detail="undock would strand modules from their anchor",
-                            stranded=tuple(sorted(stranded)),
-                        )
-                    )
-                    return ReconfigureReport(tuple(outcomes), completed=False, aborted_index=i)
-                self.undock(op[1], op[2])
-                outcomes.append(StepOutcome(i, op, applied=True, detail="undocked"))
+            outcomes.append(self._apply(i, op))
+            if not outcomes[-1].applied:
+                return ReconfigureReport(tuple(outcomes), completed=False, aborted_index=i)
         return ReconfigureReport(tuple(outcomes), completed=True)
+
+    def _apply(self, i: int, op: tuple) -> StepOutcome:
+        """Apply plan step i, or refuse it and leave the graph as it was."""
+        if op[0] == "dock":
+            try:
+                report = self.dock(*op[1:5], misalignment=op[5] if len(op) == 6 else None)
+            except (ParameterError, PortInUseError) as err:
+                return StepOutcome(i, op, applied=False, detail=str(err))
+            detail = "locked" if report.accepted else report.reason
+            return StepOutcome(i, op, applied=report.accepted, detail=detail)
+        try:
+            ref = self._docked_at(*op[1:])[0]
+        except NotConnectedError as err:
+            return StepOutcome(i, op, applied=False, detail=str(err))
+        stranded = self._would_strand(ref)
+        if stranded:
+            return StepOutcome(
+                i, op, applied=False,
+                detail="undock would strand modules from their anchor",
+                stranded=tuple(sorted(stranded)),
+            )
+        self.undock(*ref)
+        return StepOutcome(i, op, applied=True, detail="undocked")
 
     def _would_strand(self, ref: PortRef) -> set[str]:
         """Modules that lose anchor connectivity if this edge goes away.
@@ -831,7 +826,7 @@ class ModuleGraph:
         ends first and its side is split off whole: the side with no anchor
         is stranded if the other side has one.
         """
-        peer = self._peers[ref]
+        peer = self._docked[ref][0]
         if self._locked[ref[0]].get(ref[1]) != peer:
             return set()
         cut = frozenset((ref, peer))

@@ -135,7 +135,7 @@ class ChannelSet:
 
     def __init__(self, rotation_slot: int):
         self.rotation_slot = rotation_slot % 3
-        self.buses: dict[float, PowerBus] = {48.0: PowerBus(48.0), 24.0: PowerBus(24.0)}
+        self.buses: dict[float, PowerBus] = {rail: PowerBus(rail) for rail in RAIL_RATINGS_W}
         self.channels: dict[str, DataChannel] = {
             "ethernet": DataChannel("ethernet"),
             "can": DataChannel("can"),

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .assembly import Module, ModuleGraph, Pose, Port
-from .bus import CHANNEL_PURPOSES, Frame, send_frame
+from .bus import CHANNEL_PURPOSES, RAIL_RATINGS_W, Frame, send_frame
 from .coupling import (
     FAULT_KINDS,
     SIDES,
@@ -197,6 +197,7 @@ def _list_of(kind) -> Callable:
 
 _POSITIVE = (lambda v: v > 0.0, "must be > 0")
 _NON_NEGATIVE = (lambda v: v >= 0.0, "must be >= 0")
+_RAIL = (lambda v: v in RAIL_RATINGS_W, f"must be {' or '.join(f'{v:g}' for v in RAIL_RATINGS_W)}")
 _RAYS = (lambda v: 120.0 / v <= MAX_SWEEP_RAYS,
          f"sweep would take more than {MAX_SWEEP_RAYS} rays")
 
@@ -272,7 +273,7 @@ class DockSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class PowerRequest:
-    rail_v: float = _key(48.0, bounds=((lambda v: v in (48.0, 24.0), "must be 48 or 24"),))
+    rail_v: float = _key(48.0, bounds=(_RAIL,))
     t: float | None = _key(None)
     source: str = _key(kind=_string)
     sink: str = _key(kind=_string)
@@ -285,7 +286,7 @@ class FrameSpec:
     source: str = _key(kind=_string)
     dest: str = _key(kind=_string)
     payload_text: str = _key("", _string)
-    timestamp_s: float = _key(0.0)
+    timestamp_s: float = _key(0.0, bounds=(_NON_NEGATIVE,))
 
 
 def _script_event(value, path: str) -> ScriptEvent:

@@ -678,6 +678,14 @@ class TestRoutePower:
         route = g.route_power("a", "a", 10.0)
         assert route.grants == ()
 
+    @pytest.mark.parametrize("watts", [math.nan, -5.0, 0.0, math.inf])
+    def test_bad_watts_rejected_with_or_without_hops(self, watts):
+        g = self.chain()
+        for dst in ("a", "c"):
+            with pytest.raises(ParameterError, match=r"^watts must be positive and finite$"):
+                g.route_power("a", dst, watts)
+        assert sum(w for _, _, w in g.power_allocations()) == 0.0
+
     def test_24v_rail(self):
         g = self.chain()
         assert g.route_power("a", "c", 50.0, rail_v=24.0) is not None
@@ -686,6 +694,15 @@ class TestRoutePower:
     def test_bad_rail(self):
         with pytest.raises(ParameterError):
             self.chain().route_power("a", "c", 10.0, rail_v=12.0)
+
+    def test_allocation_on_a_bad_rail_is_the_route_error(self):
+        g = self.chain()
+        with pytest.raises(ParameterError, match=r"^rail_v must be 48\.0 or 24\.0$"):
+            g.route_power("a", "c", 10.0, rail_v=12.0)
+        g.unlock("b", "px")  # an unlocked interface has no rails to read either
+        for edge in g.edges():
+            with pytest.raises(ParameterError, match=r"^rail_v must be 48\.0 or 24\.0$"):
+                g.interface_allocation_w(edge, 12.0)
 
     def test_power_allocations_rows(self):
         g = self.chain()
@@ -778,6 +795,18 @@ class TestReconfigure:
         with pytest.raises(ParameterError):
             g.reconfigure([("undock", "base", "px"), ("teleport", "foot")])
         assert g.edges() == before  # shape errors reject the whole plan
+
+    def test_bad_misalignment_rejected_upfront(self):
+        # a sixth dock element that is not a Misalignment is a shape error:
+        # the valid step before it is not applied either
+        g = self.walker()
+        before = g.edges()
+        with pytest.raises(ParameterError, match=r"^op 1: dock takes"):
+            g.reconfigure([
+                ("dock", "base", "pz", "foot", "pz"),
+                ("dock", "base", "nx", "foot", "px", "oops"),
+            ])
+        assert g.edges() == before
 
     def test_dock_onto_busy_port_aborts(self):
         g = self.walker()

@@ -784,6 +784,9 @@ NEW_BOUNDS = [
      "$.assembly.modules[0].ports[0].rpy_deg", "must be finite"),
     (_doc("profile", {**PROFILE, "groove_positions_deg": [NAN, NAN, NAN]}),
      "$.profile.groove_positions_deg", "must be finite"),
+    # a frame cannot be sent before time 0
+    (_asm("frames", {**FRAME, "timestamp_s": -1.0}), "$.assembly.frames[0].timestamp_s",
+     "must be >= 0"),
 ]
 
 
