@@ -4,6 +4,7 @@ The shipped example scenarios are exercised through cli.main() in-process;
 the byte-identical determinism sweep over all commands lives in the
 acceptance suite.
 """
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -18,6 +19,38 @@ from docksim.scenario import load_scenario, parse_scenario, parse_profile, run
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# SHA-256 of every artifact each shipped scenario writes with seed 7. A change
+# that moves any of these bytes must say which ones moved and why.
+ARTIFACT_SHA256 = {
+    "mechanism": {
+        "mechanism_report.json": "b1c9f344d1a3c01cfe1e4cb2c545bfedf4fe02309a947802b6d52169050c64b9",
+        "stroke_trace.csv": "05691ee160fc8a49ba741353b1392de3875bfbf3c82d671f8ba8c62a51c3d124",
+    },
+    "envelope": {
+        "envelope_limits.json": "0f6d4ce0746fdeb1850d79ea8817db9403629b39f8cd28112a64124e08cd9069",
+        "envelope_directions.csv":
+            "949139b35148beeb888444758fd7c3f79f8f83106317c9385897fad8647bdd5b",
+    },
+    "calibrate": {
+        "calibrated_profile.json":
+            "6f5710dfcdb4b5974c8646beaa54b5c0aafbab3babb27e3a0ecf6160daabe37b",
+        "calibration_report.json":
+            "e1b83d6d894b980f9a23212f3d73cab6296b79915f245716578d3b7748ad70e0",
+    },
+    "couple": {
+        "couple_log.jsonl": "fe0f161246ece7e77d9933d3b88373a00c26c61549347d571337f65952d0aa0a",
+        "couple_report.json": "8aae1600b040c1ec82547a3d706d6cf8ed1fa6e5932d030e2b47eca89ae311ce",
+    },
+    "loads": {
+        "loads_report.json": "a5bbbbf630e2158df092173e702073f49216d25b8b11cb660c6a7aabedcc8a19",
+    },
+    "assembly": {
+        "assembly_report.json": "7df2b13fed5fcf0f0e987b9cf1c445fa01ab944dafa6bd191b95a1dbddef5235",
+        "wrench_map.csv": "696bca7a5b81f8c4ac11a235891802e255bd6e2c0d6bc3c83bd9867c4de11802",
+        "power_ledger.csv": "dbe939fb8801a65d348b92b2f10ff6f8e8bf866b3534308a75eba2f8228a1e88",
+    },
+}
 
 
 def scenario_path(tmp_path: Path, doc: dict) -> str:
@@ -367,6 +400,14 @@ class TestCli:
         assert names == table[command]
         # exactly the set: nothing else published, no staging directory left
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
+
+    @pytest.mark.parametrize("command", list(scenario_module.COMMANDS))
+    def test_shipped_scenario_artifact_bytes(self, tmp_path, reference_envelope, command):
+        # reference_envelope serves envelope and calibrate from the memo
+        out = tmp_path / "o"
+        run(command, load_scenario(SCENARIOS / f"{command}.json"), out, seed=7)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == ARTIFACT_SHA256[command]
 
     def test_bad_seed_rejected(self, capsys, tmp_path):
         rc, err = run_cli(capsys, ["loads", "--scenario",
