@@ -36,7 +36,7 @@ from .errors import (
     UnreachableError,
     UnsupportedError,
 )
-from .face import REFERENCE_PROFILE, FaceProfile, Misalignment
+from .face import REFERENCE_PROFILE, Misalignment
 from .loads import LoadEnvelope, LoadReport, Wrench, check_load
 
 MODULE_KINDS = ("joint", "link", "end_effector", "facility_module", "truss_node")
@@ -206,12 +206,11 @@ def _wrench_from_vecs(f, m) -> Wrench:
 
 
 class EdgeInfo:
-    """Per-interface state: coupling FSM, face profile pair, channels."""
+    """Per-interface state: coupling FSM and channels; both faces are REFERENCE_PROFILE."""
 
-    def __init__(self, state: InterfaceState, config: CouplingConfig, profile: FaceProfile):
+    def __init__(self, state: InterfaceState, config: CouplingConfig):
         self.state = state
         self.config = config
-        self.profile = profile
         self.channels: ChannelSet | None = None
 
     @property
@@ -337,7 +336,6 @@ class ModuleGraph:
         id_b: str,
         port_b: str,
         misalignment: Misalignment | None = None,
-        profile: FaceProfile | None = None,
         config: CouplingConfig | None = None,
     ) -> DockReport:
         """Attempt a mate; on success the new interface ends up Locked.
@@ -357,8 +355,8 @@ class ModuleGraph:
                 raise PortInUseError(f"port {ref} is already docked to {self._docked[ref][0]}")
 
         mis = misalignment if misalignment is not None else Misalignment()
-        prof = profile if profile is not None else REFERENCE_PROFILE
         cfg = config if config is not None else CouplingConfig()
+        prof = REFERENCE_PROFILE
 
         # fresh FSM; approach performs the capture-feasibility check
         state = step(InterfaceState(), Event("approach", misalignment=mis), 0.0, cfg, prof)
@@ -372,7 +370,7 @@ class ModuleGraph:
         while state.phase == "locking":
             state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)
 
-        info = EdgeInfo(state, cfg, prof)
+        info = EdgeInfo(state, cfg)
         info.channels = connect(state, rotation_slot=0)
         self._docked[ref_a] = (ref_b, info)
         self._docked[ref_b] = (ref_a, info)
@@ -396,9 +394,10 @@ class ModuleGraph:
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop."""
         ref, peer, info = self._docked_at(module_id, port_name)
-        state = step(info.state, Event("start_unlock"), 0.0, info.config, info.profile)
+        cfg, prof = info.config, REFERENCE_PROFILE
+        state = step(info.state, Event("start_unlock"), 0.0, cfg, prof)
         while state.phase == "unlocking":
-            state = step(state, Event("tick", dt_s=1.0), 1.0, info.config, info.profile)
+            state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)
         info.state = state
         if not info.locked:
             self._unindex(ref, peer)

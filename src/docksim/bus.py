@@ -40,14 +40,12 @@ BASE_CONTACTS = (
 
 
 class PowerBus:
-    """Allocation ledger for one rail; grants never exceed the rating."""
+    """Allocation ledger for one rail; grants never exceed the rating.
 
-    def __init__(
-        self,
-        voltage_v: float = 48.0,
-        actuator_only: bool = False,
-        connected: bool = True,
-    ):
+    A bus serves until ChannelSet.disconnect clears `connected`.
+    """
+
+    def __init__(self, voltage_v: float = 48.0):
         rating = RAIL_RATINGS_W.get(voltage_v)
         if rating is None:
             raise ParameterError(
@@ -56,32 +54,25 @@ class PowerBus:
         self.name = RAIL_NAMES[voltage_v]
         self.voltage_v = voltage_v
         self.capacity_w = rating
-        self.actuator_only = actuator_only
-        self.connected = connected
-        self._grants: dict[int, tuple[float, str]] = {}
+        self.connected = True
+        self._grants: dict[int, float] = {}
         self._next_id = 1
 
     @property
     def allocated_w(self) -> float:
-        return float(sum(w for w, _ in self._grants.values()))
+        return float(sum(self._grants.values()))
 
-    @property
-    def available_w(self) -> float:
-        return self.capacity_w - self.allocated_w
-
-    def request_power(self, watts: float, purpose: str = "general") -> int | None:
+    def request_power(self, watts: float) -> int | None:
         """Grant id when the connected rail can carry the load, else None."""
         if not self.connected:
             raise NotConnectedError(f"{self.name} bus is not connected")
         if not (math.isfinite(watts) and watts > 0.0):
             raise ParameterError("watts must be positive and finite")
-        if self.actuator_only and purpose != "actuator":
-            return None
         if self.allocated_w + watts > self.capacity_w:
             return None
         gid = self._next_id
         self._next_id += 1
-        self._grants[gid] = (watts, purpose)
+        self._grants[gid] = watts
         return gid
 
     def release_power(self, grant_id: int) -> None:
@@ -91,7 +82,8 @@ class PowerBus:
             raise ParameterError(f"unknown or already released grant {grant_id}")
         del self._grants[grant_id]
 
-    def grants(self) -> dict[int, tuple[float, str]]:
+    def grants(self) -> dict[int, float]:
+        """Outstanding grants: grant id -> watts."""
         return dict(self._grants)
 
 
@@ -234,26 +226,15 @@ def shortest_path(neighbors, src, dst) -> tuple | None:
 def send_frame(frame: Frame, topology) -> Delivery:
     """Deliver a frame along the fewest-hop locked path between its endpoints.
 
-    topology only needs a neighbors(node) method (and optionally has_node)
-    whose adjacency already reflects link-up interfaces. Each hop takes
+    topology needs a has_node(node) and a neighbors(node) method, whose
+    adjacency already reflects link-up interfaces. Each hop takes
     DEFAULT_HOP_LATENCY_S. Unknown endpoints raise NotConnectedError; a
     missing path raises UnreachableError.
     """
     frame.validate()
     src, dst = frame.source, frame.dest
-
-    def known(node) -> bool:
-        has = getattr(topology, "has_node", None)
-        if has is not None:
-            return bool(has(node))
-        try:
-            topology.neighbors(node)
-            return True
-        except KeyError:
-            return False
-
     for node in (src, dst):
-        if not known(node):
+        if not topology.has_node(node):
             raise NotConnectedError(f"node {node!r} is not on the network")
     path = shortest_path(topology.neighbors, src, dst)
     if path is None:

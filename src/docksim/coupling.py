@@ -96,7 +96,8 @@ def step(
     config: CouplingConfig,
     profile: FaceProfile,
 ) -> InterfaceState:
-    """Advance the FSM by one event. dt applies to tick events only.
+    """Advance the FSM by one event. dt applies to tick events only, and
+    must equal the tick's dt_s.
 
     Raises ProtocolError for commands issued in a phase that cannot accept
     them; a faulted machine silently absorbs everything except reset.
@@ -104,6 +105,8 @@ def step(
     state.validate()
     config.validate()
     event.validate()
+    if event.kind == "tick" and dt != event.dt_s:
+        raise ParameterError(f"tick dt {dt!r} differs from its dt_s {event.dt_s!r}")
 
     if event.kind == "reset":
         return InterfaceState()
@@ -138,8 +141,6 @@ def step(
         return replace(state, phase="unlocking", progress_s=0.0)
 
     # tick
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ParameterError("tick requires dt > 0")
     t = state.time_s + dt
     if state.phase == "capturing":
         return replace(state, phase="aligned", progress_s=0.0, time_s=t)
@@ -162,13 +163,12 @@ def replay(
     events: list[Event] | tuple[Event, ...],
     config: CouplingConfig,
     profile: FaceProfile,
-    initial: InterfaceState | None = None,
 ) -> tuple[InterfaceState, ...]:
-    """Run an event sequence; returns the state after each event.
+    """Run an event sequence from idle; returns the state after each event.
 
     Deterministic: the same sequence always yields the same trajectory.
     """
-    state = initial if initial is not None else InterfaceState()
+    state = InterfaceState()
     out = []
     for ev in events:
         state = step(state, ev, ev.dt_s, config, profile)

@@ -156,11 +156,8 @@ class StressEstimate:
     notes: tuple[str, ...] = ()
 
 
-def stress_estimate(
-    wrench: Wrench,
-    references: tuple[StressReference, ...] = STRESS_REFERENCES,
-) -> StressEstimate:
-    """Linear per-mode scaling of the reference analyses; reports the max.
+def stress_estimate(wrench: Wrench) -> StressEstimate:
+    """Linear per-mode scaling of STRESS_REFERENCES; reports the max.
 
     Exact at the reference loads by construction. When several components
     are active the result carries a superposition caveat: single-mode
@@ -170,13 +167,8 @@ def stress_estimate(
     loads = component_loads(wrench)
     per: dict[str, tuple[float, float]] = {}
     notes: list[str] = []
-    for ref in references:
-        if ref.ref_load <= 0.0:
-            raise ParameterError("reference loads must be positive")
-        load = loads.get(ref.component)
-        if load is None:
-            raise ParameterError(f"no screened component named {ref.component!r}")
-        ratio = load / ref.ref_load
+    for ref in STRESS_REFERENCES:
+        ratio = loads[ref.component] / ref.ref_load
         per[ref.component] = (ref.deflection_mm * ratio, ref.stress_mpa * ratio)
     active = [c for c, (d, s) in per.items() if d != 0.0 or s != 0.0]
     if loads["lateral"] > 0.0:

@@ -6,6 +6,7 @@ All operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import JamError, ParameterError, StallError
@@ -41,6 +42,8 @@ class MechanismParams:
             raise ParameterError("beta_deg must be in [0, 90)")
         if self.pin_count < 1:
             raise ParameterError("pin_count must be >= 1")
+        if self.pin_count > sys.float_info.max:
+            raise ParameterError("pin_count must be within the float range")
         if not (self.stroke_mm > 0.0 and self.rod_speed_mm_s > 0.0):
             raise ParameterError("stroke and rod speed must be positive")
         return self

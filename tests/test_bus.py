@@ -87,12 +87,6 @@ def test_aux_rail_cumulative_denial():
     assert bus.allocated_w == 30.0
 
 
-def test_actuator_only_policy():
-    bus = PowerBus(24.0, actuator_only=True)
-    assert bus.request_power(10.0, purpose="general") is None
-    assert bus.request_power(10.0, purpose="actuator") is not None
-
-
 def test_release_returns_budget():
     bus = PowerBus(48.0)
     gid = bus.request_power(400.0)
@@ -117,11 +111,14 @@ def test_bad_watts_rejected():
 
 
 def test_disconnected_bus_refuses_service():
-    bus = PowerBus(48.0, connected=False)
+    channels = ChannelSet(0)
+    bus = channels.buses[48.0]
+    gid = bus.request_power(10.0)
+    channels.disconnect()
     with pytest.raises(NotConnectedError):
         bus.request_power(10.0)
     with pytest.raises(NotConnectedError):
-        bus.release_power(1)
+        bus.release_power(gid)
 
 
 def test_ledger_conservation_random_ops():
@@ -293,14 +290,3 @@ def test_send_frame_no_path():
 def test_send_frame_validates_before_routing():
     with pytest.raises(FramingError):
         send_frame(Frame("can", "a", "c", b"x" * 20), LINE)
-
-
-def test_send_frame_duck_types_without_has_node():
-    class Bare:
-        def neighbors(self, node):
-            return {"a": ("b",), "b": ("a",)}[node]
-
-    d = send_frame(Frame("can", "a", "b", b"\x01"), Bare())
-    assert d.path == ("a", "b")
-    with pytest.raises(NotConnectedError):
-        send_frame(Frame("can", "a", "q", b"\x01"), Bare())

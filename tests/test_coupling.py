@@ -1,7 +1,14 @@
 """Coupling FSM tests: nominal sequence, timing, faults, protocol errors."""
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docksim.coupling import (
+    EVENT_KINDS,
+    FAULT_KINDS,
+    SIDES,
     CouplingConfig,
     Event,
     InterfaceState,
@@ -9,7 +16,7 @@ from docksim.coupling import (
     step,
 )
 from docksim.errors import ParameterError, ProtocolError
-from docksim.face import REFERENCE_PROFILE, Misalignment
+from docksim.face import REFERENCE_PROFILE, Misalignment, mate_feasible
 
 CFG = CouplingConfig()
 P = REFERENCE_PROFILE
@@ -19,8 +26,8 @@ def tick(dt=0.25):
     return Event("tick", dt_s=dt)
 
 
-def run(events, config=CFG, initial=None):
-    return replay(events, config, P, initial=initial)
+def run(events, config=CFG):
+    return replay(events, config, P)
 
 
 def aligned_state():
@@ -186,6 +193,16 @@ class TestProtocol:
         with pytest.raises(ParameterError):
             step(InterfaceState(), Event("tick", dt_s=0.0), 0.0, CFG, P)
 
+    def test_tick_dt_must_be_its_dt_s(self):
+        with pytest.raises(ParameterError, match="differs from its dt_s"):
+            step(aligned_state(), Event("tick", dt_s=1.0), 5.0, CFG, P)
+        locking = step(aligned_state(), Event("start_lock"), 0.0, CFG, P)
+        with pytest.raises(ParameterError, match="differs from its dt_s"):
+            step(locking, Event("tick", dt_s=20.0), 1.0, CFG, P)
+        fault = step(InterfaceState(), Event("inject_fault", fault_kind="pin_jam"), 0.0, CFG, P)
+        with pytest.raises(ParameterError, match="differs from its dt_s"):
+            step(fault, Event("tick", dt_s=2.0), 0.0, CFG, P)
+
 
 class TestReplay:
     def test_deterministic(self):
@@ -215,3 +232,58 @@ class TestReplay:
         assert phases[5] == "locked"
         assert phases[6] == "unlocking"
         assert phases[-1] == "aligned"
+
+
+# ------------------------------------------------------- phase rules property
+
+# a small fixed set, so every approach after the first is served from the memo
+APPROACHES = (Misalignment(), Misalignment(dx_mm=2.0), Misalignment(dx_mm=80.0))
+# the phase each command needs; a fault absorbs them all
+NEEDS = {"approach": ("idle", "aligned"), "start_lock": ("aligned",),
+         "start_unlock": ("locked",)}
+# the event that moves each phase on through the nominal cycle
+NOMINAL = {"idle": "approach", "capturing": "tick", "aligned": "start_lock",
+           "locking": "tick", "locked": "start_unlock", "unlocking": "tick", "fault": "reset"}
+
+
+def _event(kind: str):
+    if kind == "approach":
+        return st.sampled_from(APPROACHES).map(lambda m: Event(kind, misalignment=m))
+    if kind == "tick":
+        dts = st.one_of(st.floats(0.01, 20.0), st.sampled_from((1.0, 5.0)))
+        return dts.map(lambda dt: Event(kind, dt_s=dt))
+    if kind == "inject_fault":
+        return st.sampled_from(FAULT_KINDS).map(lambda k: Event(kind, fault_kind=k))
+    return st.just(Event(kind))
+
+
+any_event = st.sampled_from(EVENT_KINDS).flatmap(_event)
+configs = st.builds(CouplingConfig, lock_duration_s=st.sampled_from((10.0, 15.0, 20.0)),
+                    which_sides=st.sampled_from(SIDES))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(configs, st.data())
+def test_phase_rules_hold_under_random_scripts(cfg, data):
+    s = InterfaceState()
+    for _ in range(data.draw(st.integers(0, 40))):
+        # half the events move the nominal cycle on, so scripts reach every phase
+        ev = data.draw(st.one_of(any_event, _event(NOMINAL[s.phase])))
+        if s.phase != "fault" and s.phase not in NEEDS.get(ev.kind, (s.phase,)):
+            with pytest.raises(ProtocolError):
+                step(s, ev, ev.dt_s, cfg, P)
+            continue
+        nxt = step(s, ev, ev.dt_s, cfg, P).validate()
+        dt = ev.dt_s if ev.kind == "tick" else 0.0
+        if ev.kind == "reset":
+            assert nxt == InterfaceState()
+        elif s.phase == "fault":  # absorbs all but reset; a tick only runs the clock
+            assert nxt == replace(s, time_s=s.time_s + dt)
+        else:
+            assert nxt.time_s == s.time_s + dt
+            if ev.kind == "approach":
+                assert nxt.phase == ("capturing" if mate_feasible(P, ev.misalignment) else "idle")
+        if nxt.phase in ("locking", "unlocking"):
+            assert 0.0 <= nxt.progress_s < cfg.lock_duration_s
+            assert nxt.sides_engaged == cfg.engaged_sides
+        s = nxt

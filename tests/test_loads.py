@@ -8,7 +8,6 @@ from docksim.loads import (
     DUAL_LOCK_FACTOR,
     LoadEnvelope,
     LoadReport,
-    StressReference,
     Wrench,
     check_load,
     component_loads,
@@ -134,9 +133,3 @@ class TestStressEstimate:
         est = stress_estimate(Wrench(fx_n=500.0))
         assert est.stress_mpa == 0.0
         assert any("lateral" in n for n in est.notes)
-
-    def test_bad_reference(self):
-        with pytest.raises(ParameterError):
-            stress_estimate(Wrench(fz_n=1.0), (StressReference("traction", 0.0, 1.0, 1.0),))
-        with pytest.raises(ParameterError):
-            stress_estimate(Wrench(fz_n=1.0), (StressReference("sideways", 1.0, 1.0, 1.0),))

@@ -245,3 +245,10 @@ class TestParamValidation:
     def test_bad_pin_count(self):
         with pytest.raises(ParameterError):
             MechanismParams(pin_count=0).validate()
+
+    def test_pin_count_beyond_the_float_range(self):
+        params = MechanismParams(pin_count=10 ** 400)
+        with pytest.raises(ParameterError, match="pin_count must be within the float range"):
+            params.validate()
+        with pytest.raises(ParameterError):
+            required_rod_force(50.0, params)

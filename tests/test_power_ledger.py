@@ -77,7 +77,7 @@ def check_ledgers(graph: ModuleGraph, outstanding: list) -> None:
                 for (ek, gid), issuer in zip(route.grants, issuers)
                 if ek == edge and issuer is channels
             }
-            assert {gid: w for gid, (w, _) in bus.grants().items()} == held
+            assert bus.grants() == held
             assert bus.allocated_w == sum(held.values())
             assert bus.allocated_w <= bus.capacity_w
 

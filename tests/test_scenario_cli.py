@@ -828,6 +828,9 @@ NEW_BOUNDS = [
     # a frame cannot be sent before time 0
     (_asm("frames", {**FRAME, "timestamp_s": -1.0}), "$.assembly.frames[0].timestamp_s",
      "must be >= 0"),
+    # a pin count no float can hold would overflow the rod force
+    (_doc("mechanism", {"pin_count": 10 ** 400}), "$.mechanism",
+     "pin_count must be within the float range"),
 ]
 
 
