@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from assembly_oracle import (
     make_random_tree,
@@ -24,7 +26,7 @@ from docksim.assembly import (
     mate_world_pose,
 )
 from docksim.bus import Frame, send_frame
-from docksim.coupling import CouplingConfig
+from docksim.coupling import SIDES, CouplingConfig, Event, InterfaceState, step
 from docksim.errors import (
     IndeterminateError,
     NotConnectedError,
@@ -33,7 +35,7 @@ from docksim.errors import (
     UnreachableError,
     UnsupportedError,
 )
-from docksim.face import Misalignment
+from docksim.face import REFERENCE_PROFILE, Misalignment
 from docksim.loads import Wrench
 
 
@@ -279,6 +281,72 @@ class TestDocking:
         assert g.neighbors("a") == ()
         assert g.edges() != ()  # still docked, ports still in use
         assert g.locked_edges() == ()
+
+
+def one_second_strokes(cfg):
+    """(locked, unlocked) states of a dock and its unlock, each stroke
+    stepped by hand one second at a time."""
+    tick = Event("tick", dt_s=1.0)
+    state = step(InterfaceState(), Event("approach", misalignment=Misalignment()), 0.0,
+                 cfg, REFERENCE_PROFILE)
+    state = step(state, tick, 1.0, cfg, REFERENCE_PROFILE)
+    strokes = []
+    for command, phase in (("start_lock", "locking"), ("start_unlock", "unlocking")):
+        state = step(state, Event(command), 0.0, cfg, REFERENCE_PROFILE)
+        while state.phase == phase:
+            state = step(state, tick, 1.0, cfg, REFERENCE_PROFILE)
+        strokes.append(state)
+    return tuple(strokes)
+
+
+def check_strokes(duration, sides):
+    cfg = CouplingConfig(lock_duration_s=duration, which_sides=sides)
+    locked, unlocked = one_second_strokes(cfg)
+    assert (locked.phase, unlocked.phase) == ("locked", "aligned")
+    g = ModuleGraph()
+    g.add_module(simple_module("a"))
+    g.add_module(simple_module("b"))
+    report = g.dock("a", "px", "b", "nx", config=cfg)
+    # repr tells every float bit apart, the sign of zero too
+    assert repr(report.state) == repr(locked)
+    assert repr(g.edge_info(report.edge).state) == repr(locked)
+    assert repr(g.unlock("b", "nx")) == repr(unlocked)
+    assert repr(g.edge_info(report.edge).state) == repr(unlocked)
+
+
+class TestLockStroke:
+    @pytest.mark.parametrize("sides", SIDES)
+    @pytest.mark.parametrize("duration", (10.0, 12.5, 15.0, 19.999999999, 20.0))
+    def test_states_match_one_second_ticks(self, duration, sides):
+        check_strokes(duration, sides)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.floats(10.0, 20.0), st.sampled_from(SIDES))
+    def test_drawn_durations_match_one_second_ticks(self, duration, sides):
+        check_strokes(duration, sides)
+
+    @pytest.mark.parametrize("duration", (10.0, 12.5, 15.0, 20.0))
+    def test_step_counts(self, duration, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1].kind)
+            return step(*args)
+
+        monkeypatch.setattr(assembly, "step", counted)
+        cfg = CouplingConfig(lock_duration_s=duration)
+        g = ModuleGraph()
+        for mid in ("a", "b", "c"):
+            g.add_module(simple_module(mid))
+        dock_ok(g, "a", "px", "b", "nx", config=cfg)
+        assert len(calls) == 4
+        calls.clear()
+        report = g.dock("b", "px", "c", "nx", misalignment=Misalignment(dx_mm=80.0))
+        assert not report.accepted
+        assert calls == ["approach"]
+        calls.clear()
+        g.unlock("a", "px")
+        assert calls == ["start_unlock", "tick"]
 
 
 class TestGraphEditing:
