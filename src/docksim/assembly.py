@@ -198,6 +198,14 @@ def _check_rail(rail_v: float) -> None:
         raise ParameterError(f"rail_v must be {' or '.join(map(str, RAIL_RATINGS_W))}")
 
 
+def _stroke(state: InterfaceState, command: str, cfg: CouplingConfig) -> InterfaceState:
+    """Start a lock or unlock stroke and run it as one tick of the whole
+    seconds it spans: the end state of one-second ticks, bit for bit."""
+    dt = float(math.ceil(cfg.lock_duration_s))
+    state = step(state, Event(command), 0.0, cfg, REFERENCE_PROFILE)
+    return step(state, Event("tick", dt_s=dt), dt, cfg, REFERENCE_PROFILE)
+
+
 def _wrench_from_vecs(f, m) -> Wrench:
     return Wrench(
         fx_n=float(f[0]), fy_n=float(f[1]), fz_n=float(f[2]),
@@ -366,19 +374,16 @@ class ModuleGraph:
                 reason="approach misalignment is outside the capture envelope",
             )
         state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)  # -> aligned
-        state = step(state, Event("start_lock"), 0.0, cfg, prof)
-        while state.phase == "locking":
-            state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)
+        state = _stroke(state, "start_lock", cfg)
 
         info = EdgeInfo(state, cfg)
         info.channels = connect(state, rotation_slot=0)
         self._docked[ref_a] = (ref_b, info)
         self._docked[ref_b] = (ref_a, info)
-        if info.locked:
-            self._locked[id_a][port_a] = ref_b
-            self._locked[id_b][port_b] = ref_a
-            self._reindex(id_a)
-            self._reindex(id_b)
+        self._locked[id_a][port_a] = ref_b
+        self._locked[id_b][port_b] = ref_a
+        self._reindex(id_a)
+        self._reindex(id_b)
         edge = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
         return DockReport(accepted=True, edge=edge, state=state)
 
@@ -394,17 +399,11 @@ class ModuleGraph:
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop."""
         ref, peer, info = self._docked_at(module_id, port_name)
-        cfg, prof = info.config, REFERENCE_PROFILE
-        state = step(info.state, Event("start_unlock"), 0.0, cfg, prof)
-        while state.phase == "unlocking":
-            state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)
-        info.state = state
-        if not info.locked:
-            self._unindex(ref, peer)
-        if info.channels is not None:
-            info.channels.disconnect()
-            info.channels = None
-        return state
+        info.state = _stroke(info.state, "start_unlock", info.config)
+        self._unindex(ref, peer)
+        info.channels.disconnect()
+        info.channels = None
+        return info.state
 
     def _docked_at(self, module_id: str, port_name: str) -> tuple[PortRef, PortRef, EdgeInfo]:
         """(port, peer, interface) of a docked port."""
@@ -567,12 +566,18 @@ class ModuleGraph:
         IndeterminateError, a loaded component with no anchor raises
         UnsupportedError. Unloaded components carry zero at every edge.
         Each edge wrench is re-expressed in the interface frame and checked
-        against the load envelope with that edge's dual-lock state.
+        against the load envelope with that edge's dual-lock state. A
+        gravity that is not three finite numbers, and a ground reaction
+        that is not finite, raise ParameterError.
         """
         external = dict(external or {})
         for mid in external:
             self.module(mid)
             external[mid].validate()
+        if gravity is not None and not (
+            np.shape(gravity) == (3,) and all(map(math.isfinite, gravity))
+        ):
+            raise ParameterError("gravity must be three finite numbers")
 
         forest = self._forest()
         poses, frames = self._place(forest)
@@ -624,6 +629,13 @@ class ModuleGraph:
             )
             for edge in loads
         }
+        for anchor, reaction in reactions.items():
+            try:
+                reaction.validate()
+            except ParameterError:
+                raise ParameterError(
+                    f"ground reaction at anchor {anchor!r} is not finite"
+                ) from None
         return WrenchResult(
             interface_loads=loads,
             local_loads=local,

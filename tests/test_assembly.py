@@ -623,6 +623,36 @@ class TestPropagateWrench:
         assert all(w == Wrench() for w in res.interface_loads.values())
         assert all(rep.ok for rep in res.load_checks.values())
 
+    def readme_pair(self, arm_mass=0.0):
+        # the README's two-module graph
+        g = ModuleGraph()
+        g.add_module(Module("base", "truss_node", ports=(Port("p", Pose.from_xyz_rpy(z=1.0)),),
+                            grounded=True, world_pose=Pose.identity()))
+        g.add_module(Module("arm", "link", ports=(Port("p", Pose.from_xyz_rpy(z=-1.0)),),
+                            mass_kg=arm_mass))
+        dock_ok(g, "base", "p", "arm", "p")
+        return g
+
+    def test_overflowing_anchor_reaction_names_the_anchor(self):
+        # the interface carries arm's finite 1e308 N; base's own load overflows the sum
+        g = self.readme_pair()
+        with np.errstate(over="ignore"), pytest.raises(
+            ParameterError, match="^ground reaction at anchor 'base' is not finite$"
+        ):
+            g.propagate_wrench({"base": Wrench(fz_n=1e308), "arm": Wrench(fz_n=1e308)})
+        res = g.propagate_wrench({"base": Wrench(fz_n=1e308), "arm": Wrench(fz_n=-1e308)})
+        assert res.ground_reactions["base"] == Wrench()
+
+    @pytest.mark.parametrize("gravity", [
+        (0.0, 0.0), (0.0, 0.0, -9.81, 0.0), -9.81, (math.nan, 0.0, -9.81),
+        (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+    ])
+    def test_gravity_must_be_three_finite_numbers(self, gravity):
+        for arm_mass in (0.0, 2.0):
+            g = self.readme_pair(arm_mass)
+            with pytest.raises(ParameterError, match="^gravity must be three finite numbers$"):
+                g.propagate_wrench(gravity=gravity)
+
     def test_random_trees_match_free_body_oracle(self):
         rng = random.Random(2024)
         for _ in range(15):
@@ -639,6 +669,14 @@ class TestPropagateWrench:
             res = g.propagate_wrench(external, gravity)
             assert max_equilibrium_residual(g, res, external, gravity) < 1e-9
         assert pairs > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_drawn_trees_match_free_body_oracle(self, rng, unlocked_pairs):
+        # the tree is drawn from Hypothesis data, so a failing one shrinks
+        g, external, gravity = make_random_tree(rng, unlocked_pairs=unlocked_pairs)
+        res = g.propagate_wrench(external, gravity)
+        assert max_equilibrium_residual(g, res, external, gravity) < 1e-9
 
     def test_oracle_ignores_unlocked_parallel_interface(self):
         # the unlocked a.px-b.nx must not join b's side to the anchor

@@ -523,6 +523,20 @@ class TestAssemblyCommand:
         assert rc == 3
         assert err["error"]["error_type"] == "UnsupportedError"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_ground_reaction_exits_3(self, capsys, tmp_path):
+        # every interface load stays finite, the anchor's reaction does not
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        doc["assembly"]["modules"][0]["mass_kg"] = 1.5
+        doc["assembly"]["modules"][1]["mass_kg"] = 0.5
+        doc["assembly"]["gravity_mps2"] = [1e308, 0.0, 0.0]
+        p = scenario_path(tmp_path, doc)
+        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert err["error"]["error_type"] == "ParameterError"
+        assert err["error"]["message"] == "ground reaction at anchor 'base' is not finite"
+        assert list((tmp_path / "o").iterdir()) == []  # no artifact written
+
 
 class TestRoundTrip:
     def test_calibrated_profile_reparses_and_feeds_envelope(self, capsys, tmp_path,
