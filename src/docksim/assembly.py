@@ -33,6 +33,7 @@ from .errors import (
     NotConnectedError,
     ParameterError,
     PortInUseError,
+    ProtocolError,
     UnreachableError,
     UnsupportedError,
 )
@@ -154,7 +155,7 @@ class Module:
     grounded: bool = False
     world_pose: Pose | None = None  # anchor pose; required iff grounded
 
-    def validate(self) -> "Module":
+    def __post_init__(self):
         if not self.module_id:
             raise ParameterError("module_id must be non-empty")
         if self.kind not in MODULE_KINDS:
@@ -166,7 +167,6 @@ class Module:
             raise ParameterError("port names must be unique per module")
         if self.grounded != (self.world_pose is not None):
             raise ParameterError("world_pose must be given exactly for grounded modules")
-        return self
 
     def port(self, name: str) -> Port:
         for p in self.ports:
@@ -321,7 +321,6 @@ class ModuleGraph:
     # --- construction -----------------------------------------------------
 
     def add_module(self, module: Module) -> None:
-        module.validate()
         if module.module_id in self._modules:
             raise ParameterError(f"duplicate module id {module.module_id!r}")
         self._modules[module.module_id] = module
@@ -397,8 +396,13 @@ class ModuleGraph:
         self._unindex(ref, peer)
 
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
-        """Drive a locked interface back to aligned; channels drop."""
+        """Drive a locked interface back to aligned; channels drop.
+
+        Any other phase raises ProtocolError and leaves the interface as it was.
+        """
         ref, peer, info = self._docked_at(module_id, port_name)
+        if not info.locked:  # a faulted FSM would absorb the stroke, not refuse it
+            raise ProtocolError(f"start_unlock requires locked, not {info.state.phase}")
         info.state = _stroke(info.state, "start_unlock", info.config)
         self._unindex(ref, peer)
         info.channels.disconnect()
@@ -573,7 +577,6 @@ class ModuleGraph:
         external = dict(external or {})
         for mid in external:
             self.module(mid)
-            external[mid].validate()
         if gravity is not None and not (
             np.shape(gravity) == (3,) and all(map(math.isfinite, gravity))
         ):
@@ -629,13 +632,6 @@ class ModuleGraph:
             )
             for edge in loads
         }
-        for anchor, reaction in reactions.items():
-            try:
-                reaction.validate()
-            except ParameterError:
-                raise ParameterError(
-                    f"ground reaction at anchor {anchor!r} is not finite"
-                ) from None
         return WrenchResult(
             interface_loads=loads,
             local_loads=local,
@@ -652,6 +648,8 @@ class ModuleGraph:
             f = f + self._modules[mid].mass_kg * np.array(gravity)
         return f, m, poses[mid].translation
 
+    # a sum past the float range is caught as a non-finite Wrench, not printed
+    @np.errstate(over="ignore", invalid="ignore")
     def _propagate_component(
         self, root, steps, external, gravity, poses, frames, loads, local, reactions
     ):
@@ -688,7 +686,10 @@ class ModuleGraph:
                 # same wrench seen in the interface frame (parent-side port)
                 rot = frame[:3, :3]
                 local[(pref, cref)] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
-        reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
+        try:
+            reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
+        except ParameterError:
+            raise ParameterError(f"ground reaction at anchor {root!r} is not finite") from None
 
     # --- power routing --------------------------------------------------------
 

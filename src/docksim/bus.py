@@ -126,13 +126,13 @@ class ChannelSet:
     """Everything that becomes usable across one locked interface."""
 
     def __init__(self, rotation_slot: int):
+        self.contact_map = mated_contact_map(rotation_slot)  # rejects a non-integer slot
         self.rotation_slot = rotation_slot % 3
         self.buses: dict[float, PowerBus] = {rail: PowerBus(rail) for rail in RAIL_RATINGS_W}
         self.channels: dict[str, DataChannel] = {
             "ethernet": DataChannel("ethernet"),
             "can": DataChannel("can"),
         }
-        self.contact_map = mated_contact_map(rotation_slot)
 
     def disconnect(self) -> None:
         for bus in self.buses.values():
@@ -150,8 +150,6 @@ def connect(state, rotation_slot: int = 0) -> ChannelSet:
     phase = getattr(state, "phase", None)
     if phase != "locked":
         raise NotConnectedError(f"channels require a locked interface, got {phase!r}")
-    if not isinstance(rotation_slot, int) or isinstance(rotation_slot, bool):
-        raise ParameterError("rotation_slot must be an integer slot count")
     return ChannelSet(rotation_slot)
 
 
@@ -170,7 +168,7 @@ class Frame:
     payload: bytes
     timestamp_s: float = 0.0
 
-    def validate(self) -> "Frame":
+    def __post_init__(self):
         limit = FRAME_LIMITS_B.get(self.channel)
         if limit is None:
             raise ParameterError(
@@ -184,7 +182,6 @@ class Frame:
             )
         if not math.isfinite(self.timestamp_s) or self.timestamp_s < 0.0:
             raise ParameterError("timestamp_s must be finite and >= 0")
-        return self
 
     @property
     def purpose(self) -> str:
@@ -231,7 +228,6 @@ def send_frame(frame: Frame, topology) -> Delivery:
     DEFAULT_HOP_LATENCY_S. Unknown endpoints raise NotConnectedError; a
     missing path raises UnreachableError.
     """
-    frame.validate()
     src, dst = frame.source, frame.dest
     for node in (src, dst):
         if not topology.has_node(node):

@@ -31,12 +31,11 @@ class CouplingConfig:
     lock_duration_s: float = 15.0
     which_sides: str = "A"
 
-    def validate(self) -> "CouplingConfig":
+    def __post_init__(self):
         if not 10.0 <= self.lock_duration_s <= 20.0:
             raise ParameterError("lock_duration_s must be within [10, 20] s")
         if self.which_sides not in SIDES:
             raise ParameterError(f"which_sides must be one of {SIDES}")
-        return self
 
     @property
     def engaged_sides(self) -> tuple[str, ...]:
@@ -50,7 +49,7 @@ class Event:
     misalignment: Misalignment | None = None
     fault_kind: str | None = None
 
-    def validate(self) -> "Event":
+    def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise ParameterError(f"unknown event kind {self.kind!r}")
         if self.kind == "tick" and not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
@@ -60,7 +59,6 @@ class Event:
         if self.kind == "inject_fault":
             if self.fault_kind not in FAULT_KINDS:
                 raise ParameterError(f"fault_kind must be one of {FAULT_KINDS}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ class InterfaceState:
     fault_kind: str | None = None
     time_s: float = 0.0
 
-    def validate(self) -> "InterfaceState":
+    def __post_init__(self):
         if self.phase not in PHASES:
             raise ParameterError(f"unknown phase {self.phase!r}")
         if (self.fault_kind is not None) != (self.phase == "fault"):
@@ -80,7 +78,6 @@ class InterfaceState:
             raise ParameterError("sides_engaged only exists while the lock set is in play")
         if self.phase in ("locking", "locked", "unlocking") and not self.sides_engaged:
             raise ParameterError(f"{self.phase} requires at least one engaged side")
-        return self
 
     @property
     def lock_capacity_factor(self) -> float:
@@ -102,9 +99,6 @@ def step(
     Raises ProtocolError for commands issued in a phase that cannot accept
     them; a faulted machine silently absorbs everything except reset.
     """
-    state.validate()
-    config.validate()
-    event.validate()
     if event.kind == "tick" and dt != event.dt_s:
         raise ParameterError(f"tick dt {dt!r} differs from its dt_s {event.dt_s!r}")
 

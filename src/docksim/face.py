@@ -50,7 +50,7 @@ class FaceProfile:
     petal_count: int = 3
     groove_positions_deg: tuple[float, float, float] = (90.0, 210.0, 330.0)
 
-    def validate(self) -> "FaceProfile":
+    def __post_init__(self):
         if self.petal_count != 3:
             raise ParameterError("petal_count is fixed at 3")
         dims = (self.petal_height_mm, self.petal_flank_angle_deg, self.groove_radius_mm,
@@ -72,7 +72,6 @@ class FaceProfile:
             raise ParameterError("groove positions must be finite")
         if abs((g1 - g0) - 120.0) > 1e-9 or abs((g2 - g1) - 120.0) > 1e-9:
             raise ParameterError("groove positions must be spaced 120 degrees")
-        return self
 
     @property
     def rim_radius_mm(self) -> float:
@@ -98,11 +97,10 @@ class Misalignment:
     tilt_x_deg: float = 0.0
     tilt_y_deg: float = 0.0
 
-    def validate(self) -> "Misalignment":
+    def __post_init__(self):
         vals = (self.dx_mm, self.dy_mm, self.rot_deg, self.tilt_x_deg, self.tilt_y_deg)
         if not all(math.isfinite(v) for v in vals):
             raise ParameterError("misalignment components must be finite")
-        return self
 
 
 @dataclass(frozen=True)
@@ -631,8 +629,6 @@ _feasible = functools.lru_cache(maxsize=500_000)(_descend)
 
 def mate_feasible(profile: FaceProfile, mis: Misalignment) -> bool:
     """True iff compliant descent from the misalignment converges to mated."""
-    profile.validate()
-    mis.validate()
     c = canonicalize(mis)
     return _feasible(profile, (c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg))
 
@@ -684,7 +680,6 @@ def envelope_axis_limit(
     infeasible point, so a ray that turns out non-monotone is resolved to
     its first crossing.
     """
-    profile.validate()
     if axis not in _AXES:  # before the scan is sized or probed
         raise ParameterError(f"unknown axis {axis!r}; expected one of {_AXES}")
     kmax = _lattice_points(profile, axis, tol)
@@ -711,7 +706,6 @@ def full_envelope(
     psi+120 and psi+240 carry the same limit because feasibility is exact
     under 120-degree rotation by construction.
     """
-    profile.validate()
     if not 0.0 < angular_resolution_deg < math.inf:  # NaN fails too
         raise ParameterError("angular resolution must be positive and finite")
     if 120.0 / angular_resolution_deg > MAX_SWEEP_RAYS:
@@ -806,9 +800,8 @@ def calibrate_profile(
         improved = False
         for name, step in steps.items():
             for sgn in (1.0, -1.0):
-                cand = replace(best, **{name: getattr(best, name) + sgn * step})
                 try:
-                    cand.validate()
+                    cand = replace(best, **{name: getattr(best, name) + sgn * step})
                 except ParameterError:
                     continue
                 res = residual(cand)

@@ -28,11 +28,10 @@ class Wrench:
     my_nm: float = 0.0
     mz_nm: float = 0.0
 
-    def validate(self) -> "Wrench":
+    def __post_init__(self):
         for v in (self.fx_n, self.fy_n, self.fz_n, self.mx_nm, self.my_nm, self.mz_nm):
             if not math.isfinite(v):
                 raise ParameterError("wrench components must be finite")
-        return self
 
     def scaled(self, k: float) -> "Wrench":
         return Wrench(
@@ -56,7 +55,7 @@ class LoadEnvelope:
     torsion_capacity_nm: float = 500.0
     interaction: str = "max-component"
 
-    def validate(self) -> "LoadEnvelope":
+    def __post_init__(self):
         caps = (
             self.traction_capacity_n,
             self.lateral_capacity_n,
@@ -69,7 +68,6 @@ class LoadEnvelope:
             raise ParameterError(
                 f"interaction must be one of {INTERACTION_RULES}, got {self.interaction!r}"
             )
-        return self
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,7 @@ def check_load(
 
     dual_lock applies the redundant-lock capacity factor to every component.
     """
-    env = (envelope or LoadEnvelope()).validate()
-    wrench.validate()
+    env = envelope or LoadEnvelope()
     scale = DUAL_LOCK_FACTOR if dual_lock else 1.0
     loads = component_loads(wrench)
     caps = {
@@ -163,7 +160,6 @@ def stress_estimate(wrench: Wrench) -> StressEstimate:
     are active the result carries a superposition caveat: single-mode
     scaling brackets but does not reproduce a combined-field analysis.
     """
-    wrench.validate()
     loads = component_loads(wrench)
     per: dict[str, tuple[float, float]] = {}
     notes: list[str] = []

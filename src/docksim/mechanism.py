@@ -33,7 +33,7 @@ class MechanismParams:
     stroke_mm: float = 15.0
     rod_speed_mm_s: float = 1.0
 
-    def validate(self) -> "MechanismParams":
+    def __post_init__(self):
         if not (self.mu1 >= 0.0 and self.mu2 >= 0.0):
             raise ParameterError("friction coefficients must be >= 0")
         if not 0.0 < self.theta_deg < 90.0:
@@ -46,7 +46,6 @@ class MechanismParams:
             raise ParameterError("pin_count must be within the float range")
         if not (self.stroke_mm > 0.0 and self.rod_speed_mm_s > 0.0):
             raise ParameterError("stroke and rod speed must be positive")
-        return self
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class StrokeTrace:
 
 def pin_guide_normal(normal_f1: float, params: MechanismParams) -> float:
     """Guide normal force F2 produced by pyramid contact normal F1."""
-    params.validate()
     if normal_f1 < 0.0:
         raise ParameterError("normal_f1 must be >= 0")
     th = math.radians(params.theta_deg)
@@ -72,7 +70,6 @@ def pin_guide_normal(normal_f1: float, params: MechanismParams) -> float:
 
 def movability_margin(params: MechanismParams) -> float:
     """sin(theta) minus the friction terms; pins move iff this is positive."""
-    params.validate()
     th = math.radians(params.theta_deg)
     s, c = math.sin(th), math.cos(th)
     return s - (params.mu1 * c + params.mu1 * params.mu2 * s + params.mu2 * c)
@@ -95,7 +92,6 @@ def movability_report(params: MechanismParams) -> MovabilityReport:
 
 def self_locking(params: MechanismParams, mu_rail: float) -> bool:
     """Strict inequality: the boundary mu == tan(beta) is not self-locking."""
-    params.validate()
     if mu_rail < 0.0:
         raise ParameterError("mu_rail must be >= 0")
     return mu_rail > math.tan(math.radians(params.beta_deg))
@@ -108,7 +104,6 @@ def required_rod_force(resisting_force: float, params: MechanismParams) -> float
     normal F1 at equilibrium; the rod reacts the axial components of F1
     and its friction.
     """
-    params.validate()
     if resisting_force < 0.0:
         raise ParameterError("resisting_force must be >= 0")
     margin = movability_margin(params)
@@ -134,7 +129,6 @@ def simulate_stroke(
     force exceeds rod_capacity_n at any sample, JamError when the
     mechanism is immovable.
     """
-    params.validate()
     if direction not in ("locking", "unlocking"):
         raise ParameterError("direction must be 'locking' or 'unlocking'")
     if dt <= 0.0:

@@ -180,10 +180,9 @@ def _domain(path: str, build):
 
 
 def _record(cls, table, obj, path: str):
-    """Build cls from the fields of obj, validated when cls has validate()."""
+    """Build cls from the fields of obj; a domain class checks itself as it is built."""
     values = _fields(obj, path, table)
-    record = _domain(path, lambda: cls(**values))
-    return _domain(path, record.validate) if hasattr(record, "validate") else record
+    return _domain(path, lambda: cls(**values))
 
 
 def _nested(cls, table) -> Callable:
@@ -316,7 +315,7 @@ def _events(value, path: str) -> tuple[ScriptEvent, ...]:
 def _parse_mechanism(value, path: str) -> MechanismSection:
     f = _fields(value, path, _MECHANISM)
     kwargs = {row.key: f.pop(row.key) for row in _MECHANISM_PARAMS}
-    params = _domain(path, lambda: MechanismParams(**kwargs).validate())
+    params = _domain(path, lambda: MechanismParams(**kwargs))
     if params.stroke_mm / params.rod_speed_mm_s / f["dt_s"] > MAX_STROKE_SAMPLES:
         raise ScenarioError(f"{path}.dt_s",
                             f"stroke would take more than {MAX_STROKE_SAMPLES} samples")

@@ -174,9 +174,9 @@ def test_criterion_08_lock_timing(reference_profile):
     custom_errs = [abs(time_to_lock(CouplingConfig(lock_duration_s=d), dt) - d)
                    for d in (10.0, 12.5, 20.0)]
     with pytest.raises(Exception):
-        CouplingConfig(lock_duration_s=9.9).validate()
+        CouplingConfig(lock_duration_s=9.9)
     with pytest.raises(Exception):
-        CouplingConfig(lock_duration_s=20.1).validate()
+        CouplingConfig(lock_duration_s=20.1)
     ok = default_err <= dt and all(e <= dt for e in custom_errs)
     _verdict(8, "lock stroke timing",
              ok,

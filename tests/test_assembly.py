@@ -32,6 +32,7 @@ from docksim.errors import (
     NotConnectedError,
     ParameterError,
     PortInUseError,
+    ProtocolError,
     UnreachableError,
     UnsupportedError,
 )
@@ -282,6 +283,23 @@ class TestDocking:
         assert g.edges() != ()  # still docked, ports still in use
         assert g.locked_edges() == ()
 
+    @pytest.mark.parametrize("phase", ("fault", "aligned"))
+    def test_unlock_refuses_an_interface_that_is_not_locked(self, phase):
+        # a faulted FSM absorbs start_unlock, so unlock must refuse it itself
+        g = ModuleGraph()
+        g.add_module(simple_module("a"))
+        g.add_module(simple_module("b"))
+        info = g.edge_info(dock_ok(g, "a", "px", "b", "nx"))
+        if phase == "fault":
+            info.state = InterfaceState(phase="fault", fault_kind="pin_jam", time_s=16.0)
+        else:
+            g.unlock("a", "px")
+        state, channels = info.state, info.channels
+        for _ in range(2):  # and again: nothing was stepped or dropped
+            with pytest.raises(ProtocolError, match=f"^start_unlock requires locked, not {phase}$"):
+                g.unlock("a", "px")
+            assert (info.state, info.channels) == (state, channels)
+
 
 def one_second_strokes(cfg):
     """(locked, unlocked) states of a dock and its unlock, each stroke
@@ -416,14 +434,14 @@ class TestGraphEditing:
 
     def test_module_validation(self):
         with pytest.raises(ParameterError):
-            Module("x", "widget", ()).validate()
+            Module("x", "widget", ())
         with pytest.raises(ParameterError):
-            Module("x", "link", (), grounded=True).validate()
+            Module("x", "link", (), grounded=True)
         with pytest.raises(ParameterError):
             Module(
                 "x", "link",
                 (Port("p", Pose.identity()), Port("p", Pose.identity())),
-            ).validate()
+            )
 
 
 class TestWorldPoses:
@@ -642,6 +660,28 @@ class TestPropagateWrench:
             g.propagate_wrench({"base": Wrench(fz_n=1e308), "arm": Wrench(fz_n=1e308)})
         res = g.propagate_wrench({"base": Wrench(fz_n=1e308), "arm": Wrench(fz_n=-1e308)})
         assert res.ground_reactions["base"] == Wrench()
+
+    def test_non_finite_loads_are_reported_in_component_order(self):
+        # each component raises as its sums are built: base's reaction comes
+        # before the second pair's interface load, and that load before the
+        # third pair's missing anchor
+        g = ModuleGraph()
+        for base, arm, grounded in (("a0", "a1", True), ("b0", "b1", True), ("c0", "c1", False)):
+            g.add_module(Module(base, "truss_node", ports=(Port("p", Pose.from_xyz_rpy(z=1.0)),),
+                                grounded=grounded, world_pose=Pose.identity() if grounded else None))
+            g.add_module(Module(arm, "link", ports=(Port("p", Pose.from_xyz_rpy(z=-1.0)),)))
+            dock_ok(g, base, "p", arm, "p")
+        overflowing_edge = Wrench(fx_n=-1e308, my_nm=1e308)
+        external = {"a0": Wrench(fz_n=1e308), "a1": Wrench(fz_n=1e308),
+                    "b1": overflowing_edge, "c1": Wrench(fz_n=1.0)}
+        with pytest.raises(ParameterError, match="^ground reaction at anchor 'a0' is not finite$"):
+            g.propagate_wrench(external)
+        del external["a0"], external["a1"]
+        with pytest.raises(ParameterError, match="^wrench components must be finite$"):
+            g.propagate_wrench(external)
+        del external["b1"]
+        with pytest.raises(UnsupportedError):
+            g.propagate_wrench(external)
 
     @pytest.mark.parametrize("gravity", [
         (0.0, 0.0), (0.0, 0.0, -9.81, 0.0), -9.81, (math.nan, 0.0, -9.81),

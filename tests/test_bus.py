@@ -183,8 +183,9 @@ def test_connect_requires_locked():
     assert set(chans.channels) == {"ethernet", "can"}
     assert all(ch.link_up for ch in chans.channels.values())
     for phase in ("idle", "capturing", "aligned", "locking", "unlocking"):
+        sides = ("A",) if phase in ("locking", "unlocking") else ()
         with pytest.raises(NotConnectedError):
-            connect(InterfaceState(phase=phase), rotation_slot=0)
+            connect(InterfaceState(phase=phase, sides_engaged=sides), rotation_slot=0)
 
 
 def test_connect_channel_set_slot_invariant():
@@ -238,21 +239,21 @@ def test_availability_tracks_locked_over_random_history(reference_profile):
 
 def test_frame_limits():
     assert FRAME_LIMITS_B == {"can": 8, "ethernet": 1500}
-    Frame("can", "a", "b", b"x" * 8).validate()
-    Frame("ethernet", "a", "b", b"x" * 1500).validate()
+    Frame("can", "a", "b", b"x" * 8)
+    Frame("ethernet", "a", "b", b"x" * 1500)
     with pytest.raises(FramingError):
-        Frame("can", "a", "b", b"x" * 9).validate()
+        Frame("can", "a", "b", b"x" * 9)
     with pytest.raises(FramingError):
-        Frame("ethernet", "a", "b", b"x" * 1501).validate()
+        Frame("ethernet", "a", "b", b"x" * 1501)
 
 
 def test_frame_field_validation():
     with pytest.raises(ParameterError):
-        Frame("lin", "a", "b", b"").validate()
+        Frame("lin", "a", "b", b"")
     with pytest.raises(ParameterError):
-        Frame("can", "a", "b", "text").validate()
+        Frame("can", "a", "b", "text")
     with pytest.raises(ParameterError):
-        Frame("can", "a", "b", b"", timestamp_s=-1.0).validate()
+        Frame("can", "a", "b", b"", timestamp_s=-1.0)
 
 
 def test_frame_purpose_follows_channel():

@@ -37,32 +37,32 @@ def aligned_state():
 
 class TestConfig:
     def test_duration_range_honored(self):
-        CouplingConfig(lock_duration_s=10.0).validate()
-        CouplingConfig(lock_duration_s=20.0).validate()
+        CouplingConfig(lock_duration_s=10.0)
+        CouplingConfig(lock_duration_s=20.0)
         with pytest.raises(ParameterError):
-            CouplingConfig(lock_duration_s=9.9).validate()
+            CouplingConfig(lock_duration_s=9.9)
         with pytest.raises(ParameterError):
-            CouplingConfig(lock_duration_s=20.1).validate()
+            CouplingConfig(lock_duration_s=20.1)
 
     def test_sides(self):
         assert CouplingConfig(which_sides="both").engaged_sides == ("A", "B")
         assert CouplingConfig(which_sides="B").engaged_sides == ("B",)
         with pytest.raises(ParameterError):
-            CouplingConfig(which_sides="C").validate()
+            CouplingConfig(which_sides="C")
 
 
 class TestStateValidation:
     def test_fault_kind_consistency(self):
         with pytest.raises(ParameterError):
-            InterfaceState(phase="idle", fault_kind="pin_jam").validate()
+            InterfaceState(phase="idle", fault_kind="pin_jam")
         with pytest.raises(ParameterError):
-            InterfaceState(phase="fault").validate()
+            InterfaceState(phase="fault")
 
     def test_sides_only_in_lock_phases(self):
         with pytest.raises(ParameterError):
-            InterfaceState(phase="aligned", sides_engaged=("A",)).validate()
+            InterfaceState(phase="aligned", sides_engaged=("A",))
         with pytest.raises(ParameterError):
-            InterfaceState(phase="locking").validate()
+            InterfaceState(phase="locking")
 
 
 class TestCapture:
@@ -273,7 +273,7 @@ def test_phase_rules_hold_under_random_scripts(cfg, data):
             with pytest.raises(ProtocolError):
                 step(s, ev, ev.dt_s, cfg, P)
             continue
-        nxt = step(s, ev, ev.dt_s, cfg, P).validate()
+        nxt = step(s, ev, ev.dt_s, cfg, P)
         dt = ev.dt_s if ev.kind == "tick" else 0.0
         if ev.kind == "reset":
             assert nxt == InterfaceState()

@@ -1,0 +1,75 @@
+"""Every domain object checks its invariants when it is built.
+
+An out-of-range field raises ParameterError from the constructor and from
+dataclasses.replace alike, so no consumer has to remember a separate check:
+a public function handed one of these objects can take it as valid.
+"""
+import math
+from dataclasses import fields, replace
+
+import pytest
+
+from docksim.assembly import Module
+from docksim.bus import Frame
+from docksim.coupling import CouplingConfig, Event, InterfaceState
+from docksim.errors import ParameterError
+from docksim.face import (
+    REFERENCE_PROFILE,
+    Misalignment,
+    canonicalize,
+    height_field,
+    settle_height,
+)
+from docksim.loads import LoadEnvelope, Wrench
+from docksim.mechanism import MechanismParams
+
+# (valid object, field, out-of-range value, message)
+CASES = [
+    (REFERENCE_PROFILE, "petal_height_mm", 0.0,
+     "petal height and groove radius must be positive"),
+    (Misalignment(), "dx_mm", math.nan, "misalignment components must be finite"),
+    (MechanismParams(), "theta_deg", 90.0, r"theta_deg must be in \(0, 90\)"),
+    (Wrench(), "fx_n", math.inf, "wrench components must be finite"),
+    (LoadEnvelope(), "traction_capacity_n", 0.0, "capacities must be positive and finite"),
+    (CouplingConfig(), "lock_duration_s", 9.9, r"lock_duration_s must be within \[10, 20\] s"),
+    (Event("tick", dt_s=1.0), "dt_s", 0.0, "tick requires dt_s > 0"),
+    (InterfaceState(), "phase", "locked", "locked requires at least one engaged side"),
+    (Module("m", "link", ()), "mass_kg", -1.0, "mass_kg must be finite and >= 0"),
+    (Frame("can", "a", "b", b"x"), "timestamp_s", -1.0, "timestamp_s must be finite and >= 0"),
+]
+IDS = [type(case[0]).__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("valid, name, bad, message", CASES, ids=IDS)
+def test_construction_rejects_an_out_of_range_field(valid, name, bad, message):
+    kwargs = {f.name: getattr(valid, f.name) for f in fields(valid)}
+    assert type(valid)(**kwargs) == valid
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        type(valid)(**{**kwargs, name: bad})
+
+
+@pytest.mark.parametrize("valid, name, bad, message", CASES, ids=IDS)
+def test_replace_rejects_an_out_of_range_field(valid, name, bad, message):
+    assert replace(valid) == valid
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        replace(valid, **{name: bad})
+
+
+def test_a_zero_petal_height_never_reaches_the_height_field():
+    # a zero petal height divided by zero inside the field before it was checked
+    for evaluate in (lambda p: height_field(p, 20.0, 0.0),
+                     lambda p: settle_height(p, (0.0, 0.0, 0.0, 0.0, 0.0))):
+        with pytest.raises(ParameterError):
+            evaluate(replace(REFERENCE_PROFILE, petal_height_mm=0.0))
+
+
+def test_canonicalize_never_sees_a_nan_offset():
+    with pytest.raises(ParameterError, match="^misalignment components must be finite$"):
+        canonicalize(Misalignment(dx_mm=math.nan))
+
+
+def test_an_infinite_scale_is_refused():
+    # 0 * inf is NaN: the scaled wrench would hold NaN in its unloaded components
+    with pytest.raises(ParameterError, match="^wrench components must be finite$"):
+        Wrench(1.0, 2.0, 3.0).scaled(math.inf)
+    assert Wrench(1.0, 2.0, 3.0).scaled(2.0) == Wrench(2.0, 4.0, 6.0)

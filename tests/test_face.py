@@ -41,27 +41,27 @@ from capture_oracle import (
 
 class TestProfileValidation:
     def test_reference_is_valid(self):
-        REFERENCE_PROFILE.validate()
+        assert replace(REFERENCE_PROFILE) == REFERENCE_PROFILE  # rebuilt through its checks
 
     def test_petal_count_fixed(self):
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 24.7, 27.0, 1.0, petal_count=4).validate()
+            FaceProfile(6.5, 24.7, 27.0, 1.0, petal_count=4)
 
     def test_flank_range(self):
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 0.0, 27.0, 1.0).validate()
+            FaceProfile(6.5, 0.0, 27.0, 1.0)
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 90.0, 27.0, 1.0).validate()
+            FaceProfile(6.5, 90.0, 27.0, 1.0)
 
     def test_groove_radius_between_hub_and_rim(self):
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 24.7, 10.0, 1.0).validate()
+            FaceProfile(6.5, 24.7, 10.0, 1.0)
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 24.7, 45.0, 1.0).validate()
+            FaceProfile(6.5, 24.7, 45.0, 1.0)
 
     def test_groove_spacing(self):
         with pytest.raises(ParameterError):
-            FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=(90.0, 200.0, 330.0)).validate()
+            FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=(90.0, 200.0, 330.0))
 
     @pytest.mark.parametrize("grooves", [
         (math.nan, math.nan, math.nan),
@@ -72,7 +72,7 @@ class TestProfileValidation:
     def test_non_finite_groove_positions(self, grooves):
         # NaN spacing compares false against the 120-degree test, so it needs its own check
         with pytest.raises(ParameterError, match="groove positions must be finite"):
-            FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=grooves).validate()
+            FaceProfile(6.5, 24.7, 27.0, 1.0, groove_positions_deg=grooves)
 
     @pytest.mark.parametrize("field", ["petal_height_mm", "petal_flank_angle_deg",
                                        "groove_radius_mm", "chamfer_depth_mm",
@@ -82,7 +82,7 @@ class TestProfileValidation:
         # NaN compares false against every range test, and an infinite rim
         # passes them all, so finiteness needs its own check
         with pytest.raises(ParameterError, match="profile dimensions must be finite"):
-            replace(REFERENCE_PROFILE, **{field: value}).validate()
+            replace(REFERENCE_PROFILE, **{field: value})
 
     def test_equal_profiles_share_memo_entries(self):
         # the hash is kept per instance, so a replace()-equal copy must hash

@@ -234,21 +234,18 @@ class TestSimulateStroke:
 class TestParamValidation:
     def test_bad_theta(self):
         with pytest.raises(ParameterError):
-            MechanismParams(theta_deg=0.0).validate()
+            MechanismParams(theta_deg=0.0)
         with pytest.raises(ParameterError):
-            MechanismParams(theta_deg=90.0).validate()
+            MechanismParams(theta_deg=90.0)
 
     def test_bad_friction(self):
         with pytest.raises(ParameterError):
-            MechanismParams(mu1=-0.1).validate()
+            MechanismParams(mu1=-0.1)
 
     def test_bad_pin_count(self):
         with pytest.raises(ParameterError):
-            MechanismParams(pin_count=0).validate()
+            MechanismParams(pin_count=0)
 
     def test_pin_count_beyond_the_float_range(self):
-        params = MechanismParams(pin_count=10 ** 400)
         with pytest.raises(ParameterError, match="pin_count must be within the float range"):
-            params.validate()
-        with pytest.raises(ParameterError):
-            required_rod_force(50.0, params)
+            MechanismParams(pin_count=10 ** 400)

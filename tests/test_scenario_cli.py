@@ -6,7 +6,10 @@ acceptance suite.
 """
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -536,6 +539,21 @@ class TestAssemblyCommand:
         assert err["error"]["error_type"] == "ParameterError"
         assert err["error"]["message"] == "ground reaction at anchor 'base' is not finite"
         assert list((tmp_path / "o").iterdir()) == []  # no artifact written
+
+    def test_overflow_leaves_only_the_log_line_on_stderr(self, capfd, tmp_path):
+        # a separate process: in-process, pytest would catch a numpy warning
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        doc["assembly"]["modules"][0]["mass_kg"] = 1.5
+        doc["assembly"]["modules"][1]["mass_kg"] = 0.5
+        doc["assembly"]["gravity_mps2"] = [1e308, 0.0, 0.0]
+        env = {k: v for k, v in os.environ.items() if k not in ("DOCKSIM_LOG", "PYTHONWARNINGS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["assembly", "--scenario", scenario_path(tmp_path, doc), "--out", str(tmp_path / "o")]
+        rc = subprocess.run([sys.executable, "-m", "docksim.cli", *argv], env=env).returncode
+        out, err = capfd.readouterr()
+        assert rc == 3
+        assert json.loads(out)["error"]["message"] == "ground reaction at anchor 'base' is not finite"
+        assert err == "ERROR docksim: analysis error: ground reaction at anchor 'base' is not finite\n"
 
 
 class TestRoundTrip:
