@@ -214,20 +214,31 @@ def _wrench_from_vecs(f, m) -> Wrench:
 
 
 class EdgeInfo:
-    """Per-interface state: coupling FSM and channels; both faces are REFERENCE_PROFILE."""
+    """Per-interface state: coupling FSM and channels; both faces are REFERENCE_PROFILE.
+
+    Built Locked with its channels bound; only ModuleGraph.unlock changes either.
+    """
 
     def __init__(self, state: InterfaceState, config: CouplingConfig):
-        self.state = state
+        self._state = state
         self.config = config
-        self.channels: ChannelSet | None = None
+        self._channels: ChannelSet | None = connect(state, rotation_slot=0)
+
+    @property
+    def state(self) -> InterfaceState:
+        return self._state
+
+    @property
+    def channels(self) -> ChannelSet | None:
+        return self._channels
 
     @property
     def locked(self) -> bool:
-        return self.state.phase == "locked"
+        return self._state.phase == "locked"
 
     @property
     def dual_lock(self) -> bool:
-        return self.state.lock_capacity_factor > 1.0
+        return self._state.lock_capacity_factor > 1.0
 
 
 @dataclass(frozen=True)
@@ -298,24 +309,21 @@ class PowerRoute:
 class ModuleGraph:
     """Mutable assembly of docked modules.
 
-    _docked holds every docked interface once per end: PortRef -> (peer
-    PortRef, EdgeInfo), the two ends sharing one EdgeInfo, so either end
-    finds the interface. Two indexes serve the walks. _locked is the index
-    every traversal walks: module_id -> {port_name: peer PortRef} for
-    Locked interfaces only, kept by add_module, dock, undock and unlock.
-    Each module's dict is in dock order (an undocked port that docks again
-    goes to the end), so walks visit modules in the same order as a filtered
-    pass over _docked would. That order fixes the summation order of the
-    interface loads and the order of the loop-closure checks, and with them
-    the bytes of every wrench. _adjacent holds each module's Locked peer ids
-    sorted, the neighbours every path search visits; it changes only where
-    _locked does.
+    _ports holds every docked interface once per end: module_id ->
+    {port_name: (peer PortRef, EdgeInfo)}, the two ends sharing one
+    EdgeInfo, so either end finds the interface. Each module's dict is in
+    dock order (an undocked port that docks again goes to the end). The
+    walks cross only the interfaces whose own state is Locked, in that
+    order, which fixes the summation order of the interface loads and the
+    order of the loop-closure checks, and with them the bytes of every
+    wrench. _adjacent holds each module's Locked peer ids sorted, the
+    neighbours every path search visits; dock, unlock and undock rebuild it
+    for the two modules they change.
     """
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
-        self._docked: dict[PortRef, tuple[PortRef, EdgeInfo]] = {}
-        self._locked: dict[str, dict[str, PortRef]] = {}
+        self._ports: dict[str, dict[str, tuple[PortRef, EdgeInfo]]] = {}
         self._adjacent: dict[str, tuple[str, ...]] = {}
 
     # --- construction -----------------------------------------------------
@@ -324,7 +332,7 @@ class ModuleGraph:
         if module.module_id in self._modules:
             raise ParameterError(f"duplicate module id {module.module_id!r}")
         self._modules[module.module_id] = module
-        self._locked[module.module_id] = {}
+        self._ports[module.module_id] = {}
         self._adjacent[module.module_id] = ()
 
     def module(self, module_id: str) -> Module:
@@ -358,8 +366,8 @@ class ModuleGraph:
             raise ParameterError("a module cannot dock to itself")
         ref_a, ref_b = (id_a, port_a), (id_b, port_b)
         for ref in (ref_a, ref_b):
-            if ref in self._docked:
-                raise PortInUseError(f"port {ref} is already docked to {self._docked[ref][0]}")
+            if self._end(ref) is not None:
+                raise PortInUseError(f"port {ref} is already docked to {self._end(ref)[0]}")
 
         mis = misalignment if misalignment is not None else Misalignment()
         cfg = config if config is not None else CouplingConfig()
@@ -376,13 +384,9 @@ class ModuleGraph:
         state = _stroke(state, "start_lock", cfg)
 
         info = EdgeInfo(state, cfg)
-        info.channels = connect(state, rotation_slot=0)
-        self._docked[ref_a] = (ref_b, info)
-        self._docked[ref_b] = (ref_a, info)
-        self._locked[id_a][port_a] = ref_b
-        self._locked[id_b][port_b] = ref_a
-        self._reindex(id_a)
-        self._reindex(id_b)
+        self._ports[id_a][port_a] = (ref_b, info)
+        self._ports[id_b][port_b] = (ref_a, info)
+        self._reindex(id_a, id_b)
         edge = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
         return DockReport(accepted=True, edge=edge, state=state)
 
@@ -391,9 +395,9 @@ class ModuleGraph:
         ref, peer, info = self._docked_at(module_id, port_name)
         if info.channels is not None:
             info.channels.disconnect()
-        del self._docked[ref]
-        del self._docked[peer]
-        self._unindex(ref, peer)
+        del self._ports[ref[0]][ref[1]]
+        del self._ports[peer[0]][peer[1]]
+        self._reindex(ref[0], peer[0])
 
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop.
@@ -403,45 +407,44 @@ class ModuleGraph:
         ref, peer, info = self._docked_at(module_id, port_name)
         if not info.locked:  # a faulted FSM would absorb the stroke, not refuse it
             raise ProtocolError(f"start_unlock requires locked, not {info.state.phase}")
-        info.state = _stroke(info.state, "start_unlock", info.config)
-        self._unindex(ref, peer)
-        info.channels.disconnect()
-        info.channels = None
+        info._state = _stroke(info.state, "start_unlock", info.config)
+        info._channels.disconnect()
+        info._channels = None
+        self._reindex(ref[0], peer[0])
         return info.state
+
+    def _end(self, ref: PortRef) -> tuple[PortRef, EdgeInfo] | None:
+        """(peer, interface) of a docked port, None if the port is not docked."""
+        return self._ports.get(ref[0], {}).get(ref[1])
 
     def _docked_at(self, module_id: str, port_name: str) -> tuple[PortRef, PortRef, EdgeInfo]:
         """(port, peer, interface) of a docked port."""
         ref = (module_id, port_name)
-        entry = self._docked.get(ref)
+        entry = self._end(ref)
         if entry is None:
             raise NotConnectedError(f"port {ref} is not docked")
         return (ref, *entry)
 
-    def _unindex(self, ref: PortRef, peer: PortRef) -> None:
-        self._locked[ref[0]].pop(ref[1], None)
-        self._locked[peer[0]].pop(peer[1], None)
-        self._reindex(ref[0])
-        self._reindex(peer[0])
-
-    def _reindex(self, module_id: str) -> None:
-        self._adjacent[module_id] = tuple(sorted(
-            {pid for pid, _ in self._locked[module_id].values()}
-        ))
+    def _reindex(self, *module_ids: str) -> None:
+        for mid in module_ids:
+            self._adjacent[mid] = tuple(sorted(
+                {peer[0] for peer, info in self._ports[mid].values() if info.locked}
+            ))
 
     def edges(self) -> tuple[EdgeKey, ...]:
-        return tuple(sorted((ref, peer) for ref, (peer, _) in self._docked.items() if ref < peer))
-
-    def locked_edges(self) -> tuple[EdgeKey, ...]:
         return tuple(sorted(
             ((mid, pname), peer)
-            for mid, ports in self._locked.items()
-            for pname, peer in ports.items()
+            for mid, ports in self._ports.items()
+            for pname, (peer, _) in ports.items()
             if (mid, pname) < peer
         ))
 
+    def locked_edges(self) -> tuple[EdgeKey, ...]:
+        return tuple(e for e in self.edges() if self.edge_info(e).locked)
+
     def edge_info(self, edge: EdgeKey) -> EdgeInfo:
         """The interface between edge's two ports, named in either order."""
-        entry = self._docked.get(edge[0]) if len(edge) == 2 else None
+        entry = self._end(edge[0]) if len(edge) == 2 else None
         if entry is None or entry[0] != edge[1]:
             raise NotConnectedError(f"interface {edge} is not docked")
         return entry[1]
@@ -472,9 +475,9 @@ class ModuleGraph:
         seen = set(queue)
         while queue:
             cur = queue.popleft()
-            for pname, peer in self._locked[cur].items():
+            for pname, (peer, info) in self._ports[cur].items():
                 ref = (cur, pname)
-                if ref in cut:
+                if not info.locked or ref in cut:
                     continue
                 new = peer[0] not in seen
                 if new:
@@ -487,7 +490,7 @@ class ModuleGraph:
         return (peer[0] for _, peer, new in self._walk([root], cut) if new)
 
     def _forest(self) -> list[tuple[str, list[str], list]]:
-        """Every component of the locked index, walked once.
+        """Every component of the Locked subgraph, walked once.
 
         Returns (root, modules in walk order, walk steps) per component, in
         the order of each component's first module. An anchored component is
@@ -589,17 +592,10 @@ class ModuleGraph:
         local: dict[EdgeKey, Wrench] = {}
         reactions: dict[str, Wrench] = {}
 
+        zero = Wrench()
         for root, comp, steps in forest:
             anchors = [m for m in comp if self._modules[m].grounded]
-            loaded = any(
-                mid in external and any(
-                    v != 0.0 for v in (
-                        external[mid].fx_n, external[mid].fy_n, external[mid].fz_n,
-                        external[mid].mx_nm, external[mid].my_nm, external[mid].mz_nm,
-                    )
-                )
-                for mid in comp
-            ) or (
+            loaded = any(mid in external and external[mid] != zero for mid in comp) or (
                 gravity is not None and any(self._modules[m].mass_kg > 0.0 for m in comp)
             )
             if not loaded:
@@ -628,7 +624,7 @@ class ModuleGraph:
             edge: check_load(
                 local[edge],
                 envelope=envelope,
-                dual_lock=self._docked[edge[0]][1].dual_lock,
+                dual_lock=self._end(edge[0])[1].dual_lock,
             )
             for edge in loads
         }
@@ -715,7 +711,7 @@ class ModuleGraph:
         issuers: list[ChannelSet] = []
         for a, b in zip(path, path[1:]):
             ek = self._edge_between(a, b)
-            channels = self._docked[ek[0]][1].channels
+            channels = self._end(ek[0])[1].channels
             gid = channels.buses[rail_v].request_power(watts)
             if gid is None:
                 for issuer, (_, ggid) in zip(issuers, grants):
@@ -737,7 +733,7 @@ class ModuleGraph:
         """
         gone = []
         for (ek, gid), issuer in zip(route.grants, route.channels):
-            entry = self._docked.get(ek[0])
+            entry = self._end(ek[0])
             if entry is None or entry[1].channels is not issuer:
                 gone.append(ek)
             else:
@@ -756,7 +752,7 @@ class ModuleGraph:
         """(edge, rail_v, allocated_W) rows for every connected interface."""
         rows = []
         for edge in self.edges():
-            info = self._docked[edge[0]][1]
+            info = self._end(edge[0])[1]
             if info.channels is None:
                 continue
             for rail_v in sorted(info.channels.buses, reverse=True):
@@ -765,8 +761,8 @@ class ModuleGraph:
 
     def _edge_between(self, id_a: str, id_b: str) -> EdgeKey:
         """The first Locked interface, in dock order, from id_a to id_b."""
-        for pname, peer in self._locked[id_a].items():
-            if peer[0] == id_b:
+        for pname, (peer, info) in self._ports[id_a].items():
+            if peer[0] == id_b and info.locked:
                 ref = (id_a, pname)
                 return (ref, peer) if ref < peer else (peer, ref)
         raise NotConnectedError(f"{id_a!r} and {id_b!r} share no locked interface")
@@ -838,8 +834,8 @@ class ModuleGraph:
         ends first and its side is split off whole: the side with no anchor
         is stranded if the other side has one.
         """
-        peer = self._docked[ref][0]
-        if self._locked[ref[0]].get(ref[1]) != peer:
+        peer, info = self._end(ref)
+        if not info.locked:
             return set()
         cut = frozenset((ref, peer))
         ends = (ref[0], peer[0])

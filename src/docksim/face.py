@@ -812,8 +812,6 @@ def calibrate_profile(
                         return best
         if not improved:
             steps = {k: v * 0.5 for k, v in steps.items()}
-    if best_res <= tolerance:
-        return best
     raise CalibrationError(
         f"calibration did not reach targets {targets} (best residual {best_res:.4f})",
         best_residual=best_res,

@@ -173,8 +173,6 @@ def _domain(path: str, build):
     """Build a domain object, converting its ParameterError to a field path."""
     try:
         return build()
-    except ScenarioError:
-        raise  # field-level errors already carry the precise path
     except Exception as err:  # noqa: BLE001 - domain validation message wanted
         raise ScenarioError(path, str(err)) from err
 

@@ -1,6 +1,8 @@
 """Assembly graph tests: docking, kinematics, statics, power, reconfiguration."""
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +64,17 @@ def twin_module(mid, grounded=False, world=None):
     ports = simple_module(mid).ports
     twins = tuple(Port(p.name + "2", p.pose) for p in ports)
     return Module(mid, "link", ports + twins, mass_kg=0.0, grounded=grounded, world_pose=world)
+
+
+def truss_ports():
+    """The benchmark's four truss-node ports (perfbench/inputs.py): mating
+    a.e0-b.w1 and a.e1-b.w0 gives one relative pose, so the pair closes exactly."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
+                 for name, (xyz, rpy) in inputs.PORT_XYZ_RPY_DEG.items())
 
 
 def dock_ok(g, *args, **kwargs):
@@ -291,7 +304,8 @@ class TestDocking:
         g.add_module(simple_module("b"))
         info = g.edge_info(dock_ok(g, "a", "px", "b", "nx"))
         if phase == "fault":
-            info.state = InterfaceState(phase="fault", fault_kind="pin_jam", time_s=16.0)
+            # no public path faults a docked interface: set the private field
+            info._state = InterfaceState(phase="fault", fault_kind="pin_jam", time_s=16.0)
         else:
             g.unlock("a", "px")
         state, channels = info.state, info.channels
@@ -299,6 +313,21 @@ class TestDocking:
             with pytest.raises(ProtocolError, match=f"^start_unlock requires locked, not {phase}$"):
                 g.unlock("a", "px")
             assert (info.state, info.channels) == (state, channels)
+
+    @pytest.mark.parametrize("name", ("state", "channels"))
+    def test_interface_state_and_channels_are_read_only(self, name):
+        # the walks read Locked from the interface's own state: a caller
+        # that could fault it would leave the neighbour cache behind
+        g = ModuleGraph()
+        g.add_module(simple_module("a"))
+        g.add_module(simple_module("b"))
+        info = g.edge_info(dock_ok(g, "a", "px", "b", "nx"))
+        before = getattr(info, name)
+        with pytest.raises(AttributeError):
+            setattr(info, name, None)
+        assert getattr(info, name) is before and info.locked
+        assert g.neighbors("a") == ("b",)
+        assert g.route_power("a", "b", 10.0).path == ("a", "b")
 
 
 def one_second_strokes(cfg):
@@ -606,7 +635,21 @@ class TestPropagateWrench:
         dock_ok(g, "a", "px", "b", "nx")
         dock_ok(g, "b", "px", "c", "nx")
         dock_ok(g, "c", "pz", "a", "pz")
-        with pytest.raises(IndeterminateError):
+        with pytest.raises(IndeterminateError,
+                           match=r"^loop through 'c' closes with inconsistent geometry$"):
+            g.propagate_wrench({"b": Wrench(fz_n=-1.0)})
+
+    def test_consistent_loaded_cycle_rejected(self):
+        # a double dock closes exactly, so the poses pass and statics names the cycle
+        ports = truss_ports()
+        g = ModuleGraph()
+        g.add_module(Module("a", "truss_node", ports, grounded=True, world_pose=Pose.identity()))
+        g.add_module(Module("b", "truss_node", ports))
+        dock_ok(g, "a", "e0", "b", "w1")
+        dock_ok(g, "a", "e1", "b", "w0")
+        assert len(g.locked_edges()) == 2
+        with pytest.raises(IndeterminateError,
+                           match=r"^loaded component \['a', 'b'\] contains a locked cycle$"):
             g.propagate_wrench({"b": Wrench(fz_n=-1.0)})
 
     def test_double_anchor_rejected(self):

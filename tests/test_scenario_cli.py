@@ -514,6 +514,46 @@ class TestAssemblyCommand:
             "rail_v": 48.0, "granted": False, "reason": "no locked path",
         }
 
+    def test_plan_undocks_and_a_frame_with_no_locked_path(self, capsys, tmp_path):
+        # spare docks to link1 and base, then lets go of link1; undocking
+        # base.px would then strand link1 and tool; "loose" docks nowhere
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        asm = doc["assembly"]
+        spare = asm["modules"][3]
+        spare["ports"].append(
+            {"name": "nx", "xyz": [-1.0, 0.0, 0.0], "rpy_deg": [0.0, -90.0, 0.0]})
+        asm["modules"].append({**spare, "id": "loose"})
+        asm["plan"] += [
+            {"op": "dock", "a": ["base", "pz"], "b": ["spare", "nx"]},
+            {"op": "undock", "port": ["link1", "pz"]},
+            {"op": "undock", "port": ["base", "px"]},
+        ]
+        asm["power_requests"] = []
+        asm["frames"] = [{"channel": "can", "source": "base", "dest": "loose",
+                          "payload_text": "intlk"}]
+        out = tmp_path / "o"
+        rc, _ = run_cli(capsys, ["assembly", "--scenario", scenario_path(tmp_path, doc),
+                                 "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "assembly_report.json").read_text())
+        assert report["plan"] == {
+            "completed": False,
+            "aborted_index": 3,
+            "steps": [
+                {"index": 0, "op": ["dock", "link1", "pz", "spare", "pz"], "applied": True,
+                 "detail": "locked", "stranded": []},
+                {"index": 1, "op": ["dock", "base", "pz", "spare", "nx"], "applied": True,
+                 "detail": "locked", "stranded": []},
+                {"index": 2, "op": ["undock", "link1", "pz"], "applied": True,
+                 "detail": "undocked", "stranded": []},
+                {"index": 3, "op": ["undock", "base", "px"], "applied": False,
+                 "detail": "undock would strand modules from their anchor",
+                 "stranded": ["link1", "tool"]},
+            ],
+        }
+        assert report["frames"] == [{"channel": "can", "source": "base", "dest": "loose",
+                                     "delivered": False, "reason": "no locked path"}]
+
     def test_unsupported_load_exits_3(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "assembly.json").read_text())
         for module in doc["assembly"]["modules"]:
