@@ -430,6 +430,15 @@ class TestGraphEditing:
         assert g.edges() == before
         assert g.interface_state("a", "px").phase == "locked"
 
+    def test_held_interface_reads_undocked_after_undock(self):
+        g = ModuleGraph()
+        g.add_module(simple_module("a"))
+        g.add_module(simple_module("b"))
+        info = g.edge_info(dock_ok(g, "a", "px", "b", "nx"))
+        g.undock("a", "px")
+        assert info.channels is None
+        assert not info.locked
+
     def test_undock_not_connected(self):
         g = ModuleGraph()
         g.add_module(simple_module("a"))
