@@ -216,7 +216,8 @@ def _wrench_from_vecs(f, m) -> Wrench:
 class EdgeInfo:
     """Per-interface state: coupling FSM and channels; both faces are REFERENCE_PROFILE.
 
-    Built Locked with its channels bound; only ModuleGraph.unlock changes either.
+    Built Locked with its channels bound; only ModuleGraph.unlock and
+    ModuleGraph.undock change either, both through _drop.
     """
 
     def __init__(self, state: InterfaceState, config: CouplingConfig):
@@ -239,6 +240,12 @@ class EdgeInfo:
     @property
     def dual_lock(self) -> bool:
         return self._state.lock_capacity_factor > 1.0
+
+    def _drop(self, state: InterfaceState) -> None:
+        """Move to state, which is not Locked; the channels go down and away."""
+        if self._channels is not None:
+            self._channels.disconnect()
+        self._state, self._channels = state, None
 
 
 @dataclass(frozen=True)
@@ -306,6 +313,37 @@ class PowerRoute:
     channels: tuple[ChannelSet, ...] = field(repr=False, compare=False)
 
 
+class _Forest:
+    """One walk of the Locked forest and what is derived from it.
+
+    walks is ModuleGraph._forest's result. The path index comes from the
+    walk alone, never from the geometry: each module's parent in its
+    component's walk (None at the root), its depth and its component, plus
+    the components whose distinct-neighbour graph has a loop. placed is
+    ModuleGraph._place's result, kept only once it has succeeded.
+    """
+
+    __slots__ = ("walks", "parent", "depth", "component", "looped", "placed")
+
+    def __init__(self, walks, adjacent: dict[str, tuple[str, ...]]):
+        self.walks = walks
+        self.parent: dict[str, str | None] = {}
+        self.depth: dict[str, int] = {}
+        self.component: dict[str, int] = {}
+        self.looped: set[int] = set()
+        self.placed: tuple[dict[str, Pose], dict[str, np.ndarray]] | None = None
+        for k, (root, comp, steps) in enumerate(walks):
+            self.parent[root], self.depth[root] = None, 0
+            for ref, peer, new in steps:
+                if new:
+                    self.parent[peer[0]] = ref[0]
+                    self.depth[peer[0]] = self.depth[ref[0]] + 1
+            self.component.update(dict.fromkeys(comp, k))
+            # a tree of n modules has n - 1 neighbour pairs, each listed twice
+            if sum(len(adjacent[m]) for m in comp) > 2 * (len(comp) - 1):
+                self.looped.add(k)
+
+
 class ModuleGraph:
     """Mutable assembly of docked modules.
 
@@ -317,14 +355,20 @@ class ModuleGraph:
     order, which fixes the summation order of the interface loads and the
     order of the loop-closure checks, and with them the bytes of every
     wrench. _adjacent holds each module's Locked peer ids sorted, the
-    neighbours every path search visits; dock, unlock and undock rebuild it
-    for the two modules they change.
+    neighbours a breadth-first path search visits; dock, unlock and undock
+    rebuild it for the two modules they change.
+
+    _cache is the single derived cache: one walk of the Locked forest
+    (a _Forest) that world poses, statics and paths share. It is dropped
+    wherever _adjacent changes (_reindex, add_module) and walked again by
+    the next query that needs it.
     """
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
         self._ports: dict[str, dict[str, tuple[PortRef, EdgeInfo]]] = {}
         self._adjacent: dict[str, tuple[str, ...]] = {}
+        self._cache: _Forest | None = None
 
     # --- construction -----------------------------------------------------
 
@@ -334,6 +378,7 @@ class ModuleGraph:
         self._modules[module.module_id] = module
         self._ports[module.module_id] = {}
         self._adjacent[module.module_id] = ()
+        self._cache = None
 
     def module(self, module_id: str) -> Module:
         mod = self._modules.get(module_id)
@@ -391,10 +436,13 @@ class ModuleGraph:
         return DockReport(accepted=True, edge=edge, state=state)
 
     def undock(self, module_id: str, port_name: str) -> None:
-        """Remove an interface; its channels drop and its grants vanish."""
+        """Remove an interface; its channels drop and its grants vanish.
+
+        An EdgeInfo held from before reads idle with no channels, the state
+        a dock starts from.
+        """
         ref, peer, info = self._docked_at(module_id, port_name)
-        if info.channels is not None:
-            info.channels.disconnect()
+        info._drop(InterfaceState())
         del self._ports[ref[0]][ref[1]]
         del self._ports[peer[0]][peer[1]]
         self._reindex(ref[0], peer[0])
@@ -407,9 +455,7 @@ class ModuleGraph:
         ref, peer, info = self._docked_at(module_id, port_name)
         if not info.locked:  # a faulted FSM would absorb the stroke, not refuse it
             raise ProtocolError(f"start_unlock requires locked, not {info.state.phase}")
-        info._state = _stroke(info.state, "start_unlock", info.config)
-        info._channels.disconnect()
-        info._channels = None
+        info._drop(_stroke(info.state, "start_unlock", info.config))
         self._reindex(ref[0], peer[0])
         return info.state
 
@@ -430,6 +476,7 @@ class ModuleGraph:
             self._adjacent[mid] = tuple(sorted(
                 {peer[0] for peer, info in self._ports[mid].values() if info.locked}
             ))
+        self._cache = None
 
     def edges(self) -> tuple[EdgeKey, ...]:
         return tuple(sorted(
@@ -460,6 +507,33 @@ class ModuleGraph:
     def neighbors(self, module_id: str) -> tuple[str, ...]:
         """Modules reachable over Locked interfaces only; KeyError if unknown."""
         return self._adjacent[module_id]
+
+    def path(self, src: str, dst: str) -> tuple[str, ...] | None:
+        """Fewest-hop path from src to dst over Locked interfaces, None if
+        there is none; KeyError if either module is unknown.
+
+        The path is the one shortest_path finds over neighbors. On a
+        component without loops it is the only simple path, so it climbs
+        the cached walk from both ends to their lowest common ancestor;
+        only a component with a loop is searched breadth-first, where the
+        lowest module ids win ties.
+        """
+        forest = self._walked()
+        k = forest.component[src]
+        if forest.component[dst] != k:
+            return None
+        if k in forest.looped:
+            return shortest_path(self.neighbors, src, dst)
+        parent, depth = forest.parent, forest.depth
+        up, down = [src], [dst]
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        return (*up, *reversed(down[:-1]))
 
     def _walk(
         self, roots: Iterable[str], cut: frozenset = frozenset()
@@ -512,11 +586,24 @@ class ModuleGraph:
             walks.append((root, comp, steps))
         return [walks[i] for i in dict.fromkeys(comp_of[mid] for mid in self._modules)]
 
+    def _walked(self) -> _Forest:
+        """The cached walk, walked again after _adjacent changed."""
+        if self._cache is None:
+            self._cache = _Forest(self._forest(), self._adjacent)
+        return self._cache
+
+    def _placed(self) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
+        """_place of the cached walk; an error is raised again on every call."""
+        forest = self._walked()
+        if forest.placed is None:
+            forest.placed = self._place(forest.walks)
+        return forest.placed
+
     # --- kinematics ---------------------------------------------------------
 
     def world_poses(self) -> dict[str, Pose]:
         """Propagate poses from anchors; loop closures must agree to 1e-6."""
-        return self._place(self._forest())[0]
+        return dict(self._placed()[0])
 
     def _place(self, forest) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
         """World poses of anchored components, and each posed module's
@@ -585,8 +672,8 @@ class ModuleGraph:
         ):
             raise ParameterError("gravity must be three finite numbers")
 
-        forest = self._forest()
-        poses, frames = self._place(forest)
+        forest = self._walked().walks
+        poses, frames = self._placed()
 
         loads: dict[EdgeKey, Wrench] = {}
         local: dict[EdgeKey, Wrench] = {}
@@ -701,7 +788,7 @@ class ModuleGraph:
         self.module(src)
         self.module(dst)
         _check_rail(rail_v)
-        path = shortest_path(self.neighbors, src, dst)  # lowest module ids win ties
+        path = self.path(src, dst)
         if path is None:
             raise UnreachableError(f"no locked path from {src!r} to {dst!r}")
         # a zero-hop route requests no grant, so no bus would check watts

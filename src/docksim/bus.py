@@ -223,16 +223,19 @@ def shortest_path(neighbors, src, dst) -> tuple | None:
 def send_frame(frame: Frame, topology) -> Delivery:
     """Deliver a frame along the fewest-hop locked path between its endpoints.
 
-    topology needs a has_node(node) and a neighbors(node) method, whose
-    adjacency already reflects link-up interfaces. Each hop takes
-    DEFAULT_HOP_LATENCY_S. Unknown endpoints raise NotConnectedError; a
-    missing path raises UnreachableError.
+    topology needs a has_node(node) method and a path(src, dst) method that
+    returns the fewest-hop path over link-up interfaces as a tuple of nodes,
+    or None when there is none: the path shortest_path finds. ModuleGraph.path
+    answers it from the single derived cache of the assembly, one walk of
+    its Locked forest. Each hop takes DEFAULT_HOP_LATENCY_S. Unknown
+    endpoints raise NotConnectedError; a missing path raises
+    UnreachableError.
     """
     src, dst = frame.source, frame.dest
     for node in (src, dst):
         if not topology.has_node(node):
             raise NotConnectedError(f"node {node!r} is not on the network")
-    path = shortest_path(topology.neighbors, src, dst)
+    path = topology.path(src, dst)
     if path is None:
         raise UnreachableError(f"no linked path from {src!r} to {dst!r}")
     hops = len(path) - 1

@@ -1,17 +1,29 @@
-"""Shared test helpers: random docked trees, a free-body load oracle and an
-np.allclose reference for the pose checks.
+"""Shared test helpers: random docked trees, the benchmark's input
+generators, a free-body load oracle and an np.allclose reference for the
+pose checks.
 
 The oracle recomputes each interface load by cutting the edge and summing
 the severed side directly, a different code path from the package's
 bottom-up accumulation.
 """
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 
 from docksim.assembly import Module, ModuleGraph, Pose, Port
 from docksim.loads import Wrench
+
+
+def perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input generators."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def make_random_tree(rng: random.Random, max_modules: int = 10, unlocked_pairs: bool = False):

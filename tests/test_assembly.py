@@ -1,8 +1,6 @@
 """Assembly graph tests: docking, kinematics, statics, power, reconfiguration."""
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import strategies as st
 from assembly_oracle import (
     make_random_tree,
     max_equilibrium_residual,
+    perfbench_inputs,
     perturbed_pose_matrix,
     reference_almost_equal,
     reference_pose_error,
@@ -69,10 +68,7 @@ def twin_module(mid, grounded=False, world=None):
 def truss_ports():
     """The benchmark's four truss-node ports (perfbench/inputs.py): mating
     a.e0-b.w1 and a.e1-b.w0 gives one relative pose, so the pair closes exactly."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = perfbench_inputs()
     return tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
                  for name, (xyz, rpy) in inputs.PORT_XYZ_RPY_DEG.items())
 

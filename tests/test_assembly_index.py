@@ -1,4 +1,4 @@
-"""Property test of ModuleGraph's locked-adjacency index.
+"""Property test of ModuleGraph's locked-adjacency index and its cached walk.
 
 Random scripts of dock, unlock, undock and reconfigure run on a small graph.
 After every step the traversal queries must agree with brute-force oracles
@@ -6,16 +6,25 @@ built from the public edges() and edge_info(): neighbours, the route_power
 and send_frame paths (the shortest path whose module ids come first in
 order), and the modules that undocking each docked port would strand, in
 every reconfigure and for every port. _edge_between must pick the first
-Locked interface in dock order, which the script records itself. The same
-scripts run again on graphs with a random set of anchors.
+Locked interface in dock order, which the script records itself. The world
+poses and statics of the scripted graph, which answered every earlier query
+from its cached walk, must match those of a fresh graph that replays the
+script so far, bit for bit or error for error. The same scripts run again on
+graphs with a random set of anchors. Direct tests count the walks that the
+benchmark's assembly build and queries make.
 """
+import contextlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from docksim.assembly import Module, ModuleGraph, Pose, Port
+from assembly_oracle import perfbench_inputs
+from docksim.assembly import GRAVITY_M_S2, Module, ModuleGraph, Pose, Port
 from docksim.bus import Frame, send_frame
-from docksim.errors import DocksimError, UnreachableError
+from docksim.errors import DocksimError, IndeterminateError, UnreachableError, UnsupportedError
+from docksim.loads import Wrench
 
 MODULES = ("a", "b", "c", "d")
 PORTS = ("p0", "p1", "p2")
@@ -187,16 +196,35 @@ def check_index(graph: ModuleGraph, dock_order: list) -> None:
             assert edge == tuple(sorted(first))
 
 
+def placed_bits(graph: ModuleGraph) -> list:
+    """world_poses and propagate_wrench under gravity: their bits, or the error."""
+    out = []
+    for query in (
+        lambda: [(mid, pose.matrix.tobytes()) for mid, pose in graph.world_poses().items()],
+        lambda: repr(graph.propagate_wrench(gravity=GRAVITY_M_S2)),
+    ):
+        try:
+            out.append(query())
+        except DocksimError as err:
+            out.append((type(err), str(err)))
+    return out
+
+
 def run_script(anchors, script) -> None:
     graph = make_graph(anchors)
     dock_order: list = []
     check_index(graph, dock_order)
     check_paths(graph)
-    for op in script:
+    placed_bits(graph)
+    for i, op in enumerate(script):
         apply(graph, op, dock_order)
         check_index(graph, dock_order)
         check_paths(graph)
         check_strands(graph)
+        fresh = make_graph(anchors)
+        for done in script[:i + 1]:
+            apply(fresh, done, [])
+        assert placed_bits(graph) == placed_bits(fresh)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -230,3 +258,107 @@ def test_paths_take_the_lowest_ids_among_the_shortest(pairs):
             used[a] += 1
             used[b] += 1
     check_paths(graph)
+
+
+def truss_assembly():
+    """The assembly_mix build of seed 1 and its plan: 320 truss nodes, every
+    25th docked to its host twice with the first interface unlocked."""
+    inputs = perfbench_inputs()
+    plan = inputs.assembly_plan(1)
+    ports = tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
+                  for name, (xyz, rpy) in inputs.PORT_XYZ_RPY_DEG.items())
+    graph = ModuleGraph()
+    for mid in plan["modules"]:
+        grounded = mid == "m0"
+        graph.add_module(Module(mid, "truss_node" if grounded else "link", ports,
+                                grounded=grounded,
+                                world_pose=Pose.identity() if grounded else None))
+    for step in plan["build"]:
+        if step[0] == "dock":
+            assert graph.dock(*step[1:]).accepted
+        else:
+            a, b = step[1:]
+            assert graph.dock(a, "e0", b, "w1").accepted
+            assert graph.dock(a, "e1", b, "w0").accepted
+            graph.unlock(a, "e0")
+    return graph, plan
+
+
+def count_walks(monkeypatch) -> list:
+    """Wrap ModuleGraph._forest; the list gets one entry per walk."""
+    walks = []
+    forest = ModuleGraph._forest
+
+    def counting(self):
+        walks.append(self)
+        return forest(self)
+
+    monkeypatch.setattr(ModuleGraph, "_forest", counting)
+    return walks
+
+
+class TestOneWalk:
+    def test_one_walk_serves_every_query_until_the_graph_changes(self, monkeypatch):
+        graph, plan = truss_assembly()
+        walks = count_walks(monkeypatch)
+        graph.world_poses()
+        graph.propagate_wrench(external={m: Wrench(*w) for m, w in plan["wrenches"].items()},
+                               gravity=GRAVITY_M_S2)
+        pairs = [(a, b, 10.0, 48.0) for a, b in plan["pairs"]]
+        for src, dst, watts, rail in pairs + plan["routes"]:
+            route = graph.route_power(src, dst, watts, rail_v=rail)
+            if route is not None:
+                graph.release_route(route)
+        for channel, src, dst, size in plan["frames"]:
+            send_frame(Frame(channel, src, dst, bytes(size)), graph)
+        assert len(walks) == 1
+
+        # each change costs one more walk, made by the first query after it
+        changes = [lambda op=op: graph.reconfigure([op]) for op in plan["relocate"][:6]]
+        changes += [lambda ref=ref: graph.unlock(*ref) for ref in plan["unlocks"][:3]]
+        for change in changes:
+            change()
+            # a relocation's new interface closes a loop until the old one
+            # goes, and an unlock can cut a loaded part loose from the anchor
+            with contextlib.suppress(IndeterminateError):
+                graph.world_poses()
+            with contextlib.suppress(IndeterminateError, UnsupportedError):
+                graph.propagate_wrench(gravity=GRAVITY_M_S2)
+            for src, dst, _, _ in plan["routes"][:20]:
+                with contextlib.suppress(UnreachableError):
+                    route = graph.route_power(src, dst, 1.0)
+                    graph.release_route(route)
+                with contextlib.suppress(UnreachableError):
+                    send_frame(Frame("can", src, dst, b""), graph)
+            assert len(walks) == 1 + changes.index(change) + 1
+        assert len(walks) == 1 + len(changes)
+
+    def test_inconsistent_loop_routes_but_never_places(self, monkeypatch):
+        # two interfaces between a and b whose port offsets disagree: paths
+        # come from the walk alone, so only the geometry refuses
+        graph = make_graph(("a",))
+        assert graph.dock("a", "p0", "b", "p1").accepted
+        assert graph.dock("a", "p1", "b", "p0").accepted
+        walks = count_walks(monkeypatch)
+        for _ in range(2):
+            route = graph.route_power("a", "b", 1.0)
+            assert route.path == ("a", "b")
+            graph.release_route(route)
+            assert send_frame(Frame("can", "b", "a", b""), graph).path == ("b", "a")
+            for query in (graph.world_poses, graph.propagate_wrench):
+                with pytest.raises(IndeterminateError,
+                                   match="^loop through 'b' closes with inconsistent geometry$"):
+                    query()
+        assert len(walks) == 1
+
+    def test_world_poses_returns_a_copy(self):
+        graph = make_graph(("a",))
+        assert graph.dock("a", "p0", "b", "p1").accepted
+        assert graph.dock("b", "p0", "c", "p1").accepted
+        load = {"c": Wrench(fz_n=-10.0)}
+        before = graph.propagate_wrench(load)
+        poses = graph.world_poses()
+        poses["b"] = Pose.from_xyz_rpy(x=100.0)
+        del poses["c"]
+        assert graph.propagate_wrench(load) == before
+        assert set(graph.world_poses()) == {"a", "b", "c"}

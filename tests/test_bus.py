@@ -22,6 +22,7 @@ from docksim.bus import (
     contact_ring,
     mated_contact_map,
     send_frame,
+    shortest_path,
 )
 from docksim.coupling import CouplingConfig, Event, InterfaceState, step
 from docksim.errors import (
@@ -43,8 +44,8 @@ class DictTopology:
     def has_node(self, node):
         return node in self.adj
 
-    def neighbors(self, node):
-        return self.adj[node]
+    def path(self, src, dst):
+        return shortest_path(self.adj.__getitem__, src, dst)
 
 
 LINE = DictTopology({"a": ["b"], "b": ["a", "c"], "c": ["b"]})
