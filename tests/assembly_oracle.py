@@ -1,6 +1,6 @@
 """Shared test helpers: random docked trees, the benchmark's input
-generators, a free-body load oracle and an np.allclose reference for the
-pose checks.
+generators and truss ports, a free-body load oracle and an np.allclose
+reference for the pose checks.
 
 The oracle recomputes each interface load by cutting the edge and summing
 the severed side directly, a different code path from the package's
@@ -24,6 +24,13 @@ def perfbench_inputs():
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     return inputs
+
+
+def truss_ports():
+    """The benchmark's four truss-node ports (perfbench/inputs.py): mating
+    a.e0-b.w1 and a.e1-b.w0 gives one relative pose, so the pair closes exactly."""
+    return tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
+                 for name, (xyz, rpy) in perfbench_inputs().PORT_XYZ_RPY_DEG.items())
 
 
 def make_random_tree(rng: random.Random, max_modules: int = 10, unlocked_pairs: bool = False):

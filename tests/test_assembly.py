@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from assembly_oracle import (
     make_random_tree,
     max_equilibrium_residual,
-    perfbench_inputs,
     perturbed_pose_matrix,
     reference_almost_equal,
     reference_pose_error,
+    truss_ports,
 )
 from docksim import assembly
 from docksim.assembly import (
@@ -63,14 +63,6 @@ def twin_module(mid, grounded=False, world=None):
     ports = simple_module(mid).ports
     twins = tuple(Port(p.name + "2", p.pose) for p in ports)
     return Module(mid, "link", ports + twins, mass_kg=0.0, grounded=grounded, world_pose=world)
-
-
-def truss_ports():
-    """The benchmark's four truss-node ports (perfbench/inputs.py): mating
-    a.e0-b.w1 and a.e1-b.w0 gives one relative pose, so the pair closes exactly."""
-    inputs = perfbench_inputs()
-    return tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
-                 for name, (xyz, rpy) in inputs.PORT_XYZ_RPY_DEG.items())
 
 
 def dock_ok(g, *args, **kwargs):

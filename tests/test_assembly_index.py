@@ -14,13 +14,12 @@ graphs with a random set of anchors. Direct tests count the walks that the
 benchmark's assembly build and queries make.
 """
 import contextlib
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assembly_oracle import perfbench_inputs
+from assembly_oracle import perfbench_inputs, truss_ports
 from docksim.assembly import GRAVITY_M_S2, Module, ModuleGraph, Pose, Port
 from docksim.bus import Frame, send_frame
 from docksim.errors import DocksimError, IndeterminateError, UnreachableError, UnsupportedError
@@ -263,10 +262,8 @@ def test_paths_take_the_lowest_ids_among_the_shortest(pairs):
 def truss_assembly():
     """The assembly_mix build of seed 1 and its plan: 320 truss nodes, every
     25th docked to its host twice with the first interface unlocked."""
-    inputs = perfbench_inputs()
-    plan = inputs.assembly_plan(1)
-    ports = tuple(Port(name, Pose.from_xyz_rpy(*xyz, *map(math.radians, rpy)))
-                  for name, (xyz, rpy) in inputs.PORT_XYZ_RPY_DEG.items())
+    plan = perfbench_inputs().assembly_plan(1)
+    ports = truss_ports()
     graph = ModuleGraph()
     for mid in plan["modules"]:
         grounded = mid == "m0"
@@ -316,7 +313,7 @@ class TestOneWalk:
         # each change costs one more walk, made by the first query after it
         changes = [lambda op=op: graph.reconfigure([op]) for op in plan["relocate"][:6]]
         changes += [lambda ref=ref: graph.unlock(*ref) for ref in plan["unlocks"][:3]]
-        for change in changes:
+        for walked, change in enumerate(changes, start=2):
             change()
             # a relocation's new interface closes a loop until the old one
             # goes, and an unlock can cut a loaded part loose from the anchor
@@ -330,8 +327,7 @@ class TestOneWalk:
                     graph.release_route(route)
                 with contextlib.suppress(UnreachableError):
                     send_frame(Frame("can", src, dst, b""), graph)
-            assert len(walks) == 1 + changes.index(change) + 1
-        assert len(walks) == 1 + len(changes)
+            assert len(walks) == walked
 
     def test_inconsistent_loop_routes_but_never_places(self, monkeypatch):
         # two interfaces between a and b whose port offsets disagree: paths
