@@ -238,6 +238,12 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             MechanismParams(theta_deg=90.0)
 
+    def test_theta_whose_sine_is_zero(self):
+        # the smallest subnormal passes 0 < theta < 90, but its sine is 0.0
+        assert math.sin(math.radians(5e-324)) == 0.0
+        with pytest.raises(ParameterError, match="theta_deg must have a nonzero sine"):
+            MechanismParams(theta_deg=5e-324)
+
     def test_bad_friction(self):
         with pytest.raises(ParameterError):
             MechanismParams(mu1=-0.1)

@@ -323,6 +323,16 @@ class TestCli:
         assert (err["error"]["path"], err["error"]["message"]) == (
             "$.assembly.gravity_mps2", "must be finite")
 
+    def test_theta_with_a_zero_sine_exits_2_with_no_artifact(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "mechanism.json").read_text())
+        doc["mechanism"]["theta_deg"] = 5e-324
+        p = scenario_path(tmp_path, doc)
+        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert (err["error"]["path"], err["error"]["message"]) == (
+            "$.mechanism", "theta_deg must have a nonzero sine")
+        assert not (tmp_path / "o").exists()
+
     def test_translation_scan_over_cap_exits_2_with_path(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "envelope.json").read_text())
         doc["envelope"]["translation_tol_mm"] = 1e-9
