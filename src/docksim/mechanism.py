@@ -38,6 +38,8 @@ class MechanismParams:
             raise ParameterError("friction coefficients must be >= 0")
         if not 0.0 < self.theta_deg < 90.0:
             raise ParameterError("theta_deg must be in (0, 90)")
+        if math.sin(math.radians(self.theta_deg)) == 0.0:  # a subnormal angle
+            raise ParameterError("theta_deg must have a nonzero sine")
         if not 0.0 <= self.beta_deg < 90.0:
             raise ParameterError("beta_deg must be in [0, 90)")
         if self.pin_count < 1:
