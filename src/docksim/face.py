@@ -540,27 +540,89 @@ def _join(profile: FaceProfile, state, s_lat: float, s_rot: float, s_tilt: float
     return []
 
 
+# How close to the least exact settle height of an iteration a candidate
+# must come to stay in the running: more than the 1e-10 the acceptance test
+# asks, so that rounding cannot drop the candidate the slot-order rule takes.
+NEAR_TIE_MM = 3e-10
+
+
+def _slot_chain(settle, count: int, d: float):
+    """The slot-order rule of one descent iteration: each candidate in slot
+    order is accepted if its settle height beats the best so far by 1e-10.
+
+    settle(j, cap) is candidate j's exact settle height, or None once one of
+    its lower bounds reaches cap. Returns (slot, settle height) of the last
+    candidate accepted, or (None, d) if none beats the incumbent's d.
+    """
+    best, best_d = None, d
+    for j in range(count):
+        dc = settle(j, best_d - 1e-10)
+        if dc is not None and dc < best_d - 1e-10:
+            best, best_d = j, dc
+    return best, best_d
+
+
+def _settle_first(settle, lows: list, d: float, won):
+    """_slot_chain's choice, found by settling the likeliest winner first.
+
+    Tries slot `won` (the last iteration's winner), then the rest in
+    ascending order of their first lower bounds `lows`, each against the
+    cap min(d - 1e-10, least + NEAR_TIE_MM), least being the least exact
+    settle height so far. A candidate whose bound reaches the cap is never
+    the chain's choice: it fails the acceptance test, or settles at least
+    NEAR_TIE_MM above the least, which the chain's choice never does
+    (every candidate after it settles above it less 1e-10, every one
+    before it above it). So if exactly one settled candidate lies under the
+    final cap, the chain accepts it, whatever the slot order. Otherwise, if
+    some candidate passes the acceptance test (a near tie), the iteration
+    runs the chain itself, its settle heights served from the memos.
+    """
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    if won is not None and won < len(lows):
+        order.remove(won)
+        order.insert(0, won)
+    accept = d - 1e-10
+    cap, least, settled = accept, math.inf, {}
+    for j in order:
+        dc = settle(j, cap)
+        if dc is not None:
+            settled[j] = dc
+            if dc < least:
+                least, cap = dc, min(accept, dc + NEAR_TIE_MM)
+    near = [j for j, dc in settled.items() if dc < cap]
+    if len(near) == 1:
+        return near[0], settled[near[0]]
+    if least < accept:
+        return _slot_chain(settle, len(lows), d)
+    return None, d
+
+
 def _descend(profile: FaceProfile, state) -> bool:
     """Strict best-improvement pattern descent of the settle potential.
 
     Steps start small and only shrink, so the search cannot hop over
-    physical feature barriers; a stall at the finest step is a jam.
-    A candidate whose lower bound of the settle height already fails the
-    acceptance test cannot pass it with its exact settle height, so that is
-    not evaluated; it still spends one evaluation of the budget. The bounds
-    are tried cheapest first. One contact sample in scalar math
-    (_sample_lift) of the moving face, then of the fixed face: first the
-    incumbent's binding sample of that face, then the one that bound the
-    same candidate slot last time. Any sample bounds its term; these two
-    are the ones most likely to bind. Then the full moving term.
+    physical feature barriers; a stall at the finest step is a jam. Each
+    iteration accepts the candidate that _slot_chain would: the last one,
+    in slot order, whose settle height beats the best before it by 1e-10.
+    _settle_first finds it with the fewest exact settles it can: the last
+    winning slot first, then the rest by their first lower bound.
 
-    The skips change only the work, never the accepted state, so the rest
-    of the path from a (state, step sizes) pair is fixed and only the
-    remaining budget can change its verdict. A descent that reaches a pair
-    an earlier one passed through (its _join cell is filled) takes that
-    verdict if its budget covers the evaluations the earlier one spent
-    from there. A descent that ends by convergence or a jam fills the cells
-    of its path; one that runs out of budget fills none.
+    A candidate whose lower bound of the settle height already reaches the
+    cap it is settled against cannot be the one accepted, so it is not
+    evaluated; it still spends one evaluation of the budget. The bounds are
+    tried cheapest first. One contact sample in scalar math (_sample_lift)
+    of the moving face, then of the fixed face: first the incumbent's
+    binding sample of that face, then the one that bound the same
+    candidate slot last time. Any sample bounds its term; these two are the
+    ones most likely to bind. Then the full moving term.
+
+    The order and the skips change only the work, never the accepted
+    state, so the rest of the path from a (state, step sizes) pair is fixed
+    and only the remaining budget can change its verdict. A descent that
+    reaches a pair an earlier one passed through (its _join cell is filled)
+    takes that verdict if its budget covers the evaluations the earlier one
+    spent from there. A descent that ends by convergence or a jam fills the
+    cells of its path; one that runs out of budget fills none.
     """
     d = settle_height(profile, state)
     if not math.isfinite(d) or d > ENGAGE_FACTOR * profile.petal_height_mm:
@@ -571,8 +633,31 @@ def _descend(profile: FaceProfile, state) -> bool:
     # the incumbent's binding samples, of the moving and the fixed face
     binding, fbinding = _floor(profile, state)[1], _fixed(profile, state)[1]
     slots, fslots = {}, {}  # each candidate slot's last binding samples
+
+    def settle(j, cap):
+        """Candidate j's exact settle height, or None once a bound reaches cap."""
+        cand = cands[j]
+        if lows[j] >= cap:
+            return None
+        last = slots.get(j, binding)
+        if last != binding and lift(cand, last) - margin >= cap:
+            return None
+        gap, margin_f = fixed(cand, fbinding)
+        if gap - margin_f >= cap:
+            return None
+        last = fslots.get(j, fbinding)
+        if last != fbinding:
+            gap, margin_f = fixed(cand, last)
+            if gap - margin_f >= cap:
+                return None
+        floor, slots[j] = _floor(profile, cand)
+        if floor >= cap:
+            return None
+        fslots[j] = _fixed(profile, cand)[1]
+        return settle_height(profile, cand)
+
     s_lat, s_rot, s_tilt = 0.5, 1.5, 0.5
-    evals = 1
+    evals, won = 1, None
     path = []  # (join cell, evals) at each budget check passed
     while evals < DESCENT_BUDGET:
         cell = _join(profile, state, s_lat, s_rot, s_tilt)
@@ -583,32 +668,11 @@ def _descend(profile: FaceProfile, state) -> bool:
         if _converged(state):
             verdict, end = True, evals
             break
-        best, best_d = None, d
-        for j, cand in enumerate(_candidate_moves(state, s_lat, s_rot, s_tilt)):
-            evals += 1
-            if lift(cand, binding) - margin >= best_d - 1e-10:
-                continue
-            last = slots.get(j, binding)
-            if last != binding and lift(cand, last) - margin >= best_d - 1e-10:
-                continue
-            gap, margin_f = fixed(cand, fbinding)
-            if gap - margin_f >= best_d - 1e-10:
-                continue
-            last = fslots.get(j, fbinding)
-            if last != fbinding:
-                gap, margin_f = fixed(cand, last)
-                if gap - margin_f >= best_d - 1e-10:
-                    continue
-            floor, slots[j] = _floor(profile, cand)
-            if floor >= best_d - 1e-10:
-                continue
-            dc = settle_height(profile, cand)
-            if not math.isfinite(dc):
-                continue
-            fslots[j] = _fixed(profile, cand)[1]
-            if dc < best_d - 1e-10:
-                best, best_d, best_i, best_f = cand, dc, slots[j], fslots[j]
-        if best is None:
+        cands = _candidate_moves(state, s_lat, s_rot, s_tilt)
+        evals += len(cands)
+        lows = [lift(cand, binding) - margin for cand in cands]
+        j, dc = _settle_first(settle, lows, d, won)
+        if j is None:
             if s_lat <= 0.004 and s_rot <= 0.004 and s_tilt <= 0.004:
                 verdict, end = False, path[-1][1]  # a jam: state is not converged
                 break
@@ -616,7 +680,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             s_rot = max(s_rot * 0.5, 0.002)
             s_tilt = max(s_tilt * 0.5, 0.002)
         else:
-            state, d, binding, fbinding = best, best_d, best_i, best_f
+            state, d, binding, fbinding, won = cands[j], dc, slots[j], fslots[j], j
     else:  # out of budget: the path's cells stay as they are
         return _converged(state)
     for cell, at in path:

@@ -7,13 +7,15 @@ rewritten for speed: one numpy expression per formula term, no pose or
 cloud memo, and a full four-evaluation fixed-face solve. The production
 kernel must return the same bits for every finite state.
 
-The production descent (`face._descend`) skips a candidate whose
-moving-face bound already fails the acceptance test, and shares bounded
-memos across descents. The reference here does neither: it takes the exact
-settle height of every candidate from the frozen kernel, and remembers its
-terms only in its own tables keyed by the bits of the state, so a -0.0
-never borrows the value of a 0.0. Everything the two must agree on
-(verdicts, accepted states, envelope limits) is compared in the tests.
+The production descent (`face._descend`) settles the likeliest winner of
+each iteration first, skips every candidate whose lower bounds show it
+cannot be the one the slot-order rule accepts, reruns the slot-order rule
+on a near tie, and shares bounded memos across descents. The reference
+here does none of that: it takes the exact settle height of every
+candidate, in slot order, from the frozen kernel, and remembers its terms
+only in its own tables keyed by the bits of the state, so a -0.0 never
+borrows the value of a 0.0. Everything the two must agree on (verdicts,
+accepted states, envelope limits) is compared in the tests.
 """
 from __future__ import annotations
 

@@ -699,6 +699,76 @@ class TestFloorSkip:
             assert face._floor(REFERENCE_PROFILE, state)[0] <= reference_settle(
                 REFERENCE_PROFILE, state)
 
+    @pytest.mark.parametrize("start, verdict, ties", [
+        (_JAM_12MM_AT_30, False, 1),              # jams after a descent
+        ((0.0, 0.0, 0.0, 7.0, 0.0), True, 1),     # captured after a descent
+    ])
+    def test_near_tie_runs_the_slot_order_chain(self, monkeypatch, start, verdict, ties):
+        # two candidates settle within NEAR_TIE_MM of the least in some
+        # iteration of these descents, so the iteration runs the chain
+        chains = []
+        real = face._slot_chain
+
+        def spy(settle, count, d):
+            chains.append(real(settle, count, d))
+            return chains[-1]
+
+        monkeypatch.setattr(face, "_slot_chain", spy)
+        got, trace = _production_trace(monkeypatch, start)
+        assert len(chains) == ties
+        assert all(slot is not None for slot, _ in chains)
+        want_trace = []
+        assert got == reference_descend(REFERENCE_PROFILE, start, want_trace) == verdict
+        assert trace == want_trace
+
+
+def _plain_chain(values, d):
+    """The slot-order rule with every candidate settled exactly."""
+    best, best_d = None, d
+    for j, v in enumerate(values):
+        if math.isfinite(v) and v < best_d - 1e-10:
+            best, best_d = j, v
+    return best, best_d
+
+
+@st.composite
+def _iteration(draw):
+    """One synthetic descent iteration: the incumbent's settle height d and
+    13-16 candidates, each with a settle height and lower bounds of it, on
+    a 1e-10 grid so exact ties, near ties and failed acceptance tests are
+    common. At 2**21 a float step is 4.7e-10, at 2**24 3.7e-9: the 1e-10
+    and 3e-10 offsets round away there."""
+    base = draw(st.sampled_from([0.0, 2.5, -1.75, 6.5, 2.0 ** 21, 2.0 ** 24]))
+    grid = st.integers(-6, 6).map(lambda k: base + k * 1e-10)
+    d = draw(grid)
+    values, bounds = [], []
+    for _ in range(draw(st.integers(13, 16))):
+        v = draw(st.just(math.inf) | grid)
+        below = st.integers(0, 5).map(lambda k, v=v: v - k * 1e-10)
+        # the last bound is the moving term: +inf whenever the settle is
+        cascade = draw(st.lists(below | st.just(-math.inf), min_size=1, max_size=4))
+        values.append(v)
+        bounds.append([*cascade, math.inf if v == math.inf else draw(below)])
+    won = draw(st.none() | st.integers(0, 15))
+    return d, values, bounds, won
+
+
+class TestSettleFirst:
+    """Settling the likeliest winner first accepts the candidate that the
+    slot-order chain accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_iteration())
+    def test_same_choice_as_the_slot_order_chain(self, iteration):
+        d, values, bounds, won = iteration
+
+        def settle(j, cap):
+            return None if any(b >= cap for b in bounds[j]) else values[j]
+
+        lows = [b[0] for b in bounds]
+        assert face._settle_first(settle, lows, d, won) == _plain_chain(values, d)
+        assert face._slot_chain(settle, len(values), d) == _plain_chain(values, d)
+
 
 # Profiles the kernel must match the frozen copy on: the reference face,
 # grooves off the default phase, no chamfer, and a flank shallow enough that
@@ -979,14 +1049,14 @@ class TestWorkCounters:
 
     def test_cold_reference_envelope(self, monkeypatch):
         assert self._counts(monkeypatch, lambda: full_envelope(REFERENCE_PROFILE)) == (
-            1935, 2744, 151, 1078)
+            1613, 2061, 151, 1078)
         assert face._join.cache_info().currsize == 1120
 
     def test_three_dock_stream_descents(self, monkeypatch):
         draws = _dock_stream_draws(1, 3)
         assert self._counts(
             monkeypatch, lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]
-        ) == (275, 386, 0, 137)
+        ) == (217, 310, 0, 137)
 
 
 def _ray_starts(axis, direction_deg, n):
