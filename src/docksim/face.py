@@ -574,11 +574,12 @@ def _settle_first(settle, lows: list, d: float, won):
     (every candidate after it settles above it less 1e-10, every one
     before it above it). So if exactly one settled candidate lies under the
     final cap, the chain accepts it, whatever the slot order. Otherwise, if
-    some candidate passes the acceptance test (a near tie), the iteration
-    runs the chain itself, its settle heights served from the memos.
+    some candidate passes the acceptance test (a near tie, or a settle
+    height so large that NEAR_TIE_MM rounds away), the iteration runs the
+    chain itself, its settle heights served from the memos.
     """
     order = sorted(range(len(lows)), key=lows.__getitem__)
-    if won is not None and won < len(lows):
+    if won is not None and won < len(lows):  # a state has 13 to 16 slots
         order.remove(won)
         order.insert(0, won)
     accept = d - 1e-10
@@ -604,8 +605,8 @@ def _descend(profile: FaceProfile, state) -> bool:
     physical feature barriers; a stall at the finest step is a jam. Each
     iteration accepts the candidate that _slot_chain would: the last one,
     in slot order, whose settle height beats the best before it by 1e-10.
-    _settle_first finds it with the fewest exact settles it can: the last
-    winning slot first, then the rest by their first lower bound.
+    _settle_first finds it with fewer exact settles: the last winning slot
+    first, then the rest by their first lower bound.
 
     A candidate whose lower bound of the settle height already reaches the
     cap it is settled against cannot be the one accepted, so it is not
