@@ -715,8 +715,7 @@ class TestFloorSkip:
 
         monkeypatch.setattr(face, "_slot_chain", spy)
         got, trace = _production_trace(monkeypatch, start)
-        assert len(chains) == 1
-        assert all(slot is not None for slot, _ in chains)
+        assert len(chains) == 1 and chains[0][0] is not None
         want_trace = []
         assert got == reference_descend(REFERENCE_PROFILE, start, want_trace) == verdict
         assert trace == want_trace
@@ -736,8 +735,8 @@ def _iteration(draw):
     """One synthetic descent iteration: the incumbent's settle height d and
     13-16 candidates, each with a settle height and lower bounds of it, on
     a 1e-10 grid so exact ties, near ties and failed acceptance tests are
-    common. At 2**21 a float step is 4.7e-10, at 2**24 3.7e-9: the 1e-10
-    and 3e-10 offsets round away there."""
+    common. At 2**21 a float step is 4.7e-10, so the 1e-10 offsets round
+    away there; at 2**24 it is 3.7e-9, and the 3e-10 ones round away too."""
     base = draw(st.sampled_from([0.0, 2.5, -1.75, 6.5, 2.0 ** 21, 2.0 ** 24]))
     grid = st.integers(-6, 6).map(lambda k: base + k * 1e-10)
     d = draw(grid)
