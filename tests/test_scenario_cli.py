@@ -245,6 +245,19 @@ class TestCli:
         assert err["error"]["kind"] == "analysis"
         assert err["error"]["error_type"] == "JamError"
 
+    def test_analysis_error_removes_only_the_out_directories_it_made(self, capsys, tmp_path):
+        p = scenario_path(tmp_path, {
+            "schema_version": 1,
+            "mechanism": {"mu1": 0.9, "mu2": 0.9, "theta_deg": 20.0},
+        })
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        rc, err = run_cli(capsys, ["mechanism", "--scenario", p,
+                                   "--out", str(kept / "outx" / "deep")])
+        assert rc == 3
+        assert err["error"]["error_type"] == "JamError"
+        assert list(kept.iterdir()) == []
+
     def test_protocol_error_in_script_exits_3(self, capsys, tmp_path):
         p = scenario_path(tmp_path, {
             "schema_version": 1,
