@@ -10,6 +10,7 @@ here reads the clock or global RNG state.
 """
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import math
@@ -751,7 +752,8 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
     as a set: run writes them into a temporary directory inside outdir, and
     they replace those in outdir only when all of them were written and
     none of their targets is a directory; on any error the temporary
-    directory is removed and outdir keeps its files.
+    directory is removed, outdir keeps its files, and the directories run
+    made for outdir are removed again.
     """
     if command not in COMMANDS:
         raise ScenarioError("$", f"unknown command {command!r}")
@@ -763,7 +765,9 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
             angular_resolution_deg=_check(resolution, "$.resolution", _ENVELOPE[0])))
     meta = {"command": command, "schema_version": SCHEMA_VERSION, "seed": seed}
     out = Path(outdir)
+    made: list[Path] = []  # deepest first
     try:
+        made += [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".docksim-", dir=out) as staged:
             artifacts = COMMANDS[command](scenario, meta)
@@ -773,5 +777,10 @@ def run(command: str, scenario: Scenario, outdir: str | Path,
                 writers.get(Path(name).suffix, write_json)(Path(staged, name), content)
             _publish(Path(staged), out, list(artifacts))
         return list(artifacts)
-    except OSError as err:
-        raise ScenarioError("$.out", f"cannot write artifacts: {err}") from err
+    except BaseException as err:
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        if isinstance(err, OSError):
+            raise ScenarioError("$.out", f"cannot write artifacts: {err}") from err
+        raise

@@ -601,7 +601,7 @@ class TestAssemblyCommand:
         assert rc == 3
         assert err["error"]["error_type"] == "ParameterError"
         assert err["error"]["message"] == "ground reaction at anchor 'base' is not finite"
-        assert list((tmp_path / "o").iterdir()) == []  # no artifact written
+        assert not (tmp_path / "o").exists()  # no artifact, and no directory, left behind
 
     def test_overflow_leaves_only_the_log_line_on_stderr(self, capfd, tmp_path):
         # a separate process: in-process, pytest would catch a numpy warning
