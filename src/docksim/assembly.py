@@ -314,33 +314,39 @@ class PowerRoute:
 
 
 class _Forest:
-    """One walk of the Locked forest and what is derived from it.
+    """One walk of the Locked forest: the only place the Locked topology is
+    derived, from the walk alone and never from the geometry.
 
-    walks is ModuleGraph._forest's result. The path index comes from the
-    walk alone, never from the geometry: each module's parent in its
-    component's walk (None at the root), its depth and its component, plus
-    the components whose distinct-neighbour graph has a loop. placed is
-    ModuleGraph._place's result, kept only once it has succeeded.
+    walks is ModuleGraph._forest's result. Per module: link, the (parent
+    end, child end) interface that first reached it (None at its
+    component's root), its depth, its component, and adjacent, its sorted
+    Locked peer ids (the walk meets every Locked interface from both ends).
+    looped holds the components whose distinct-neighbour graph has a loop.
+    placed is ModuleGraph._place's result, kept only once it has succeeded.
     """
 
-    __slots__ = ("walks", "parent", "depth", "component", "looped", "placed")
+    __slots__ = ("walks", "link", "depth", "component", "adjacent", "looped", "placed")
 
-    def __init__(self, walks, adjacent: dict[str, tuple[str, ...]]):
+    def __init__(self, walks):
         self.walks = walks
-        self.parent: dict[str, str | None] = {}
+        self.link: dict[str, tuple[PortRef, PortRef] | None] = {}
         self.depth: dict[str, int] = {}
         self.component: dict[str, int] = {}
+        self.adjacent: dict[str, tuple[str, ...]] = {}
         self.looped: set[int] = set()
         self.placed: tuple[dict[str, Pose], dict[str, np.ndarray]] | None = None
         for k, (root, comp, steps) in enumerate(walks):
-            self.parent[root], self.depth[root] = None, 0
+            self.link[root], self.depth[root] = None, 0
+            peers: dict[str, set[str]] = {m: set() for m in comp}
             for ref, peer, new in steps:
+                peers[ref[0]].add(peer[0])
                 if new:
-                    self.parent[peer[0]] = ref[0]
+                    self.link[peer[0]] = (ref, peer)
                     self.depth[peer[0]] = self.depth[ref[0]] + 1
             self.component.update(dict.fromkeys(comp, k))
+            self.adjacent.update((m, tuple(sorted(p))) for m, p in peers.items())
             # a tree of n modules has n - 1 neighbour pairs, each listed twice
-            if sum(len(adjacent[m]) for m in comp) > 2 * (len(comp) - 1):
+            if sum(map(len, peers.values())) > 2 * (len(comp) - 1):
                 self.looped.add(k)
 
 
@@ -354,20 +360,18 @@ class ModuleGraph:
     walks cross only the interfaces whose own state is Locked, in that
     order, which fixes the summation order of the interface loads and the
     order of the loop-closure checks, and with them the bytes of every
-    wrench. _adjacent holds each module's Locked peer ids sorted, the
-    neighbours a breadth-first path search visits; dock, unlock and undock
-    rebuild it for the two modules they change.
+    wrench.
 
-    _cache is the single derived cache: one walk of the Locked forest
-    (a _Forest) that world poses, statics and paths share. It is dropped
-    wherever _adjacent changes (_reindex, add_module) and walked again by
-    the next query that needs it.
+    _cache is the single derived state: one walk of the Locked forest (a
+    _Forest) that records each module's link, depth, component and Locked
+    peers, and that neighbours, paths, world poses and statics share. Every
+    dock, unlock, undock and add_module drops it, and the next query that
+    needs it walks again.
     """
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
         self._ports: dict[str, dict[str, tuple[PortRef, EdgeInfo]]] = {}
-        self._adjacent: dict[str, tuple[str, ...]] = {}
         self._cache: _Forest | None = None
 
     # --- construction -----------------------------------------------------
@@ -377,7 +381,6 @@ class ModuleGraph:
             raise ParameterError(f"duplicate module id {module.module_id!r}")
         self._modules[module.module_id] = module
         self._ports[module.module_id] = {}
-        self._adjacent[module.module_id] = ()
         self._cache = None
 
     def module(self, module_id: str) -> Module:
@@ -431,7 +434,7 @@ class ModuleGraph:
         info = EdgeInfo(state, cfg)
         self._ports[id_a][port_a] = (ref_b, info)
         self._ports[id_b][port_b] = (ref_a, info)
-        self._reindex(id_a, id_b)
+        self._cache = None
         edge = (ref_a, ref_b) if ref_a < ref_b else (ref_b, ref_a)
         return DockReport(accepted=True, edge=edge, state=state)
 
@@ -445,18 +448,18 @@ class ModuleGraph:
         info._drop(InterfaceState())
         del self._ports[ref[0]][ref[1]]
         del self._ports[peer[0]][peer[1]]
-        self._reindex(ref[0], peer[0])
+        self._cache = None
 
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop.
 
         Any other phase raises ProtocolError and leaves the interface as it was.
         """
-        ref, peer, info = self._docked_at(module_id, port_name)
+        info = self._docked_at(module_id, port_name)[2]
         if not info.locked:  # a faulted FSM would absorb the stroke, not refuse it
             raise ProtocolError(f"start_unlock requires locked, not {info.state.phase}")
         info._drop(_stroke(info.state, "start_unlock", info.config))
-        self._reindex(ref[0], peer[0])
+        self._cache = None
         return info.state
 
     def _end(self, ref: PortRef) -> tuple[PortRef, EdgeInfo] | None:
@@ -470,13 +473,6 @@ class ModuleGraph:
         if entry is None:
             raise NotConnectedError(f"port {ref} is not docked")
         return (ref, *entry)
-
-    def _reindex(self, *module_ids: str) -> None:
-        for mid in module_ids:
-            self._adjacent[mid] = tuple(sorted(
-                {peer[0] for peer, info in self._ports[mid].values() if info.locked}
-            ))
-        self._cache = None
 
     def edges(self) -> tuple[EdgeKey, ...]:
         return tuple(sorted(
@@ -506,7 +502,7 @@ class ModuleGraph:
 
     def neighbors(self, module_id: str) -> tuple[str, ...]:
         """Modules reachable over Locked interfaces only; KeyError if unknown."""
-        return self._adjacent[module_id]
+        return self._walked().adjacent[module_id]
 
     def path(self, src: str, dst: str) -> tuple[str, ...] | None:
         """Fewest-hop path from src to dst over Locked interfaces, None if
@@ -524,15 +520,15 @@ class ModuleGraph:
             return None
         if k in forest.looped:
             return shortest_path(self.neighbors, src, dst)
-        parent, depth = forest.parent, forest.depth
+        link, depth = forest.link, forest.depth
         up, down = [src], [dst]
         while depth[up[-1]] > depth[down[-1]]:
-            up.append(parent[up[-1]])
+            up.append(link[up[-1]][0][0])
         while depth[down[-1]] > depth[up[-1]]:
-            down.append(parent[down[-1]])
+            down.append(link[down[-1]][0][0])
         while up[-1] != down[-1]:
-            up.append(parent[up[-1]])
-            down.append(parent[down[-1]])
+            up.append(link[up[-1]][0][0])
+            down.append(link[down[-1]][0][0])
         return (*up, *reversed(down[:-1]))
 
     def _walk(
@@ -587,16 +583,16 @@ class ModuleGraph:
         return [walks[i] for i in dict.fromkeys(comp_of[mid] for mid in self._modules)]
 
     def _walked(self) -> _Forest:
-        """The cached walk, walked again after _adjacent changed."""
+        """The cached walk, walked again after the graph changed."""
         if self._cache is None:
-            self._cache = _Forest(self._forest(), self._adjacent)
+            self._cache = _Forest(self._forest())
         return self._cache
 
     def _placed(self) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
         """_place of the cached walk; an error is raised again on every call."""
         forest = self._walked()
         if forest.placed is None:
-            forest.placed = self._place(forest.walks)
+            forest.placed = self._place(forest)
         return forest.placed
 
     # --- kinematics ---------------------------------------------------------
@@ -605,24 +601,24 @@ class ModuleGraph:
         """Propagate poses from anchors; loop closures must agree to 1e-6."""
         return dict(self._placed()[0])
 
-    def _place(self, forest) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
+    def _place(self, forest: _Forest) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
         """World poses of anchored components, and each posed module's
         parent-side port frame (the frame its pose was derived through).
 
         Each tree interface is derived once, from the module nearer the
-        root. Seen again from the far side it would close on itself
-        (RotX(pi) squared is the identity), so only loop-closing
-        interfaces are derived a second time and checked.
+        root. Seen again from the far side, the reverse of the far module's
+        own link, it would close on itself (RotX(pi) squared is the
+        identity), so only loop-closing interfaces are derived a second
+        time and checked.
         """
         poses: dict[str, Pose] = {}
         frames: dict[str, np.ndarray] = {}
-        for root, _, steps in forest:
+        for root, _, steps in forest.walks:
             if not self._modules[root].grounded:
                 continue
             poses[root] = self._modules[root].world_pose
-            reached_via: dict[str, str] = {}  # module -> port its pose came through
             for (cur, pname), (pid, ppname), new in steps:
-                if reached_via.get(cur) == pname:
+                if forest.link[cur] == ((pid, ppname), (cur, pname)):
                     continue
                 frame, t = _mate(
                     poses[cur],
@@ -642,7 +638,6 @@ class ModuleGraph:
                     )
                 poses[pid] = t
                 frames[pid] = frame
-                reached_via[pid] = ppname
         return poses, frames
 
     # --- statics -------------------------------------------------------------
@@ -672,7 +667,7 @@ class ModuleGraph:
         ):
             raise ParameterError("gravity must be three finite numbers")
 
-        forest = self._walked().walks
+        forest = self._walked()
         poses, frames = self._placed()
 
         loads: dict[EdgeKey, Wrench] = {}
@@ -680,7 +675,7 @@ class ModuleGraph:
         reactions: dict[str, Wrench] = {}
 
         zero = Wrench()
-        for root, comp, steps in forest:
+        for _, comp, steps in forest.walks:
             anchors = [m for m in comp if self._modules[m].grounded]
             loaded = any(mid in external and external[mid] != zero for mid in comp) or (
                 gravity is not None and any(self._modules[m].mass_kg > 0.0 for m in comp)
@@ -704,7 +699,7 @@ class ModuleGraph:
                     f"loaded component {sorted(comp)} is anchored {len(anchors)} times"
                 )
             self._propagate_component(
-                root, steps, external, gravity, poses, frames, loads, local, reactions
+                comp, forest.link, external, gravity, poses, frames, loads, local, reactions
             )
 
         checks = {
@@ -734,25 +729,21 @@ class ModuleGraph:
     # a sum past the float range is caught as a non-finite Wrench, not printed
     @np.errstate(over="ignore", invalid="ignore")
     def _propagate_component(
-        self, root, steps, external, gravity, poses, frames, loads, local, reactions
+        self, comp, link, external, gravity, poses, frames, loads, local, reactions
     ):
-        # rooted tree from the anchor's walk: (parent end, child end) per module
-        link: dict[str, tuple[PortRef, PortRef] | None] = {root: None}
-        children: dict[str, list[str]] = {root: []}
-        for pref, cref, new in steps:
-            if new:
-                link[cref[0]] = (pref, cref)
-                children[pref[0]].append(cref[0])
-                children[cref[0]] = []
+        # rooted tree of the anchor's walk, children in walk order
+        root = comp[0]
+        children: dict[str, list[str]] = {m: [] for m in comp}
+        for mid in comp[1:]:
+            children[link[mid][0][0]].append(mid)
 
         # bottom-up subtree sums: force, and moment about each edge point
         sub_f: dict[str, np.ndarray] = {}
         sub_m: dict[str, np.ndarray] = {}  # about the module's parent-edge point
         edge_pt: dict[str, np.ndarray] = {}
-        for mid in reversed(link):
+        for mid in reversed(comp):
             f, m, p = self._module_load(mid, external, gravity, poses)
             if link[mid] is not None:
-                pref, cref = link[mid]
                 frame = frames[mid]  # parent-side port frame, formed deriving mid's pose
                 edge_pt[mid] = frame[:3, 3]
             else:
@@ -765,10 +756,10 @@ class ModuleGraph:
             sub_f[mid] = total_f
             sub_m[mid] = total_m
             if link[mid] is not None:
-                loads[(pref, cref)] = _wrench_from_vecs(total_f, total_m)
+                loads[link[mid]] = _wrench_from_vecs(total_f, total_m)
                 # same wrench seen in the interface frame (parent-side port)
                 rot = frame[:3, :3]
-                local[(pref, cref)] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
+                local[link[mid]] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
         try:
             reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
         except ParameterError:

@@ -553,6 +553,18 @@ class TestPropagateWrench:
         assert r.fz_n == pytest.approx(10.0, abs=1e-12)
         assert r.my_nm == pytest.approx(-20.0, abs=1e-12)
 
+    def test_siblings_are_summed_in_walk_order(self):
+        # float addition does not associate: 1 + 1e16 - 1e16 is 0 summed in
+        # dock order and 1 summed the other way round
+        g = ModuleGraph()
+        g.add_module(simple_module("a", grounded=True, world=Pose.identity(), nports=3))
+        for mid, port in zip("bcd", ("px", "nx", "pz")):
+            g.add_module(simple_module(mid))
+            dock_ok(g, "a", port, mid, "nx")
+        res = g.propagate_wrench({"b": Wrench(fx_n=1.0), "c": Wrench(fx_n=1e16),
+                                  "d": Wrench(fx_n=-1e16)})
+        assert res.ground_reactions["a"].fx_n == 0.0
+
     def test_local_frame_load_and_check(self):
         # px port frame: local z = world +x, so a world -z force at the tip
         # is pure lateral shear plus bending in the interface frame

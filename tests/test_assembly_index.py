@@ -11,7 +11,8 @@ poses and statics of the scripted graph, which answered every earlier query
 from its cached walk, must match those of a fresh graph that replays the
 script so far, bit for bit or error for error. The same scripts run again on
 graphs with a random set of anchors. Direct tests count the walks that the
-benchmark's assembly build and queries make.
+benchmark's assembly build and queries make, and check that path searches
+breadth-first only on a component whose neighbour graph has a loop.
 """
 import contextlib
 
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assembly_oracle import perfbench_inputs, truss_ports
+from docksim import assembly
 from docksim.assembly import GRAVITY_M_S2, Module, ModuleGraph, Pose, Port
 from docksim.bus import Frame, send_frame
 from docksim.errors import DocksimError, IndeterminateError, UnreachableError, UnsupportedError
@@ -308,6 +310,8 @@ class TestOneWalk:
                 graph.release_route(route)
         for channel, src, dst, size in plan["frames"]:
             send_frame(Frame(channel, src, dst, bytes(size)), graph)
+        for mid in graph.modules():
+            graph.neighbors(mid)
         assert len(walks) == 1
 
         # each change costs one more walk, made by the first query after it
@@ -327,6 +331,8 @@ class TestOneWalk:
                     graph.release_route(route)
                 with contextlib.suppress(UnreachableError):
                     send_frame(Frame("can", src, dst, b""), graph)
+            for mid in graph.modules():
+                graph.neighbors(mid)
             assert len(walks) == walked
 
     def test_inconsistent_loop_routes_but_never_places(self, monkeypatch):
@@ -358,3 +364,60 @@ class TestOneWalk:
         del poses["c"]
         assert graph.propagate_wrench(load) == before
         assert set(graph.world_poses()) == {"a", "b", "c"}
+
+
+def spy_searches(monkeypatch) -> list:
+    """Wrap the breadth-first search path falls back to; one entry per search."""
+    searches = []
+    search = assembly.shortest_path
+
+    def spying(neighbors, src, dst):
+        searches.append((src, dst))
+        return search(neighbors, src, dst)
+
+    monkeypatch.setattr(assembly, "shortest_path", spying)
+    return searches
+
+
+def doubly_locked_pair() -> ModuleGraph:
+    """a and b share the truss pair a.e0-b.w1 and a.e1-b.w0, both Locked, and
+    b holds c; d is docked to nothing."""
+    ports = truss_ports()
+    graph = ModuleGraph()
+    graph.add_module(Module("a", "truss_node", ports, grounded=True,
+                            world_pose=Pose.identity()))
+    for mid in "bcd":
+        graph.add_module(Module(mid, "link", ports))
+    for a, pa, b, pb in (("a", "e0", "b", "w1"), ("a", "e1", "b", "w0"), ("b", "e0", "c", "w1")):
+        assert graph.dock(a, pa, b, pb).accepted
+    return graph
+
+
+def locked_triangle() -> ModuleGraph:
+    """a, b and c Locked in a cycle; d is docked to nothing."""
+    graph = make_graph(("a",))
+    for a, pa, b, pb in (("a", "p0", "b", "p1"), ("b", "p0", "c", "p1"), ("c", "p0", "a", "p1")):
+        assert graph.dock(a, pa, b, pb).accepted
+    return graph
+
+
+class TestWalkIndex:
+    @pytest.mark.parametrize("build,searched", [(doubly_locked_pair, False),
+                                                (locked_triangle, True)])
+    def test_only_a_neighbour_loop_is_searched(self, build, searched, monkeypatch):
+        # two interfaces between one pair of modules make no neighbour loop
+        graph = build()
+        searches = spy_searches(monkeypatch)
+        expected = oracle_paths(graph)
+        for src in graph.modules():
+            assert graph.neighbors(src) == oracle_neighbors(graph, src)
+            for dst in graph.modules():
+                assert graph.path(src, dst) == expected.get((src, dst))
+        assert bool(searches) == searched
+
+    def test_unknown_module_raises_key_error(self):
+        graph = locked_triangle()
+        for query in (lambda: graph.neighbors("z"), lambda: graph.path("z", "a"),
+                      lambda: graph.path("a", "z")):
+            with pytest.raises(KeyError):
+                query()
