@@ -317,37 +317,49 @@ class _Forest:
     """One walk of the Locked forest: the only place the Locked topology is
     derived, from the walk alone and never from the geometry.
 
-    walks is ModuleGraph._forest's result. Per module: link, the (parent
-    end, child end) interface that first reached it (None at its
-    component's root), its depth, its component, and adjacent, its sorted
-    Locked peer ids (the walk meets every Locked interface from both ends).
-    looped holds the components whose distinct-neighbour graph has a loop.
-    placed is ModuleGraph._place's result, kept only once it has succeeded.
+    Each component is walked once, from its lowest-id anchor if it has one,
+    else from its first module, and every index is filled as each walk step
+    arrives. walks holds (root, modules in walk order, walk steps) per
+    component, in the order of each component's first module. Per module:
+    link, the (parent end, child end) interface that first reached it (None
+    at its component's root), its depth, its component, and adjacent, its
+    sorted Locked peer ids (the walk meets every Locked interface from both
+    ends). looped holds the components whose distinct-neighbour graph has a
+    loop. placed is ModuleGraph._place's result, kept only once it has
+    succeeded.
     """
 
     __slots__ = ("walks", "link", "depth", "component", "adjacent", "looped", "placed")
 
-    def __init__(self, walks):
-        self.walks = walks
+    def __init__(self, graph: ModuleGraph):
         self.link: dict[str, tuple[PortRef, PortRef] | None] = {}
         self.depth: dict[str, int] = {}
         self.component: dict[str, int] = {}
         self.adjacent: dict[str, tuple[str, ...]] = {}
         self.looped: set[int] = set()
         self.placed: tuple[dict[str, Pose], dict[str, np.ndarray]] | None = None
-        for k, (root, comp, steps) in enumerate(walks):
-            self.link[root], self.depth[root] = None, 0
-            peers: dict[str, set[str]] = {m: set() for m in comp}
-            for ref, peer, new in steps:
+        walks = []
+        anchors = sorted(mid for mid, mod in graph._modules.items() if mod.grounded)
+        for root in (*anchors, *graph._modules):
+            if root in self.component:
+                continue
+            k = len(walks)
+            self.link[root], self.depth[root], self.component[root] = None, 0, k
+            steps, peers = [], {root: set()}  # peers: the component in walk order
+            for ref, peer, new in graph._walk([root]):
                 peers[ref[0]].add(peer[0])
                 if new:
                     self.link[peer[0]] = (ref, peer)
                     self.depth[peer[0]] = self.depth[ref[0]] + 1
-            self.component.update(dict.fromkeys(comp, k))
+                    self.component[peer[0]] = k
+                    peers[peer[0]] = set()
+                steps.append((ref, peer, new))
+            walks.append((root, list(peers), steps))
             self.adjacent.update((m, tuple(sorted(p))) for m, p in peers.items())
             # a tree of n modules has n - 1 neighbour pairs, each listed twice
-            if sum(map(len, peers.values())) > 2 * (len(comp) - 1):
+            if sum(map(len, peers.values())) > 2 * (len(peers) - 1):
                 self.looped.add(k)
+        self.walks = [walks[k] for k in dict.fromkeys(map(self.component.get, graph._modules))]
 
 
 class ModuleGraph:
@@ -363,10 +375,10 @@ class ModuleGraph:
     wrench.
 
     _cache is the single derived state: one walk of the Locked forest (a
-    _Forest) that records each module's link, depth, component and Locked
-    peers, and that neighbours, paths, world poses and statics share. Every
-    dock, unlock, undock and add_module drops it, and the next query that
-    needs it walks again.
+    _Forest, which walks and records each module's link, depth, component
+    and Locked peers in one pass), shared by neighbours, paths, world poses
+    and statics. Every dock, unlock, undock and add_module drops it, and the
+    next query that needs it walks again.
     """
 
     def __init__(self):
@@ -559,33 +571,10 @@ class ModuleGraph:
         """Modules the walk from root reaches, in walk order, root excluded."""
         return (peer[0] for _, peer, new in self._walk([root], cut) if new)
 
-    def _forest(self) -> list[tuple[str, list[str], list]]:
-        """Every component of the Locked subgraph, walked once.
-
-        Returns (root, modules in walk order, walk steps) per component, in
-        the order of each component's first module. An anchored component is
-        walked from its lowest-id anchor, any other from its first module.
-        """
-        comp_of: dict[str, int] = {}
-        walks = []
-        anchors = sorted(mid for mid, mod in self._modules.items() if mod.grounded)
-        for root in (*anchors, *self._modules):
-            if root in comp_of:
-                continue
-            comp_of[root] = len(walks)
-            comp, steps = [root], []
-            for ref, peer, new in self._walk([root]):
-                if new:
-                    comp_of[peer[0]] = len(walks)
-                    comp.append(peer[0])
-                steps.append((ref, peer, new))
-            walks.append((root, comp, steps))
-        return [walks[i] for i in dict.fromkeys(comp_of[mid] for mid in self._modules)]
-
     def _walked(self) -> _Forest:
-        """The cached walk, walked again after the graph changed."""
+        """The cached walk; after the graph changed, a new _Forest walks it again."""
         if self._cache is None:
-            self._cache = _Forest(self._forest())
+            self._cache = _Forest(self)
         return self._cache
 
     def _placed(self) -> tuple[dict[str, Pose], dict[str, np.ndarray]]:
@@ -657,7 +646,9 @@ class ModuleGraph:
         Each edge wrench is re-expressed in the interface frame and checked
         against the load envelope with that edge's dual-lock state. A
         gravity that is not three finite numbers, and a ground reaction
-        that is not finite, raise ParameterError.
+        that is not finite, raise ParameterError. Each loaded component is
+        summed here in place, bottom-up over the cached walk: modules in
+        reverse walk order, each one's children in walk order.
         """
         external = dict(external or {})
         for mid in external:
@@ -675,6 +666,7 @@ class ModuleGraph:
         reactions: dict[str, Wrench] = {}
 
         zero = Wrench()
+        link = forest.link
         for _, comp, steps in forest.walks:
             anchors = [m for m in comp if self._modules[m].grounded]
             loaded = any(mid in external and external[mid] != zero for mid in comp) or (
@@ -698,9 +690,39 @@ class ModuleGraph:
                 raise IndeterminateError(
                     f"loaded component {sorted(comp)} is anchored {len(anchors)} times"
                 )
-            self._propagate_component(
-                comp, forest.link, external, gravity, poses, frames, loads, local, reactions
-            )
+            # rooted tree of the anchor's walk, children in walk order
+            root = comp[0]
+            children: dict[str, list[str]] = {m: [] for m in comp}
+            for mid in comp[1:]:
+                children[link[mid][0][0]].append(mid)
+
+            # bottom-up subtree sums: force, and moment about each module's edge
+            # point; a sum past the float range is caught as a non-finite Wrench
+            sub_f: dict[str, np.ndarray] = {}
+            sub_m: dict[str, np.ndarray] = {}
+            edge_pt: dict[str, np.ndarray] = {}
+            with np.errstate(over="ignore", invalid="ignore"):
+                for mid in reversed(comp):
+                    w = external.get(mid, zero)
+                    f = np.array([w.fx_n, w.fy_n, w.fz_n])
+                    if gravity is not None:
+                        f = f + self._modules[mid].mass_kg * np.array(gravity)
+                    p = poses[mid].translation
+                    edge_pt[mid] = p if link[mid] is None else frames[mid][:3, 3]
+                    m = np.array([w.mx_nm, w.my_nm, w.mz_nm]) + _cross(p - edge_pt[mid], f)
+                    for cid in children[mid]:
+                        f += sub_f[cid]
+                        m += sub_m[cid] + _cross(edge_pt[cid] - edge_pt[mid], sub_f[cid])
+                    sub_f[mid], sub_m[mid] = f, m
+                    if link[mid] is not None:
+                        loads[link[mid]] = _wrench_from_vecs(f, m)
+                        # same wrench seen in the interface frame (parent-side port)
+                        rot = frames[mid][:3, :3]
+                        local[link[mid]] = _wrench_from_vecs(rot.T @ f, rot.T @ m)
+            try:  # f and m now hold the anchor's subtree sums
+                reactions[root] = _wrench_from_vecs(-f, -m)
+            except ParameterError:
+                raise ParameterError(f"ground reaction at anchor {root!r} is not finite") from None
 
         checks = {
             edge: check_load(
@@ -716,54 +738,6 @@ class ModuleGraph:
             load_checks=checks,
             ground_reactions=reactions,
         )
-
-    def _module_load(self, mid: str, external, gravity, poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(force, moment, application point) for one module, world frame."""
-        w = external.get(mid, Wrench())
-        f = np.array([w.fx_n, w.fy_n, w.fz_n])
-        m = np.array([w.mx_nm, w.my_nm, w.mz_nm])
-        if gravity is not None:
-            f = f + self._modules[mid].mass_kg * np.array(gravity)
-        return f, m, poses[mid].translation
-
-    # a sum past the float range is caught as a non-finite Wrench, not printed
-    @np.errstate(over="ignore", invalid="ignore")
-    def _propagate_component(
-        self, comp, link, external, gravity, poses, frames, loads, local, reactions
-    ):
-        # rooted tree of the anchor's walk, children in walk order
-        root = comp[0]
-        children: dict[str, list[str]] = {m: [] for m in comp}
-        for mid in comp[1:]:
-            children[link[mid][0][0]].append(mid)
-
-        # bottom-up subtree sums: force, and moment about each edge point
-        sub_f: dict[str, np.ndarray] = {}
-        sub_m: dict[str, np.ndarray] = {}  # about the module's parent-edge point
-        edge_pt: dict[str, np.ndarray] = {}
-        for mid in reversed(comp):
-            f, m, p = self._module_load(mid, external, gravity, poses)
-            if link[mid] is not None:
-                frame = frames[mid]  # parent-side port frame, formed deriving mid's pose
-                edge_pt[mid] = frame[:3, 3]
-            else:
-                edge_pt[mid] = poses[mid].translation
-            total_f = f.copy()
-            total_m = m + _cross(p - edge_pt[mid], f)
-            for cid in children[mid]:
-                total_f += sub_f[cid]
-                total_m += sub_m[cid] + _cross(edge_pt[cid] - edge_pt[mid], sub_f[cid])
-            sub_f[mid] = total_f
-            sub_m[mid] = total_m
-            if link[mid] is not None:
-                loads[link[mid]] = _wrench_from_vecs(total_f, total_m)
-                # same wrench seen in the interface frame (parent-side port)
-                rot = frame[:3, :3]
-                local[link[mid]] = _wrench_from_vecs(rot.T @ total_f, rot.T @ total_m)
-        try:
-            reactions[root] = _wrench_from_vecs(-sub_f[root], -sub_m[root])
-        except ParameterError:
-            raise ParameterError(f"ground reaction at anchor {root!r} is not finite") from None
 
     # --- power routing --------------------------------------------------------
 
@@ -838,12 +812,13 @@ class ModuleGraph:
         return tuple(rows)
 
     def _edge_between(self, id_a: str, id_b: str) -> EdgeKey:
-        """The first Locked interface, in dock order, from id_a to id_b."""
-        for pname, (peer, info) in self._ports[id_a].items():
-            if peer[0] == id_b and info.locked:
-                ref = (id_a, pname)
-                return (ref, peer) if ref < peer else (peer, ref)
-        raise NotConnectedError(f"{id_a!r} and {id_b!r} share no locked interface")
+        """The first Locked interface, in dock order, from id_a to id_b: route_power
+        asks only about consecutive modules of a Locked path, which always share one."""
+        ref, peer = next(
+            ((id_a, pname), peer) for pname, (peer, info) in self._ports[id_a].items()
+            if peer[0] == id_b and info.locked
+        )
+        return (ref, peer) if ref < peer else (peer, ref)
 
     # --- reconfiguration --------------------------------------------------------
 

@@ -138,17 +138,12 @@ def step(
     t = state.time_s + dt
     if state.phase == "capturing":
         return replace(state, phase="aligned", progress_s=0.0, time_s=t)
-    if state.phase == "locking":
+    if state.phase in ("locking", "unlocking"):
         p = state.progress_s + dt
         if p >= config.lock_duration_s:
-            return replace(state, phase="locked", progress_s=0.0, time_s=t)
-        return replace(state, progress_s=p, time_s=t)
-    if state.phase == "unlocking":
-        p = state.progress_s + dt
-        if p >= config.lock_duration_s:
-            return replace(
-                state, phase="aligned", progress_s=0.0, sides_engaged=(), time_s=t
-            )
+            if state.phase == "locking":
+                return replace(state, phase="locked", progress_s=0.0, time_s=t)
+            return replace(state, phase="aligned", progress_s=0.0, sides_engaged=(), time_s=t)
         return replace(state, progress_s=p, time_s=t)
     return replace(state, time_s=t)
 

@@ -427,11 +427,6 @@ def parse_profile(obj, path: str) -> FaceProfile:
     return _record(FaceProfile, _PROFILE, obj, path)
 
 
-def profile_to_json(profile: FaceProfile) -> dict:
-    """Full explicit profile section; written as JSON it re-parses under parse_profile."""
-    return asdict(profile)
-
-
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     try:
@@ -535,7 +530,7 @@ def run_envelope(scenario: Scenario, meta: dict) -> dict:
             "translation_limit_mm": env.translation_limit_mm,
             "rotation_limit_deg": env.rotation_limit_deg,
             "deflection_limit_deg": env.deflection_limit_deg,
-            "profile": profile_to_json(profile),
+            "profile": asdict(profile),
         },
         "envelope_directions.csv": ("axis,direction_deg,limit,unit", [
             (axis, direction, limit, "mm" if axis == "translation" else "deg")
@@ -552,7 +547,7 @@ def run_calibrate(scenario: Scenario, meta: dict) -> dict:
     )
     env = full_envelope(profile)
     return {
-        "calibrated_profile.json": profile_to_json(profile),
+        "calibrated_profile.json": asdict(profile),
         "calibration_report.json": {
             "meta": meta,
             "targets": asdict(targets),

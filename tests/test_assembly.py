@@ -405,6 +405,14 @@ class TestGraphEditing:
         with pytest.raises(ParameterError):
             g.dock("a", "px", "a", "nx")
 
+    def test_unknown_port_rejected(self):
+        g = ModuleGraph()
+        for mid in ("a", "b"):
+            g.add_module(simple_module(mid))
+        with pytest.raises(ParameterError, match="^module 'a' has no port 'nope'$"):
+            g.dock("a", "nope", "b", "nx")
+        assert g.edges() == ()
+
     def test_undock_round_trip_restores_graph(self):
         g = ModuleGraph()
         g.add_module(simple_module("a"))
@@ -735,6 +743,22 @@ class TestPropagateWrench:
         with pytest.raises(UnsupportedError):
             g.propagate_wrench(external)
 
+    def test_components_are_taken_in_the_order_of_their_first_module(self):
+        # the floating pair is added first, so its missing anchor is found
+        # before the anchored pair's overflowing reaction, and its zero
+        # interface load comes first, though anchors are walked first
+        g = ModuleGraph()
+        for base, arm, grounded in (("f0", "f1", False), ("a0", "a1", True)):
+            g.add_module(Module(base, "truss_node", ports=(Port("p", Pose.from_xyz_rpy(z=1.0)),),
+                                grounded=grounded, world_pose=Pose.identity() if grounded else None))
+            g.add_module(Module(arm, "link", ports=(Port("p", Pose.from_xyz_rpy(z=-1.0)),)))
+            dock_ok(g, base, "p", arm, "p")
+        with pytest.raises(UnsupportedError):
+            g.propagate_wrench({"f1": Wrench(fz_n=1.0), "a0": Wrench(fz_n=1e308),
+                                "a1": Wrench(fz_n=1e308)})
+        res = g.propagate_wrench({"a1": Wrench(fz_n=1.0)})
+        assert list(res.interface_loads) == [(("f0", "p"), ("f1", "p")), (("a0", "p"), ("a1", "p"))]
+
     @pytest.mark.parametrize("gravity", [
         (0.0, 0.0), (0.0, 0.0, -9.81, 0.0), -9.81, (math.nan, 0.0, -9.81),
         (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
@@ -992,6 +1016,8 @@ class TestReconfigure:
             g.reconfigure([("dock", "base", "pz")])
         with pytest.raises(ParameterError):
             g.reconfigure([("undock", "base", "px"), ("teleport", "foot")])
+        with pytest.raises(ParameterError, match=r"^op 0: undock takes \(id, port\)$"):
+            g.reconfigure([("undock", "base")])
         assert g.edges() == before  # shape errors reject the whole plan
 
     def test_bad_misalignment_rejected_upfront(self):
@@ -1036,6 +1062,10 @@ class TestReconfigure:
         op = ("dock", "base", "pz", "ghost", "pz")
         assert g.reconfigure([op]).steps == (
             StepOutcome(0, op, applied=False, detail="no module 'ghost'"),
+        )
+        op = ("dock", "base", "nope", "foot", "pz")
+        assert g.reconfigure([op]).steps == (
+            StepOutcome(0, op, applied=False, detail="module 'base' has no port 'nope'"),
         )
 
     def test_outcome_of_a_dock_that_capture_rejects(self):

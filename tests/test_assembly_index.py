@@ -284,15 +284,15 @@ def truss_assembly():
 
 
 def count_walks(monkeypatch) -> list:
-    """Wrap ModuleGraph._forest; the list gets one entry per walk."""
+    """Wrap _Forest.__init__; the list gets one entry per walk."""
     walks = []
-    forest = ModuleGraph._forest
+    init = assembly._Forest.__init__
 
-    def counting(self):
-        walks.append(self)
-        return forest(self)
+    def counting(self, graph):
+        walks.append(graph)
+        init(self, graph)
 
-    monkeypatch.setattr(ModuleGraph, "_forest", counting)
+    monkeypatch.setattr(assembly._Forest, "__init__", counting)
     return walks
 
 

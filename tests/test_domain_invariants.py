@@ -27,17 +27,29 @@ from docksim.mechanism import MechanismParams
 CASES = [
     (REFERENCE_PROFILE, "petal_height_mm", 0.0,
      "petal height and groove radius must be positive"),
+    (REFERENCE_PROFILE, "outer_diameter_mm", 0.0, "outer_diameter_mm must be positive"),
+    (REFERENCE_PROFILE, "chamfer_depth_mm", -1.0, "chamfer depth must be >= 0"),
     (Misalignment(), "dx_mm", math.nan, "misalignment components must be finite"),
     (MechanismParams(), "theta_deg", 90.0, r"theta_deg must be in \(0, 90\)"),
+    (MechanismParams(), "beta_deg", 90.0, r"beta_deg must be in \[0, 90\)"),
+    (MechanismParams(), "stroke_mm", 0.0, "stroke and rod speed must be positive"),
     (Wrench(), "fx_n", math.inf, "wrench components must be finite"),
     (LoadEnvelope(), "traction_capacity_n", 0.0, "capacities must be positive and finite"),
     (CouplingConfig(), "lock_duration_s", 9.9, r"lock_duration_s must be within \[10, 20\] s"),
     (Event("tick", dt_s=1.0), "dt_s", 0.0, "tick requires dt_s > 0"),
+    (Event("approach", misalignment=Misalignment()), "misalignment", None,
+     "approach requires a misalignment"),
     (InterfaceState(), "phase", "locked", "locked requires at least one engaged side"),
+    (InterfaceState(), "phase", "docked", "unknown phase 'docked'"),
     (Module("m", "link", ()), "mass_kg", -1.0, "mass_kg must be finite and >= 0"),
+    (Module("m", "link", ()), "module_id", "", "module_id must be non-empty"),
     (Frame("can", "a", "b", b"x"), "timestamp_s", -1.0, "timestamp_s must be finite and >= 0"),
 ]
-IDS = [type(case[0]).__name__ for case in CASES]
+# a type's first row is named after the type, any further row after its field too
+IDS = []
+for case in CASES:
+    name = type(case[0]).__name__
+    IDS.append(f"{name}-{case[1]}" if name in IDS else name)
 
 
 @pytest.mark.parametrize("valid, name, bad, message", CASES, ids=IDS)

@@ -115,6 +115,8 @@ class TestSelfLocking:
         assert not self_locking(params, boundary)
         assert self_locking(params, boundary + 1e-12)
         assert not self_locking(params, boundary - 1e-12)
+        with pytest.raises(ParameterError, match="^mu_rail must be >= 0$"):
+            self_locking(params, -0.1)
 
     def test_monotone_in_mu(self):
         params = MechanismParams(beta_deg=8.0)
@@ -150,6 +152,8 @@ class TestRequiredRodForce:
                 base * scale, rel=1e-12
             )
         assert required_rod_force(0.0, params) == 0.0
+        with pytest.raises(ParameterError, match="^resisting_force must be >= 0$"):
+            required_rod_force(-1.0, params)
 
     def test_jam_raises(self):
         with pytest.raises(JamError):
@@ -163,6 +167,14 @@ class TestSimulateStroke:
         assert all(s[3] == 0.0 for s in trace.samples)
         assert trace.samples[0][1] == 0.0
         assert trace.samples[-1][1] == pytest.approx(15.0, rel=1e-12)
+
+    def test_last_sample_is_the_stroke_end(self):
+        # 0.4 s does not divide the 15 s stroke: 38 lattice samples up to
+        # 14.8 s, then the stroke end itself
+        trace = simulate_stroke(MechanismParams(), lambda r: 0.0, dt=0.4)
+        assert len(trace.samples) == 39
+        assert trace.samples[-2][0] < 15.0 and trace.samples[-1][0] == 15.0
+        assert trace.samples[-1][1] == 15.0
 
     def test_wedge_kinematics(self):
         params = MechanismParams(theta_deg=38.0)
@@ -217,6 +229,10 @@ class TestSimulateStroke:
     def test_bad_direction_rejected(self):
         with pytest.raises(ParameterError):
             simulate_stroke(MechanismParams(), lambda r: 0.0, direction="sideways")
+
+    def test_zero_dt_rejected(self):
+        with pytest.raises(ParameterError, match="^dt must be positive$"):
+            simulate_stroke(MechanismParams(), lambda r: 0.0, dt=0.0)
 
     def test_sample_count_capped_before_allocation(self, monkeypatch):
         # dt = 1e-7 over the 15 s default stroke asks for 1.5e8 samples (many
