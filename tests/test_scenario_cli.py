@@ -195,32 +195,6 @@ class TestParsing:
 
 
 class TestCli:
-    def test_schema_violation_exits_2_with_path(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {"schema_version": 1, "mechanism": {"muX": 1.0}})
-        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["kind"] == "schema"
-        assert err["error"]["path"] == "$.mechanism.muX"
-
-    def test_zero_dt_exits_2_with_path(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {"schema_version": 1, "mechanism": {"dt_s": 0.0}})
-        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["kind"] == "schema"
-        assert err["error"]["path"] == "$.mechanism.dt_s"
-
-    def test_missing_section_exits_2(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {"schema_version": 1})
-        rc, err = run_cli(capsys, ["loads", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["path"] == "$.load_case"
-
-    def test_unreadable_scenario_exits_2(self, capsys, tmp_path):
-        rc, err = run_cli(capsys, ["loads", "--scenario", str(tmp_path / "nope.json"),
-                                   "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["path"] == "$"
-
     @pytest.mark.parametrize("content,message", [
         (b'{"schema_version": 1, "x": "\xff"}', "scenario is not UTF-8: "),
         (b"[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
@@ -235,16 +209,6 @@ class TestCli:
         assert err["error"]["message"].startswith(message)
         assert not (tmp_path / "o").exists()
 
-    def test_analysis_error_exits_3_with_payload(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {
-            "schema_version": 1,
-            "mechanism": {"mu1": 0.9, "mu2": 0.9, "theta_deg": 20.0},
-        })
-        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert err["error"]["kind"] == "analysis"
-        assert err["error"]["error_type"] == "JamError"
-
     def test_analysis_error_removes_only_the_out_directories_it_made(self, capsys, tmp_path):
         p = scenario_path(tmp_path, {
             "schema_version": 1,
@@ -257,15 +221,6 @@ class TestCli:
         assert rc == 3
         assert err["error"]["error_type"] == "JamError"
         assert list(kept.iterdir()) == []
-
-    def test_protocol_error_in_script_exits_3(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {
-            "schema_version": 1,
-            "events": [{"t": 0.0, "event": "start_lock"}],  # idle cannot lock
-        })
-        rc, err = run_cli(capsys, ["couple", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert err["error"]["error_type"] == "ProtocolError"
 
     def test_mechanism_report_matches_published_defaults(self, capsys, tmp_path):
         out = tmp_path / "o"
@@ -311,49 +266,6 @@ class TestCli:
         assert rc == 0
         report = json.loads((out / "loads_report.json").read_text())
         assert report["meta"]["seed"] == 42 and type(report["meta"]["seed"]) is int
-
-    def test_negative_resisting_force_exits_2_with_path(self, capsys, tmp_path):
-        p = scenario_path(tmp_path, {"schema_version": 1,
-                                     "mechanism": {"resisting_force_n": -1.0}})
-        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["path"] == "$.mechanism.resisting_force_n"
-
-    def test_nonpositive_power_request_exits_2_with_path(self, capsys, tmp_path):
-        doc = json.loads((SCENARIOS / "assembly.json").read_text())
-        doc["assembly"]["power_requests"][0]["watts"] = 0.0
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["path"] == "$.assembly.power_requests[0].watts"
-
-    def test_non_finite_gravity_exits_2_with_path(self, capsys, tmp_path):
-        doc = json.loads((SCENARIOS / "assembly.json").read_text())
-        doc["assembly"]["gravity_mps2"] = [float("inf"), 0.0, 0.0]
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert (err["error"]["path"], err["error"]["message"]) == (
-            "$.assembly.gravity_mps2", "must be finite")
-
-    def test_theta_with_a_zero_sine_exits_2_with_no_artifact(self, capsys, tmp_path):
-        doc = json.loads((SCENARIOS / "mechanism.json").read_text())
-        doc["mechanism"]["theta_deg"] = 5e-324
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["mechanism", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert (err["error"]["path"], err["error"]["message"]) == (
-            "$.mechanism", "theta_deg must have a nonzero sine")
-        assert not (tmp_path / "o").exists()
-
-    def test_translation_scan_over_cap_exits_2_with_path(self, capsys, tmp_path):
-        doc = json.loads((SCENARIOS / "envelope.json").read_text())
-        doc["envelope"]["translation_tol_mm"] = 1e-9
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["envelope", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert err["error"]["path"] == "$.envelope.translation_tol_mm"
-        assert err["error"]["message"] == "scan would take more than 10000 lattice points"
 
     def test_resolution_flag_over_cap_exits_2(self, capsys, tmp_path):
         rc, err = run_cli(capsys, ["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
@@ -449,6 +361,7 @@ class TestCli:
         ("--resolution", "abc", "$.resolution", "expected a number"),
         ("--resolution", "", "$.resolution", "expected a number"),
         ("--resolution", "1e400", "$.resolution", "must be finite"),
+        ("--resolution", "inf", "$.resolution", "must be finite"),
         # a value that starts with '-' and is no plain number stays a value
         ("--resolution", "-inf", "$.resolution", "must be finite"),
         ("--resolution", "-abc", "$.resolution", "expected a number"),
@@ -577,38 +490,9 @@ class TestAssemblyCommand:
         assert report["frames"] == [{"channel": "can", "source": "base", "dest": "loose",
                                      "delivered": False, "reason": "no locked path"}]
 
-    def test_unsupported_load_exits_3(self, capsys, tmp_path):
-        doc = json.loads((SCENARIOS / "assembly.json").read_text())
-        for module in doc["assembly"]["modules"]:
-            module["grounded"] = False
-            module.pop("world_pose", None)
-        doc["assembly"]["power_requests"] = []
-        doc["assembly"]["frames"] = []
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert err["error"]["error_type"] == "UnsupportedError"
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_ground_reaction_exits_3(self, capsys, tmp_path):
-        # every interface load stays finite, the anchor's reaction does not
-        doc = json.loads((SCENARIOS / "assembly.json").read_text())
-        doc["assembly"]["modules"][0]["mass_kg"] = 1.5
-        doc["assembly"]["modules"][1]["mass_kg"] = 0.5
-        doc["assembly"]["gravity_mps2"] = [1e308, 0.0, 0.0]
-        p = scenario_path(tmp_path, doc)
-        rc, err = run_cli(capsys, ["assembly", "--scenario", p, "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert err["error"]["error_type"] == "ParameterError"
-        assert err["error"]["message"] == "ground reaction at anchor 'base' is not finite"
-        assert not (tmp_path / "o").exists()  # no artifact, and no directory, left behind
-
     def test_overflow_leaves_only_the_log_line_on_stderr(self, capfd, tmp_path):
         # a separate process: in-process, pytest would catch a numpy warning
-        doc = json.loads((SCENARIOS / "assembly.json").read_text())
-        doc["assembly"]["modules"][0]["mass_kg"] = 1.5
-        doc["assembly"]["modules"][1]["mass_kg"] = 0.5
-        doc["assembly"]["gravity_mps2"] = [1e308, 0.0, 0.0]
+        doc = _shipped("assembly", _overflowing)
         env = {k: v for k, v in os.environ.items() if k not in ("DOCKSIM_LOG", "PYTHONWARNINGS")}
         env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         argv = ["assembly", "--scenario", scenario_path(tmp_path, doc), "--out", str(tmp_path / "o")]
@@ -961,6 +845,85 @@ def test_two_fault_document_reports_the_first_read(doc, path, message):
     with pytest.raises(ScenarioError) as ei:
         parse_scenario(doc)
     assert (ei.value.path, ei.value.reason) == (path, message)
+
+
+# ------------------------------------------------------------- CLI error bodies
+
+
+def _shipped(command, edit):
+    """The shipped scenario of a command after edit(section) changes its section."""
+    doc = json.loads((SCENARIOS / f"{command}.json").read_text())
+    edit(doc[command])
+    return doc
+
+
+def _ungrounded(assembly):
+    for module in assembly["modules"]:
+        module["grounded"] = False
+        module.pop("world_pose", None)
+    assembly.update(power_requests=[], frames=[])
+
+
+def _overflowing(assembly):
+    # every interface load stays finite, the anchor's reaction does not
+    assembly["modules"][0]["mass_kg"] = 1.5
+    assembly["modules"][1]["mass_kg"] = 0.5
+    assembly["gravity_mps2"] = [1e308, 0.0, 0.0]
+
+
+# One row per way a run fails: the command, its scenario (None: no such
+# file), the exit code and the fields of the JSON error body pinned.
+CLI_ERRORS = [
+    pytest.param("mechanism", _doc("mechanism", {"muX": 1.0}), 2,
+                 {"kind": "schema", "path": "$.mechanism.muX"},
+                 id="schema_violation_exits_2_with_path"),
+    pytest.param("mechanism", _doc("mechanism", {"dt_s": 0.0}), 2,
+                 {"kind": "schema", "path": "$.mechanism.dt_s"},
+                 id="zero_dt_exits_2_with_path"),
+    pytest.param("loads", {"schema_version": 1}, 2, {"path": "$.load_case"},
+                 id="missing_section_exits_2"),
+    pytest.param("loads", None, 2, {"path": "$"}, id="unreadable_scenario_exits_2"),
+    pytest.param("mechanism", _doc("mechanism", {"mu1": 0.9, "mu2": 0.9, "theta_deg": 20.0}), 3,
+                 {"kind": "analysis", "error_type": "JamError"},
+                 id="analysis_error_exits_3_with_payload"),
+    pytest.param("couple", _event({"t": 0.0, "event": "start_lock"}), 3,  # idle cannot lock
+                 {"error_type": "ProtocolError"}, id="protocol_error_in_script_exits_3"),
+    pytest.param("mechanism", _doc("mechanism", {"resisting_force_n": -1.0}), 2,
+                 {"path": "$.mechanism.resisting_force_n"},
+                 id="negative_resisting_force_exits_2_with_path"),
+    pytest.param("assembly",
+                 _shipped("assembly", lambda a: a["power_requests"][0].update(watts=0.0)), 2,
+                 {"path": "$.assembly.power_requests[0].watts"},
+                 id="nonpositive_power_request_exits_2_with_path"),
+    pytest.param("assembly", _shipped("assembly", lambda a: a.update(gravity_mps2=[INF, 0.0, 0.0])),
+                 2, {"path": "$.assembly.gravity_mps2", "message": "must be finite"},
+                 id="non_finite_gravity_exits_2_with_path"),
+    pytest.param("mechanism", _shipped("mechanism", lambda m: m.update(theta_deg=5e-324)), 2,
+                 {"path": "$.mechanism", "message": "theta_deg must have a nonzero sine"},
+                 id="theta_with_a_zero_sine_exits_2_with_no_artifact"),
+    pytest.param("envelope", _shipped("envelope", lambda e: e.update(translation_tol_mm=1e-9)), 2,
+                 {"path": "$.envelope.translation_tol_mm",
+                  "message": "scan would take more than 10000 lattice points"},
+                 id="translation_scan_over_cap_exits_2_with_path"),
+    pytest.param("assembly", _shipped("assembly", _ungrounded), 3,
+                 {"error_type": "UnsupportedError"}, id="unsupported_load_exits_3"),
+    pytest.param("assembly", _shipped("assembly", _overflowing), 3,
+                 {"error_type": "ParameterError",
+                  "message": "ground reaction at anchor 'base' is not finite"},
+                 id="overflowing_ground_reaction_exits_3",
+                 marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+]
+
+
+@pytest.mark.parametrize("command,doc,exit_code,pinned", CLI_ERRORS)
+def test_failed_run_exits_with_its_error_body(capsys, tmp_path, command, doc, exit_code,
+                                               pinned):
+    p = str(tmp_path / "nope.json") if doc is None else scenario_path(tmp_path, doc)
+    out = tmp_path / "o"
+    rc, body = run_cli(capsys, [command, "--scenario", p, "--out", str(out)])
+    assert rc == body["error"]["exit_code"] == exit_code
+    assert {key: body["error"][key] for key in pinned} == pinned
+    assert not out.exists()  # no artifact, and no directory, left behind
 
 
 # ------------------------------------------------------------- schema docs
