@@ -473,6 +473,15 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             calibrate_profile((0.0, 41.0, 14.0))
 
+    @pytest.mark.parametrize("targets", [(5e-324, 41.0, 14.0), (1e-308, 41.0, 14.0),
+                                         (12.0, 1e-308, 14.0), (12.0, 41.0, 1e-308)])
+    def test_target_too_small_to_score_rejected(self, targets, monkeypatch):
+        # 1 / 1e-308 is finite, but a residual of 11 mm against it is not
+        monkeypatch.setattr(face, "full_envelope", lambda p: pytest.fail("probed"))
+        with pytest.raises(CalibrationError) as err:
+            calibrate_profile(targets)
+        assert err.value.best_residual is None
+
     def test_published_targets_reachable(self, reference_envelope):
         prof = calibrate_profile((12.0, 41.0, 14.0))
         t, r, d = face._measured_limits(prof)

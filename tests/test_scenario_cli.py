@@ -62,10 +62,19 @@ def scenario_path(tmp_path: Path, doc: dict) -> str:
     return str(p)
 
 
+def _refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, as a strict decoder does."""
+    return json.loads(text, parse_constant=_refuse)
+
+
 def run_cli(capsys, argv):
     rc = cli.main(argv)
     out = capsys.readouterr().out
-    return rc, json.loads(out) if out.strip() else None
+    return rc, strict_json(out) if out.strip() else None
 
 
 def readme_artifacts() -> dict[str, list[str]]:
@@ -912,6 +921,13 @@ CLI_ERRORS = [
                   "message": "ground reaction at anchor 'base' is not finite"},
                  id="overflowing_ground_reaction_exits_3",
                  marks=pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")),
+    pytest.param("calibrate", _doc("calibration_targets", {**TARGETS, "translation_mm": 90.0}), 3,
+                 {"error_type": "CalibrationError", "payload": {"best_residual": None}},
+                 id="calibration_target_past_the_face_exits_3"),
+    # a target so small that a residual against it overflows to inf
+    *(pytest.param("calibrate", _doc("calibration_targets", {**TARGETS, "translation_mm": t}), 3,
+                   {"error_type": "CalibrationError", "payload": {"best_residual": None}},
+                   id=f"calibration_target_of_{t}_mm_exits_3") for t in (5e-324, 1e-308)),
 ]
 
 
