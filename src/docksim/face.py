@@ -846,6 +846,12 @@ def calibrate_profile(
         raise CalibrationError(f"rotation target {t_r} deg exceeds the 60 deg ceiling")
     if t_d >= 90.0:
         raise CalibrationError(f"deflection target {t_d} deg is not a mateable pose")
+    # a measured limit lies within [0, axis cap], so a residual is finite
+    # whenever cap / target is; refuse a target that overflows it (1 / target
+    # can still be finite)
+    for axis, target in zip(_AXES, targets):
+        if math.isinf(_axis_cap(base, axis) / target):
+            raise CalibrationError(f"{axis} target {target} is too small to score against")
 
     def residual(p: FaceProfile) -> float:
         mt, mr, md = _measured_limits(p)
