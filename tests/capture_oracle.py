@@ -16,6 +16,10 @@ candidate, in slot order, from the frozen kernel, and remembers its terms
 only in its own tables keyed by the bits of the state, so a -0.0 never
 borrows the value of a 0.0. Everything the two must agree on (verdicts,
 accepted states, envelope limits) is compared in the tests.
+
+`synthetic_limits` stands in for the whole capture search with a limit
+table linear in the profile fields, so a calibration search runs in
+milliseconds with known residuals.
 """
 from __future__ import annotations
 
@@ -212,3 +216,32 @@ def axis_limit_linear_scan(profile, axis: str, tol: float, direction_deg: float 
         if not reference_descend(profile, state):
             return (k - 1) * tol
     return kmax * tol
+
+
+# --- synthetic limit table ---------------------------------------------------
+
+
+def synthetic_limits(monkeypatch):
+    """Replace envelope_axis_limit with a limit table linear in the profile
+    fields, on the tol lattice, so the calibration search runs without a
+    descent. Returns the list of profiles whose residual was computed, in
+    order: each residual asks for the 0-degree translation ray once."""
+    scored = []
+
+    def limit(profile, axis, tol, direction_deg=0.0):
+        p = profile
+        if axis == "translation":
+            if direction_deg == 0.0:
+                scored.append((p.petal_height_mm, p.petal_flank_angle_deg,
+                               p.groove_radius_mm, p.chamfer_depth_mm))
+            v = (p.petal_height_mm + 0.2 * p.groove_radius_mm - 2.0 * p.chamfer_depth_mm
+                 + direction_deg / 45.0)
+        elif axis == "rotation":
+            v = p.petal_flank_angle_deg + 5.0 * p.chamfer_depth_mm - (direction_deg < 0.0)
+        else:
+            v = (2.0 * p.petal_height_mm - 0.1 * p.petal_flank_angle_deg + p.chamfer_depth_mm
+                 + (90.0 - direction_deg) / 60.0)
+        return math.floor(v / tol) * tol
+
+    monkeypatch.setattr(face, "envelope_axis_limit", limit)
+    return scored

@@ -36,6 +36,7 @@ from capture_oracle import (
     reference_descend,
     reference_moving_term,
     reference_settle,
+    synthetic_limits,
 )
 
 
@@ -490,38 +491,12 @@ class TestCalibration:
         assert abs(d - 14.0) / 14.0 <= 0.10
 
 
-def _synthetic_limits(monkeypatch):
-    """Replace envelope_axis_limit with a limit table linear in the profile
-    fields, on the tol lattice, so the calibration search runs without a
-    descent. Returns the list of profiles whose residual was computed, in
-    order: each residual asks for the 0-degree translation ray once."""
-    scored = []
-
-    def limit(profile, axis, tol, direction_deg=0.0):
-        p = profile
-        if axis == "translation":
-            if direction_deg == 0.0:
-                scored.append((p.petal_height_mm, p.petal_flank_angle_deg,
-                               p.groove_radius_mm, p.chamfer_depth_mm))
-            v = (p.petal_height_mm + 0.2 * p.groove_radius_mm - 2.0 * p.chamfer_depth_mm
-                 + direction_deg / 45.0)
-        elif axis == "rotation":
-            v = p.petal_flank_angle_deg + 5.0 * p.chamfer_depth_mm - (direction_deg < 0.0)
-        else:
-            v = (2.0 * p.petal_height_mm - 0.1 * p.petal_flank_angle_deg + p.chamfer_depth_mm
-                 + (90.0 - direction_deg) / 60.0)
-        return math.floor(v / tol) * tol
-
-    monkeypatch.setattr(face, "envelope_axis_limit", limit)
-    return scored
-
-
 class TestCalibrationSearch:
     """The coordinate search itself, on a synthetic limit table: which
     candidates it scores, when it halves its steps and what it returns."""
 
     def test_search_path_and_result(self, monkeypatch):
-        scored = _synthetic_limits(monkeypatch)
+        scored = synthetic_limits(monkeypatch)
         prof = calibrate_profile((8.0, 32.0, 12.0), tolerance=0.02)
         assert prof == replace(REFERENCE_PROFILE, chamfer_depth_mm=1.75)
         # round 1 keeps chamfer 1.5; round 2 improves nothing, so every step
@@ -543,7 +518,7 @@ class TestCalibrationSearch:
         ]
 
     def test_unreachable_target_reports_best_residual(self, monkeypatch):
-        scored = _synthetic_limits(monkeypatch)
+        scored = synthetic_limits(monkeypatch)
         with pytest.raises(CalibrationError) as err:
             calibrate_profile((12.0, 33.0, 13.0), tolerance=0.01)
         assert err.value.best_residual == 1.0 / 6.0

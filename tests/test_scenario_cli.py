@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from capture_oracle import synthetic_limits
 from docksim import cli, scenario as scenario_module
 from docksim.coupling import Event
 from docksim.errors import ScenarioError
@@ -75,6 +76,16 @@ def run_cli(capsys, argv):
     rc = cli.main(argv)
     out = capsys.readouterr().out
     return rc, strict_json(out) if out.strip() else None
+
+
+def cli_process(argv, log_level=None) -> int:
+    """Exit code of the CLI run in a fresh process with DOCKSIM_LOG set to
+    log_level (unset for None); its output goes to the test's descriptors."""
+    env = {k: v for k, v in os.environ.items() if k not in ("DOCKSIM_LOG", "PYTHONWARNINGS")}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if log_level is not None:
+        env["DOCKSIM_LOG"] = log_level
+    return subprocess.run([sys.executable, "-m", "docksim.cli", *argv], env=env).returncode
 
 
 def readme_artifacts() -> dict[str, list[str]]:
@@ -231,6 +242,16 @@ class TestCli:
         assert err["error"]["error_type"] == "JamError"
         assert list(kept.iterdir()) == []
 
+    def test_failed_calibration_reports_its_best_residual(self, capsys, tmp_path, monkeypatch):
+        synthetic_limits(monkeypatch)
+        p = scenario_path(tmp_path, _doc("calibration_targets", {
+            "translation_mm": 12.0, "rotation_deg": 33.0, "deflection_deg": 13.0,
+            "tolerance": 0.01}))
+        rc, err = run_cli(capsys, ["calibrate", "--scenario", p, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert err["error"]["error_type"] == "CalibrationError"
+        assert err["error"]["payload"] == {"best_residual": 1.0 / 6.0}
+
     def test_mechanism_report_matches_published_defaults(self, capsys, tmp_path):
         out = tmp_path / "o"
         rc, _ = run_cli(capsys, ["mechanism", "--scenario",
@@ -382,7 +403,7 @@ class TestCli:
                        "--out", str(tmp_path / "o"), flag, value])
         captured = capsys.readouterr()
         assert rc == 2
-        err = json.loads(captured.out)["error"]
+        err = strict_json(captured.out)["error"]
         assert (err["kind"], err["path"], err["message"]) == ("schema", path, message)
         assert "usage:" not in captured.err
         assert not (tmp_path / "o").exists()
@@ -502,14 +523,28 @@ class TestAssemblyCommand:
     def test_overflow_leaves_only_the_log_line_on_stderr(self, capfd, tmp_path):
         # a separate process: in-process, pytest would catch a numpy warning
         doc = _shipped("assembly", _overflowing)
-        env = {k: v for k, v in os.environ.items() if k not in ("DOCKSIM_LOG", "PYTHONWARNINGS")}
-        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
         argv = ["assembly", "--scenario", scenario_path(tmp_path, doc), "--out", str(tmp_path / "o")]
-        rc = subprocess.run([sys.executable, "-m", "docksim.cli", *argv], env=env).returncode
+        rc = cli_process(argv)
         out, err = capfd.readouterr()
         assert rc == 3
-        assert json.loads(out)["error"]["message"] == "ground reaction at anchor 'base' is not finite"
+        assert strict_json(out)["error"]["message"] == "ground reaction at anchor 'base' is not finite"
         assert err == "ERROR docksim: analysis error: ground reaction at anchor 'base' is not finite\n"
+
+    @pytest.mark.parametrize("level", ["info", "bogus"])
+    def test_log_level_changes_only_stderr(self, capfd, tmp_path, level):
+        # info logs one line per artifact; an unknown level falls back to
+        # warning, which a run that succeeds leaves silent
+        logged, plain = tmp_path / "logged", tmp_path / "plain"
+        scenario = str(SCENARIOS / "assembly.json")
+        rc = cli_process(["assembly", "--scenario", scenario, "--out", str(logged)], level)
+        out, err = capfd.readouterr()
+        assert (rc, out) == (0, "")
+        names = readme_artifacts()["assembly"]
+        assert err == ("".join(f"INFO docksim: wrote {logged / name}\n" for name in names)
+                       if level == "info" else "")
+        assert cli.main(["assembly", "--scenario", scenario, "--out", str(plain)]) == 0
+        assert ({p.name: p.read_bytes() for p in logged.iterdir()}
+                == {p.name: p.read_bytes() for p in plain.iterdir()})
 
 
 class TestRoundTrip:
@@ -524,14 +559,19 @@ class TestRoundTrip:
         scenario = parse_scenario({"schema_version": 1, "profile": emitted})
         assert scenario.profile == profile
 
-    def test_all_json_artifacts_reparse_as_json(self, capsys, tmp_path):
-        for cmd in ("mechanism", "couple", "loads", "assembly"):
+    def test_all_json_artifacts_reparse_as_json(self, capsys, tmp_path, reference_envelope):
+        # strictly: NaN and Infinity are refused; reference_envelope serves
+        # envelope and calibrate from the memo
+        for cmd in scenario_module.COMMANDS:
             out = tmp_path / cmd
             rc, _ = run_cli(capsys, [cmd, "--scenario",
                                      str(SCENARIOS / f"{cmd}.json"), "--out", str(out)])
             assert rc == 0
             for artifact in out.glob("*.json"):
-                json.loads(artifact.read_text())
+                strict_json(artifact.read_text())
+            for artifact in out.glob("*.jsonl"):
+                for line in artifact.read_text().splitlines():
+                    strict_json(line)
 
 
 def test_run_rejects_unknown_command(tmp_path):
