@@ -972,8 +972,7 @@ CLI_ERRORS = [
 
 
 @pytest.mark.parametrize("command,doc,exit_code,pinned", CLI_ERRORS)
-def test_failed_run_exits_with_its_error_body(capsys, tmp_path, command, doc, exit_code,
-                                               pinned):
+def test_cli_error_body(capsys, tmp_path, command, doc, exit_code, pinned):
     p = str(tmp_path / "nope.json") if doc is None else scenario_path(tmp_path, doc)
     out = tmp_path / "o"
     rc, body = run_cli(capsys, [command, "--scenario", p, "--out", str(out)])
