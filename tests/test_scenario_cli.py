@@ -72,6 +72,24 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=_refuse)
 
 
+def decode_strictly(out: Path) -> None:
+    """Decode every artifact in out strictly: JSON and each JSONL line with
+    strict_json, and no CSV cell may read as inf or nan."""
+    for artifact in sorted(out.iterdir()):
+        text = artifact.read_text()
+        if artifact.suffix == ".csv":
+            for line in text.splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert value - value == 0.0, f"{artifact.name}: {line}"
+        else:
+            for doc in text.splitlines() if artifact.suffix == ".jsonl" else [text]:
+                strict_json(doc)
+
+
 def run_cli(capsys, argv):
     rc = cli.main(argv)
     out = capsys.readouterr().out
@@ -93,6 +111,17 @@ def readme_artifacts() -> dict[str, list[str]]:
     rows = (re.fullmatch(r"\| `(\w+)` +\|[^|]*\|(.*)\|", line)
             for line in README.read_text(encoding="utf-8").splitlines())
     return {m[1]: re.findall(r"`([^`]+)`", m[2]) for m in rows if m}
+
+
+CAPACITIES = ("traction_capacity_n", "lateral_capacity_n", "bending_capacity_nm",
+              "torsion_capacity_nm")
+
+
+def _tiny(command, capacities):
+    """The shipped scenario of a command with these load capacities."""
+    doc = json.loads((SCENARIOS / f"{command}.json").read_text())
+    doc["load_envelope"] = {**doc.get("load_envelope", {}), **capacities}
+    return doc
 
 
 # ------------------------------------------------------------- parsing
@@ -567,11 +596,25 @@ class TestRoundTrip:
             rc, _ = run_cli(capsys, [cmd, "--scenario",
                                      str(SCENARIOS / f"{cmd}.json"), "--out", str(out)])
             assert rc == 0
-            for artifact in out.glob("*.json"):
-                strict_json(artifact.read_text())
-            for artifact in out.glob("*.jsonl"):
-                for line in artifact.read_text().splitlines():
-                    strict_json(line)
+            decode_strictly(out)
+
+    @pytest.mark.parametrize("command,capacities", [
+        ("loads", {"traction_capacity_n": 1e-308}),
+        ("assembly", dict.fromkeys(CAPACITIES, 1e-308)),
+    ])
+    def test_no_artifact_holds_a_non_finite_number(self, capsys, tmp_path, command,
+                                                   capacities):
+        # a load over a capacity of 1e-308 overflows to inf: the run either
+        # writes strict artifacts or exits 3 and leaves no --out
+        out = tmp_path / "o"
+        rc, body = run_cli(capsys, [command, "--scenario",
+                                    scenario_path(tmp_path, _tiny(command, capacities)),
+                                    "--out", str(out)])
+        if rc == 0:
+            decode_strictly(out)
+        else:
+            assert rc == body["error"]["exit_code"] == 3
+            assert not out.exists()
 
 
 def test_run_rejects_unknown_command(tmp_path):
