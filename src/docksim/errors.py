@@ -65,6 +65,21 @@ class IndeterminateError(DocksimError):
     """Locked subgraph contains a cycle; statics are indeterminate."""
 
 
+class NonFiniteError(DocksimError):
+    """An artifact would hold inf or nan, which strict JSON and CSV readers refuse.
+
+    artifact names the file and field the JSON key path or the CSV column;
+    row counts the JSONL line or the CSV row after the header.
+    """
+
+    def __init__(self, artifact: str, field: str, row: int | None = None):
+        where = field if row is None else f"{field} of row {row}"
+        super().__init__(f"{artifact}: {where} is not a finite number")
+        self.artifact = artifact
+        self.field = field
+        self.row = row
+
+
 class ScenarioError(DocksimError):
     """Scenario JSON violates the schema.
 

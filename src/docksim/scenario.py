@@ -30,7 +30,7 @@ from .coupling import (
     InterfaceState,
     step,
 )
-from .errors import ScenarioError, UnreachableError
+from .errors import NonFiniteError, ScenarioError, UnreachableError
 from .face import (
     DEFLECTION_CEILING_DEG,
     MAX_AXIS_PROBES,
@@ -445,26 +445,58 @@ def load_scenario(path: str | Path) -> Scenario:
 # ------------------------------------------------------------------ writers
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_dumps(path, obj, indent=2) + "\n", encoding="utf-8")
 
 
 def write_csv(path: Path, table: tuple) -> None:
     """table is (header line, rows)."""
     header, rows = table
     lines = [header]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    for n, row in enumerate(rows, 1):
+        try:
+            lines.append(",".join(map(_cell, row)))
+        except ValueError:
+            column = next(c for c, v in zip(header.split(","), row) if _non_finite(v))
+            raise NonFiniteError(path.name, column, n) from None
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_jsonl(path: Path, records) -> None:
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records),
+    path.write_text("".join(_dumps(path, r, row=n) + "\n" for n, r in enumerate(records, 1)),
                     encoding="utf-8")
+
+
+def _dumps(path: Path, obj, row: int | None = None, **kwargs) -> str:
+    """Strict JSON of obj; an inf or nan raises NonFiniteError with its key path."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError:
+        where = _non_finite(obj)
+        if where is None:
+            raise
+        raise NonFiniteError(path.name, where, row) from None
+
+
+def _non_finite(obj, at: str = "$") -> str | None:
+    """Key path of the first inf or nan in obj, in the order json.dumps
+    writes it with sort_keys, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else at
+    if isinstance(obj, dict):
+        items = ((f"{at}.{k}", obj[k]) for k in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{at}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite(v, p) for p, v in items)), None)
 
 
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{value!r} is not a finite number")
         return repr(value)
     return str(value)
 

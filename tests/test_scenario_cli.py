@@ -17,7 +17,7 @@ import pytest
 from capture_oracle import synthetic_limits
 from docksim import cli, scenario as scenario_module
 from docksim.coupling import Event
-from docksim.errors import ScenarioError
+from docksim.errors import NonFiniteError, ScenarioError
 from docksim.face import Misalignment
 from docksim.scenario import load_scenario, parse_scenario, parse_profile, run
 
@@ -939,6 +939,20 @@ def test_two_fault_document_reports_the_first_read(doc, path, message):
     assert (ei.value.path, ei.value.reason) == (path, message)
 
 
+@pytest.mark.parametrize("write,content,field,row", [
+    (scenario_module.write_json, {"b": [1.0, {"c": NAN}], "a": INF}, "$.a", None),
+    (scenario_module.write_json, {"b": [1.0, {"c": NAN}], "a": 0.0}, "$.b[1].c", None),
+    (scenario_module.write_jsonl, [{"t": 0.0}, {"t": -INF}], "$.t", 2),
+    (scenario_module.write_csv, ("x,y,ok", [(1.0, 2, True), (0.5, NAN, False)]), "y", 2),
+])
+def test_writers_refuse_non_finite_values(tmp_path, write, content, field, row):
+    with pytest.raises(NonFiniteError) as ei:
+        write(tmp_path / "a", content)
+    assert (ei.value.artifact, ei.value.field, ei.value.row) == ("a", field, row)
+    assert not (tmp_path / "a").exists()
+
+
+
 # ------------------------------------------------------------- CLI error bodies
 
 
@@ -1011,6 +1025,19 @@ CLI_ERRORS = [
     *(pytest.param("calibrate", _doc("calibration_targets", {**TARGETS, "translation_mm": t}), 3,
                    {"error_type": "CalibrationError", "payload": {"best_residual": None}},
                    id=f"calibration_target_of_{t}_mm_exits_3") for t in (5e-324, 1e-308)),
+    # a load over a capacity of 1e-308 overflows to inf, which no artifact may hold
+    pytest.param("loads", _tiny("loads", {"traction_capacity_n": 1e-308}), 3,
+                 {"error_type": "NonFiniteError",
+                  "message": "loads_report.json: $.check.combined_utilization is not a finite number",
+                  "payload": {"artifact": "loads_report.json",
+                              "field": "$.check.combined_utilization", "row": None}},
+                 id="non_finite_loads_report_exits_3"),
+    pytest.param("assembly", _tiny("assembly", dict.fromkeys(CAPACITIES, 1e-308)), 3,
+                 {"error_type": "NonFiniteError",
+                  "message": "wrench_map.csv: combined_utilization of row 1 is not a finite number",
+                  "payload": {"artifact": "wrench_map.csv",
+                              "field": "combined_utilization", "row": 1}},
+                 id="non_finite_wrench_map_exits_3"),
 ]
 
 
