@@ -19,6 +19,7 @@ against the interface load envelope with that edge's dual-lock state.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -198,12 +199,31 @@ def _check_rail(rail_v: float) -> None:
         raise ParameterError(f"rail_v must be {' or '.join(map(str, RAIL_RATINGS_W))}")
 
 
+# dock's defaults; both are frozen, so every dock can share them
+_NO_MISALIGNMENT = Misalignment()
+_DEFAULT_CONFIG = CouplingConfig()
+# entries in each of a graph's two FSM memos
+_FSM_RUNS = 1_024
+
+
 def _stroke(state: InterfaceState, command: str, cfg: CouplingConfig) -> InterfaceState:
     """Start a lock or unlock stroke and run it as one tick of the whole
     seconds it spans: the end state of one-second ticks, bit for bit."""
     dt = float(math.ceil(cfg.lock_duration_s))
     state = step(state, Event(command), 0.0, cfg, REFERENCE_PROFILE)
     return step(state, Event("tick", dt_s=dt), dt, cfg, REFERENCE_PROFILE)
+
+
+def _docking(mis: Misalignment, cfg: CouplingConfig) -> InterfaceState:
+    """The state a fresh FSM reaches from an approach at mis: Locked, or
+    the refused approach when mis is outside the capture envelope."""
+    # approach performs the capture-feasibility check
+    state = step(InterfaceState(), Event("approach", misalignment=mis), 0.0, cfg,
+                 REFERENCE_PROFILE)
+    if state.phase != "capturing":
+        return state
+    state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, REFERENCE_PROFILE)  # -> aligned
+    return _stroke(state, "start_lock", cfg)
 
 
 def _wrench_from_vecs(f, m) -> Wrench:
@@ -374,17 +394,26 @@ class ModuleGraph:
     order of the loop-closure checks, and with them the bytes of every
     wrench.
 
-    _cache is the single derived state: one walk of the Locked forest (a
-    _Forest, which walks and records each module's link, depth, component
-    and Locked peers in one pass), shared by neighbours, paths, world poses
-    and statics. Every dock, unlock, undock and add_module drops it, and the
-    next query that needs it walks again.
+    _cache is the single derived state of the graph: one walk of the Locked
+    forest (a _Forest, which walks and records each module's link, depth,
+    component and Locked peers in one pass), shared by neighbours, paths,
+    world poses and statics. Every dock, unlock, undock and add_module
+    drops it, and the next query that needs it walks again.
+
+    _docked and _stroked are a separate memo of pure FSM runs, which no
+    edit ever drops: the state a fresh FSM reaches from (misalignment,
+    config), and the state a stroke reaches from (state, command, config).
+    Their keys compare by value and the states they hold are frozen, so
+    docks share them; coupling.step runs only on a miss. Each graph has
+    its own, bounded (least recently used first out).
     """
 
     def __init__(self):
         self._modules: dict[str, Module] = {}
         self._ports: dict[str, dict[str, tuple[PortRef, EdgeInfo]]] = {}
         self._cache: _Forest | None = None
+        self._docked = functools.lru_cache(maxsize=_FSM_RUNS)(_docking)
+        self._stroked = functools.lru_cache(maxsize=_FSM_RUNS)(_stroke)
 
     # --- construction -----------------------------------------------------
 
@@ -418,7 +447,10 @@ class ModuleGraph:
         Precondition violations (unknown module or port, port already in
         use, self-dock) raise. An infeasible approach misalignment is a
         rejection, not an error: the graph is unchanged and the report
-        carries the reason.
+        carries the reason. Only then is the fresh FSM run from the
+        approach to Locked, or to the refusal, and only the first time this
+        graph sees the (misalignment, config); the state is shared, the new
+        interface and its channels are not.
         """
         a, b = self.module(id_a), self.module(id_b)
         a.port(port_a), b.port(port_b)
@@ -429,19 +461,14 @@ class ModuleGraph:
             if self._end(ref) is not None:
                 raise PortInUseError(f"port {ref} is already docked to {self._end(ref)[0]}")
 
-        mis = misalignment if misalignment is not None else Misalignment()
-        cfg = config if config is not None else CouplingConfig()
-        prof = REFERENCE_PROFILE
-
-        # fresh FSM; approach performs the capture-feasibility check
-        state = step(InterfaceState(), Event("approach", misalignment=mis), 0.0, cfg, prof)
-        if state.phase != "capturing":
+        mis = misalignment if misalignment is not None else _NO_MISALIGNMENT
+        cfg = config if config is not None else _DEFAULT_CONFIG
+        state = self._docked(mis, cfg)
+        if state.phase != "locked":
             return DockReport(
                 accepted=False,
                 reason="approach misalignment is outside the capture envelope",
             )
-        state = step(state, Event("tick", dt_s=1.0), 1.0, cfg, prof)  # -> aligned
-        state = _stroke(state, "start_lock", cfg)
 
         info = EdgeInfo(state, cfg)
         self._ports[id_a][port_a] = (ref_b, info)
@@ -465,12 +492,14 @@ class ModuleGraph:
     def unlock(self, module_id: str, port_name: str) -> InterfaceState:
         """Drive a locked interface back to aligned; channels drop.
 
-        Any other phase raises ProtocolError and leaves the interface as it was.
+        Any other phase raises ProtocolError and leaves the interface as it
+        was. The stroke runs only the first time this graph unlocks that
+        (Locked state, config).
         """
         info = self._docked_at(module_id, port_name)[2]
         if not info.locked:  # a faulted FSM would absorb the stroke, not refuse it
             raise ProtocolError(f"start_unlock requires locked, not {info.state.phase}")
-        info._drop(_stroke(info.state, "start_unlock", info.config))
+        info._drop(self._stroked(info.state, "start_unlock", info.config))
         self._cache = None
         return info.state
 

@@ -108,18 +108,20 @@ def contact_ring() -> tuple[str, ...]:
     return BASE_CONTACTS * 3
 
 
+# rotating the ring by whole slots is a symmetry of it: every contact meets
+# a peer of its own role at every slot
+_MATED_CONTACTS = tuple((role, role) for role in contact_ring())
+
+
 def mated_contact_map(rotation_slot: int) -> tuple[tuple[str, str], ...]:
     """(local role, peer role) per contact when mated at a given slot.
 
     The layout's 3-fold repetition makes the mapping identical for every
-    slot: rotating by whole slots is a symmetry of the ring.
+    slot, so every slot gets the one tuple built at import.
     """
     if not isinstance(rotation_slot, int) or isinstance(rotation_slot, bool):
         raise ParameterError("rotation_slot must be an integer slot count")
-    ring = contact_ring()
-    n = len(ring)
-    shift = (rotation_slot % 3) * len(BASE_CONTACTS)
-    return tuple((ring[i], ring[(i + shift) % n]) for i in range(n))
+    return _MATED_CONTACTS
 
 
 class ChannelSet:

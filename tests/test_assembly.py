@@ -339,14 +339,16 @@ def check_strokes(duration, sides):
     locked, unlocked = one_second_strokes(cfg)
     assert (locked.phase, unlocked.phase) == ("locked", "aligned")
     g = ModuleGraph()
-    g.add_module(simple_module("a"))
-    g.add_module(simple_module("b"))
-    report = g.dock("a", "px", "b", "nx", config=cfg)
-    # repr tells every float bit apart, the sign of zero too
-    assert repr(report.state) == repr(locked)
-    assert repr(g.edge_info(report.edge).state) == repr(locked)
-    assert repr(g.unlock("b", "nx")) == repr(unlocked)
-    assert repr(g.edge_info(report.edge).state) == repr(unlocked)
+    for mid in ("a", "b", "c"):
+        g.add_module(simple_module(mid))
+    # the second dock and unlock are served from the graph's FSM memo
+    for id_a, id_b in (("a", "b"), ("b", "c")):
+        report = g.dock(id_a, "px", id_b, "nx", config=cfg)
+        # repr tells every float bit apart, the sign of zero too
+        assert repr(report.state) == repr(locked)
+        assert repr(g.edge_info(report.edge).state) == repr(locked)
+        assert repr(g.unlock(id_b, "nx")) == repr(unlocked)
+        assert repr(g.edge_info(report.edge).state) == repr(unlocked)
 
 
 class TestLockStroke:
@@ -370,18 +372,29 @@ class TestLockStroke:
 
         monkeypatch.setattr(assembly, "step", counted)
         cfg = CouplingConfig(lock_duration_s=duration)
-        g = ModuleGraph()
-        for mid in ("a", "b", "c"):
-            g.add_module(simple_module(mid))
-        dock_ok(g, "a", "px", "b", "nx", config=cfg)
-        assert len(calls) == 4
-        calls.clear()
-        report = g.dock("b", "px", "c", "nx", misalignment=Misalignment(dx_mm=80.0))
-        assert not report.accepted
-        assert calls == ["approach"]
-        calls.clear()
-        g.unlock("a", "px")
-        assert calls == ["start_unlock", "tick"]
+        far = Misalignment(dx_mm=80.0)
+        for _ in range(2):  # a new graph starts with an empty FSM memo
+            g = ModuleGraph()
+            for mid in ("a", "b", "c", "d"):
+                g.add_module(simple_module(mid))
+            dock_ok(g, "a", "px", "b", "nx", config=cfg)
+            with pytest.raises(PortInUseError):  # raised before any FSM run
+                g.dock("a", "px", "c", "nx", misalignment=Misalignment(dx_mm=1.0))
+            assert len(calls) == 4
+            calls.clear()
+            report = g.dock("b", "px", "c", "nx", misalignment=far)
+            assert not report.accepted
+            assert calls == ["approach"]
+            calls.clear()
+            g.unlock("a", "px")
+            assert calls == ["start_unlock", "tick"]
+            calls.clear()
+            # the same runs again from equal, new arguments: all served from the memo
+            dock_ok(g, "c", "px", "d", "nx", config=CouplingConfig(lock_duration_s=duration))
+            report = g.dock("b", "px", "c", "nx", misalignment=Misalignment(dx_mm=80.0))
+            assert not report.accepted
+            g.unlock("c", "px")
+            assert calls == []
 
 
 class TestGraphEditing:

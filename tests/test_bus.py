@@ -154,7 +154,11 @@ def test_contact_ring_is_three_repeats():
 
 @pytest.mark.parametrize("slot", [0, 1, 2, -2, 7])
 def test_contact_map_invariant_under_slots(slot):
-    assert mated_contact_map(slot) == mated_contact_map(0)
+    # the ring turned by whole slots meets itself
+    ring = contact_ring()
+    shift = slot * len(BASE_CONTACTS)
+    turned = tuple((ring[i], ring[(i + shift) % len(ring)]) for i in range(len(ring)))
+    assert mated_contact_map(slot) == turned == mated_contact_map(0)
 
 
 def test_contact_map_pairs_same_roles():
