@@ -714,6 +714,17 @@ def _plain_chain(values, d):
     return best, best_d
 
 
+# Strategies of _iteration, built once: grid steps of 1e-10 from the base,
+# None for an infinite settle or a -inf bound
+_BASE = st.sampled_from([0.0, 2.5, -1.75, 6.5, 2.0 ** 21, 2.0 ** 24])
+_GRID = st.integers(-6, 6)
+_COUNT = st.integers(13, 16)
+_SETTLE = st.none() | _GRID
+_BELOW = st.integers(0, 5)
+_CASCADE = st.lists(_BELOW | st.none(), min_size=1, max_size=4)
+_WON = st.none() | st.integers(0, 15)
+
+
 @st.composite
 def _iteration(draw):
     """One synthetic descent iteration: the incumbent's settle height d and
@@ -721,19 +732,17 @@ def _iteration(draw):
     a 1e-10 grid so exact ties, near ties and failed acceptance tests are
     common. At 2**21 a float step is 4.7e-10, so the 1e-10 offsets round
     away there; at 2**24 it is 3.7e-9, and the 3e-10 ones round away too."""
-    base = draw(st.sampled_from([0.0, 2.5, -1.75, 6.5, 2.0 ** 21, 2.0 ** 24]))
-    grid = st.integers(-6, 6).map(lambda k: base + k * 1e-10)
-    d = draw(grid)
+    base = draw(_BASE)
+    d = base + draw(_GRID) * 1e-10
     values, bounds = [], []
-    for _ in range(draw(st.integers(13, 16))):
-        v = draw(st.just(math.inf) | grid)
-        below = st.integers(0, 5).map(lambda k, v=v: v - k * 1e-10)
+    for _ in range(draw(_COUNT)):
+        k = draw(_SETTLE)
+        v = math.inf if k is None else base + k * 1e-10
         # the last bound is the moving term: +inf whenever the settle is
-        cascade = draw(st.lists(below | st.just(-math.inf), min_size=1, max_size=4))
+        cascade = [-math.inf if j is None else v - j * 1e-10 for j in draw(_CASCADE)]
         values.append(v)
-        bounds.append([*cascade, math.inf if v == math.inf else draw(below)])
-    won = draw(st.none() | st.integers(0, 15))
-    return d, values, bounds, won
+        bounds.append([*cascade, math.inf if v == math.inf else v - draw(_BELOW) * 1e-10])
+    return d, values, bounds, draw(_WON)
 
 
 class TestSettleFirst:

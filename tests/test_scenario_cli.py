@@ -601,7 +601,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("command,capacities", [
         ("loads", {"traction_capacity_n": 1e-308}),
         ("assembly", dict.fromkeys(CAPACITIES, 1e-308)),
-    ])
+    ], ids=["loads", "assembly"])
     def test_no_artifact_holds_a_non_finite_number(self, capsys, tmp_path, command,
                                                    capacities):
         # a load over a capacity of 1e-308 overflows to inf: the run either
