@@ -466,10 +466,10 @@ def write_jsonl(path: Path, records) -> None:
                     encoding="utf-8")
 
 
-def _dumps(path: Path, obj, row: int | None = None, **kwargs) -> str:
+def _dumps(path: Path, obj, row: int | None = None, indent: int | None = None) -> str:
     """Strict JSON of obj; an inf or nan raises NonFiniteError with its key path."""
     try:
-        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError:
         where = _non_finite(obj)
         if where is None:

@@ -6,6 +6,7 @@ acceptance suite.
 """
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -84,7 +85,7 @@ def decode_strictly(out: Path) -> None:
                         value = float(cell)
                     except ValueError:
                         continue
-                    assert value - value == 0.0, f"{artifact.name}: {line}"
+                    assert math.isfinite(value), f"{artifact.name}: {line}"
         else:
             for doc in text.splitlines() if artifact.suffix == ".jsonl" else [text]:
                 strict_json(doc)
