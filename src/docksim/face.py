@@ -329,6 +329,33 @@ _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 SAMPLE_RTOL = 1e-9
 
 
+@functools.lru_cache(maxsize=16)
+def _slope_margin(profile: FaceProfile) -> tuple[float, float]:
+    """(slope, margin): a bound of |grad h| in mm per mm, and the rounding
+    margin of one contact sample's term, SAMPLE_RTOL of the face's size."""
+    _, cfrac, _, run = _field_constants(profile)
+    ramp, inner_run, crun = run.ravel().tolist()
+    height = profile.petal_height_mm
+    # where h can be nonzero (r >= hub): a smoothstep rises at most 1.5
+    # times as fast as its argument
+    slope = 1.5 * height * (_DEG_PER_RAD / (HUB_RADIUS_MM * ramp) + 1.0 / inner_run
+                            + cfrac / crun)
+    return slope, SAMPLE_RTOL * max(1.0, height, slope * profile.rim_radius_mm)
+
+
+def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
+    """(lean, gain, margin_f) of a fixed-face solve whose pose has third row
+    (g, h, +-cos_t): a gap error err moves a sample by err * lean, so the
+    next evaluation's error is at most margin / cos_t + grow * err, grow =
+    slope * lean / cos_t. Over the solve's four evaluations a gap moves at
+    most |first gap| * gain from its first value, gain = grow + grow**2 +
+    grow**3, and margin_f bounds the rounding of the final gap."""
+    lean = math.hypot(g, h)
+    grow = slope * lean / cos_t
+    gain = grow * (1.0 + grow * (1.0 + grow))
+    return lean, gain, margin * (1.0 + gain) / cos_t
+
+
 def _sample_lift(profile: FaceProfile):
     """(lift, margin, fixed): one contact sample's term of settle_height in
     scalar math, for either face.
@@ -346,11 +373,7 @@ def _sample_lift(profile: FaceProfile):
     phase, cfrac, start, run = _field_constants(profile)
     (hub, cstart), (ramp, inner_run, crun) = start.ravel().tolist(), run.ravel().tolist()
     height, rim = profile.petal_height_mm, profile.rim_radius_mm
-    # |grad h| in mm per mm where h can be nonzero (r >= hub): a smoothstep
-    # rises at most 1.5 times as fast as its argument
-    slope = 1.5 * height * (_DEG_PER_RAD / (HUB_RADIUS_MM * ramp) + 1.0 / inner_run
-                            + cfrac / crun)
-    margin = SAMPLE_RTOL * max(1.0, height, slope * rim)
+    slope, margin = _slope_margin(profile)
     inner_rim = rim - SAMPLE_RTOL * max(1.0, rim)
     rows = _sample_cloud(profile).tolist()
 
@@ -385,12 +408,7 @@ def _sample_lift(profile: FaceProfile):
         cos_t = abs(k)
         if cos_t < 0.2:  # past the contact model: settle_height is +inf
             return -math.inf, 0.0
-        # A gap error err moves the sample by err * lean, so the next
-        # evaluation's error is at most margin / cos_t + grow * err; the
-        # solve evaluates at most four times.
-        lean = math.hypot(g, h)
-        grow = slope * lean / cos_t
-        margin_f = margin * (1.0 + grow * (1.0 + grow * (1.0 + grow))) / cos_t
+        lean, _, margin_f = _drift(slope, margin, g, h, cos_t)
         cx, cy, cz = rows[i]
         px, py = cx - dx, cy - dy
         qx = px * a + py * d + cz * g
@@ -410,13 +428,6 @@ def _sample_lift(profile: FaceProfile):
     return lift, margin, fixed
 
 
-def _lateral(lat: np.ndarray, q0: np.ndarray, dz: np.ndarray, m: np.ndarray) -> None:
-    """lat = q0[:, :2] - dz * m[2, :2], written column by column into lat."""
-    for j in (0, 1):
-        np.multiply(dz, m[2, j], out=lat[:, j])
-        np.subtract(q0[:, j], lat[:, j], out=lat[:, j])
-
-
 def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     """Fixed-face samples against the moving body.
 
@@ -427,32 +438,54 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     highest final gap among the samples that end inside the rim and the
     cloud index of that (binding) sample; (-inf, -1) when none does. Only
     meaningful where the moving term is finite.
+
+    Only the samples that can bind run past the first evaluation. By the
+    slope bound (_drift), sample i's final gap lies within reach_i =
+    |dz0_i| * gain + margin_f of its first gap dz0_i, and its final lateral
+    radius is at most hypot(q0_i) + lean * (|dz0_i| + reach_i). A sample
+    whose radius bound is at least margin inside the rim ends inside it, so
+    the answer is at least floor = max(dz0_i - reach_i) over those; a
+    sample with dz0_i + reach_i < floor ends strictly below the answer and
+    is dropped. The result has the bits of the solve on every sample: the
+    kept samples get the same elementwise operations, and a subset at its
+    bitwise fixed point would repeat it under the evaluations the whole
+    cloud still makes.
     """
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
     cloud = _sample_cloud(profile)
     cos_t = abs(m[2, 2])
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
-    qz = q0[:, 2]
     dz = height_field(profile, q0[:, 0], q0[:, 1])
-    dz -= qz
+    dz -= q0[:, 2]
     dz /= cos_t
-    lat = np.empty((len(cloud), 2))
+    slope, margin = _slope_margin(profile)
+    lean, gain, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
+    reach = np.abs(dz)
+    radius = np.hypot(q0[:, 0], q0[:, 1])
+    radius += reach * (lean * (1.0 + gain))
+    reach *= gain
+    reach += margin_f
+    inside = radius <= profile.rim_radius_mm - margin - lean * margin_f
+    floor = np.max(dz - reach, where=inside, initial=-math.inf)
+    pick = np.flatnonzero(~(dz + reach < floor))  # all of them when floor is -inf
+    q0, dz = q0[pick], dz[pick]
+    m3 = m[2, :2]
     for _ in range(3):
-        _lateral(lat, q0, dz, m)
+        lat = q0[:, :2] - dz[:, None] * m3
         nxt = height_field(profile, lat[:, 0], lat[:, 1])
-        nxt -= qz
+        nxt -= q0[:, 2]
         nxt /= cos_t
         if nxt.tobytes() == dz.tobytes():
             break  # a fixed point, and lat already belongs to it
         dz = nxt
     else:
-        _lateral(lat, q0, dz, m)
+        lat = q0[:, :2] - dz[:, None] * m3
     kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
     if not len(kept):
         return -math.inf, -1
     gaps = dz[kept]
-    return float(np.max(gaps)), int(kept[np.argmax(gaps)])
+    return float(np.max(gaps)), int(pick[kept[np.argmax(gaps)]])
 
 
 # settle_height solves the fixed-face term once per exact settle; the

@@ -7,6 +7,13 @@ rewritten for speed: one numpy expression per formula term, no pose or
 cloud memo, and a full four-evaluation fixed-face solve. The production
 kernel must return the same bits for every finite state.
 
+The production fixed-face solve (`face._fixed_term`) stops at a bitwise
+fixed point, and runs past its first evaluation only on the samples that
+a slope bound leaves able to bind: on a cold reference envelope, 2,844,089
+of the 5,308,128 sample evaluations the full solve makes. The tests compare
+its value bits and first binding index with `fixed_samples` here and its
+rim test.
+
 The production descent (`face._descend`) settles the likeliest winner of
 each iteration first, skips every candidate whose lower bounds show it
 cannot be the one the slot-order rule accepts, reruns the slot-order rule
