@@ -11,8 +11,7 @@ The production fixed-face solve (`face._fixed_term`) stops at a bitwise
 fixed point, and runs past its first evaluation only on the samples that
 a slope bound leaves able to bind: on a cold reference envelope, 2,844,089
 of the 5,308,128 sample evaluations the full solve makes. The tests compare
-its value bits and first binding index with `fixed_samples` here and its
-rim test.
+its value bits and first binding index with `fixed_term` here.
 
 The production descent (`face._descend`) settles the likeliest winner of
 each iteration first, skips every candidate whose lower bounds show it
@@ -162,16 +161,23 @@ def fixed_samples(profile: FaceProfile, state) -> tuple[np.ndarray, np.ndarray]:
     return dz, q0[:, :2] - dz[:, None] * m3
 
 
+def fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
+    """The highest final gap among the samples that end inside the rim and
+    the cloud index of the first sample that reaches it; (-inf, -1) when
+    none does."""
+    dz, lat = fixed_samples(profile, state)
+    kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
+    if not len(kept):
+        return -math.inf, -1
+    return float(np.max(dz[kept])), int(kept[np.argmax(dz[kept])])
+
+
 def settle_height(profile: FaceProfile, state) -> float:
     """Axial separation at first contact for pose state (dx, dy, rot, tx, ty)."""
     d_move = _floor(profile, state)
     if d_move == math.inf:
         return math.inf
-    dz, lat = fixed_samples(profile, state)
-    keep = np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm
-    d_fixed = np.max(dz[keep]) if keep.any() else -math.inf
-
-    return float(max(d_move, d_fixed))
+    return float(max(d_move, fixed_term(profile, state)[0]))
 
 
 reference_settle = _remembered(settle_height)

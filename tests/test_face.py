@@ -1055,16 +1055,6 @@ def _points_and_subset(draw):
     return profile, xy[:, :2], idx
 
 
-def _fixed_oracle(profile, state):
-    """(value, first-argmax index) of the full four-evaluation solve over
-    the samples that end inside the rim; (-inf, -1) when none does."""
-    dz, lat = capture_oracle.fixed_samples(profile, state)
-    kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
-    if not len(kept):
-        return -math.inf, -1
-    return float(np.max(dz[kept])), int(kept[np.argmax(dz[kept])])
-
-
 # A 3e-15 degree tilt: sample 332's gap moves 3 ulps in the solve, three
 # times its slope bound, and ends tied with 333 and 334. Only the rounding
 # slack keeps it, the first of the tie, past the first evaluation.
@@ -1088,7 +1078,7 @@ class TestPrunedFixedSolve:
     def _check(profile, states):
         for state in states:
             got = face._fixed_term(profile, state)
-            want = _fixed_oracle(profile, state)
+            want = capture_oracle.fixed_term(profile, state)
             assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1]), state
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1105,7 +1095,7 @@ class TestPrunedFixedSolve:
     def test_rounding_tie(self, profile):
         self._check(profile, (_ROUNDING_TIE,))
         if profile == REFERENCE_PROFILE:
-            assert _fixed_oracle(profile, _ROUNDING_TIE)[1] == 332
+            assert capture_oracle.fixed_term(profile, _ROUNDING_TIE)[1] == 332
 
 
 class TestWorkCounters:
