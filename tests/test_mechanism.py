@@ -216,6 +216,12 @@ class TestSimulateStroke:
         with pytest.raises(StallError):
             simulate_stroke(MechanismParams(), lambda r: 10000.0, dt=0.1)
 
+    @pytest.mark.parametrize("capacity", [0.0, -5.0, math.nan])
+    def test_capacity_must_be_positive(self, capacity):
+        # a NaN capacity would never stall: every comparison with it is false
+        with pytest.raises(ParameterError, match="rod_capacity_n must be > 0"):
+            simulate_stroke(MechanismParams(), lambda r: 0.0, dt=0.1, rod_capacity_n=capacity)
+
     def test_jam(self):
         with pytest.raises(JamError):
             simulate_stroke(

@@ -903,6 +903,12 @@ NEW_BOUNDS = [
     # a pin count no float can hold would overflow the rod force
     (_doc("mechanism", {"pin_count": 10 ** 400}), "$.mechanism",
      "pin_count must be within the float range"),
+    # a rod that can push no force stalls at every sample
+    (_doc("mechanism", {"rod_capacity_n": -5.0}), "$.mechanism.rod_capacity_n", "must be > 0"),
+    (_doc("mechanism", {"rod_capacity_n": 0.0}), "$.mechanism.rod_capacity_n", "must be > 0"),
+    # the frame's byte limit is the bus's: a 9-byte CAN payload
+    (_asm("frames", {**FRAME, "payload_text": "123456789"}), "$.assembly.frames[0]",
+     "can frame of 9 B exceeds 8 B"),
 ]
 
 
@@ -998,6 +1004,13 @@ CLI_ERRORS = [
     pytest.param("mechanism", _doc("mechanism", {"resisting_force_n": -1.0}), 2,
                  {"path": "$.mechanism.resisting_force_n"},
                  id="negative_resisting_force_exits_2_with_path"),
+    pytest.param("mechanism", _shipped("mechanism", lambda m: m.update(rod_capacity_n=-5.0)), 2,
+                 {"path": "$.mechanism.rod_capacity_n", "message": "must be > 0"},
+                 id="negative_rod_capacity_exits_2_with_path"),
+    pytest.param("assembly",
+                 _shipped("assembly", lambda a: a["frames"][0].update(payload_text="intlk 123")),
+                 2, {"path": "$.assembly.frames[0]", "message": "can frame of 9 B exceeds 8 B"},
+                 id="oversized_can_frame_exits_2_with_path"),
     pytest.param("assembly",
                  _shipped("assembly", lambda a: a["power_requests"][0].update(watts=0.0)), 2,
                  {"path": "$.assembly.power_requests[0].watts"},
