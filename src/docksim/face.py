@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -245,20 +246,6 @@ def height_field(profile: FaceProfile, x, y):
     return ramps[0]
 
 
-@functools.lru_cache(maxsize=16)
-def _sample_cloud(profile: FaceProfile) -> np.ndarray:
-    """Fixed contact-sample cloud on the face surface (hub rings + annulus)."""
-    rim = profile.rim_radius_mm
-    rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
-    ps = np.linspace(0.0, 360.0, 72, endpoint=False)
-    rr, pp = np.meshgrid(rs, ps)
-    rr, pp = rr.ravel(), pp.ravel()
-    x = rr * np.cos(np.radians(pp))
-    y = rr * np.sin(np.radians(pp))
-    z = height_field(profile, x, y)
-    return np.stack([x, y, z], axis=1)
-
-
 _FLIP = np.diag([1.0, -1.0, -1.0])
 
 
@@ -289,7 +276,7 @@ def _pose_matrix(rot: float, tx: float, ty: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _turned_cloud(profile: FaceProfile, rot: float, tx: float, ty: float) -> np.ndarray:
     """The sample cloud in the moving face's orientation (24 KB an entry)."""
-    w = _sample_cloud(profile) @ _pose_matrix(rot, tx, ty).T
+    w = _samples(profile).cloud @ _pose_matrix(rot, tx, ty).T
     w.flags.writeable = False
     return w
 
@@ -329,20 +316,6 @@ _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 SAMPLE_RTOL = 1e-9
 
 
-@functools.lru_cache(maxsize=16)
-def _slope_margin(profile: FaceProfile) -> tuple[float, float]:
-    """(slope, margin): a bound of |grad h| in mm per mm, and the rounding
-    margin of one contact sample's term, SAMPLE_RTOL of the face's size."""
-    _, cfrac, _, run = _field_constants(profile)
-    ramp, inner_run, crun = run.ravel().tolist()
-    height = profile.petal_height_mm
-    # where h can be nonzero (r >= hub): a smoothstep rises at most 1.5
-    # times as fast as its argument
-    slope = 1.5 * height * (_DEG_PER_RAD / (HUB_RADIUS_MM * ramp) + 1.0 / inner_run
-                            + cfrac / crun)
-    return slope, SAMPLE_RTOL * max(1.0, height, slope * profile.rim_radius_mm)
-
-
 def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
     """(lean, gain, margin_f) of a fixed-face solve whose pose has third row
     (g, h, +-cos_t): a gap error err moves a sample by err * lean, so the
@@ -356,9 +329,20 @@ def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
     return lean, gain, margin * (1.0 + gain) / cos_t
 
 
-def _sample_lift(profile: FaceProfile):
-    """(lift, margin, fixed): one contact sample's term of settle_height in
-    scalar math, for either face.
+class _Samples(NamedTuple):
+    """A profile's contact samples and their scalar bounds; see _samples."""
+
+    cloud: np.ndarray  # (1008, 3), read-only: hub rings + annulus on the surface
+    slope: float  # a bound of |grad h| in mm per mm
+    margin: float  # one sample term's rounding margin, SAMPLE_RTOL of the face's size
+    lift: Callable
+    fixed: Callable
+
+
+@functools.lru_cache(maxsize=16)
+def _samples(profile: FaceProfile) -> _Samples:
+    """The contact-sample cloud both faces use, and one contact sample's
+    term of settle_height in scalar math, for either face.
 
     lift(state, i) is moving-face sample i's term of _moving_term, or -inf
     if the sample may lie outside the rim; margin covers its rounding.
@@ -366,16 +350,27 @@ def _sample_lift(profile: FaceProfile):
     _fixed_term with its margin, as (gap, margin); the gap is -inf if the
     sample may end outside the rim. Each term is a max over the samples
     inside the rim, so a sample's value less its margin is a lower bound of
-    that term, and of settle_height. Built once per descent: the
-    per-profile constants and sample rows are fetched here, not per
-    candidate.
+    that term, and of settle_height.
     """
+    rim = profile.rim_radius_mm
+    rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
+    ps = np.linspace(0.0, 360.0, 72, endpoint=False)
+    rr, pp = np.meshgrid(rs, ps)
+    rr, pp = rr.ravel(), pp.ravel()
+    x = rr * np.cos(np.radians(pp))
+    y = rr * np.sin(np.radians(pp))
+    cloud = np.stack([x, y, height_field(profile, x, y)], axis=1)
+    cloud.flags.writeable = False
     phase, cfrac, start, run = _field_constants(profile)
     (hub, cstart), (ramp, inner_run, crun) = start.ravel().tolist(), run.ravel().tolist()
-    height, rim = profile.petal_height_mm, profile.rim_radius_mm
-    slope, margin = _slope_margin(profile)
+    height = profile.petal_height_mm
+    # where h can be nonzero (r >= hub): a smoothstep rises at most 1.5
+    # times as fast as its argument
+    slope = 1.5 * height * (_DEG_PER_RAD / (HUB_RADIUS_MM * ramp) + 1.0 / inner_run
+                            + cfrac / crun)
+    margin = SAMPLE_RTOL * max(1.0, height, slope * rim)
     inner_rim = rim - SAMPLE_RTOL * max(1.0, rim)
-    rows = _sample_cloud(profile).tolist()
+    rows = cloud.tolist()
 
     def smooth(x):
         x = min(max(x, 0.0), 1.0)
@@ -425,7 +420,7 @@ def _sample_lift(profile: FaceProfile):
             return -math.inf, margin_f
         return dz, margin_f
 
-    return lift, margin, fixed
+    return _Samples(cloud, slope, margin, lift, fixed)
 
 
 def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
@@ -453,13 +448,12 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     """
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
-    cloud = _sample_cloud(profile)
+    cloud, slope, margin = _samples(profile)[:3]
     cos_t = abs(m[2, 2])
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
     dz = height_field(profile, q0[:, 0], q0[:, 1])
     dz -= q0[:, 2]
     dz /= cos_t
-    slope, margin = _slope_margin(profile)
     lean, gain, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
     reach = np.abs(dz)
     radius = np.hypot(q0[:, 0], q0[:, 1])
@@ -644,11 +638,12 @@ def _descend(profile: FaceProfile, state) -> bool:
     A candidate whose lower bound of the settle height already reaches the
     cap it is settled against cannot be the one accepted, so it is not
     evaluated; it still spends one evaluation of the budget. The bounds are
-    tried cheapest first. One contact sample in scalar math (_sample_lift)
-    of the moving face, then of the fixed face: first the incumbent's
-    binding sample of that face, then the one that bound the same
-    candidate slot last time. Any sample bounds its term; these two are the
-    ones most likely to bind. Then the full moving term.
+    tried cheapest first. One contact sample in scalar math (the lift and
+    fixed of the profile's _samples record, built once per profile) of the
+    moving face, then of the fixed face: first the incumbent's binding
+    sample of that face, then the one that bound the same candidate slot
+    last time. Any sample bounds its term; these two are the ones most
+    likely to bind. Then the full moving term.
 
     The order and the skips change only the work, never the accepted
     state, so the rest of the path from a (state, step sizes) pair is fixed
@@ -663,7 +658,7 @@ def _descend(profile: FaceProfile, state) -> bool:
         # Faces land on top of the features instead of interleaving:
         # the funnel never catches.
         return False
-    lift, margin, fixed = _sample_lift(profile)
+    _, _, margin, lift, fixed = _samples(profile)
     # the incumbent's binding samples, of the moving and the fixed face
     binding, fbinding = _floor(profile, state)[1], _fixed(profile, state)[1]
     slots, fslots = {}, {}  # each candidate slot's last binding samples

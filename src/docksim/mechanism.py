@@ -135,6 +135,8 @@ def simulate_stroke(
         raise ParameterError("direction must be 'locking' or 'unlocking'")
     if dt <= 0.0:
         raise ParameterError("dt must be positive")
+    if not rod_capacity_n > 0.0:  # NaN fails too: it would never stall
+        raise ParameterError("rod_capacity_n must be > 0")
     duration = params.stroke_mm / params.rod_speed_mm_s
     if duration / dt > MAX_STROKE_SAMPLES:
         raise ParameterError(f"dt {dt!r} s needs more than {MAX_STROKE_SAMPLES} stroke samples")

@@ -228,7 +228,7 @@ class MechanismSection:
     resisting_force_n: float = _key(50.0, bounds=(_NON_NEGATIVE,))
     direction: str = _key("locking", _one_of("locking", "unlocking"))
     dt_s: float = _key(0.1, bounds=((lambda v: v > 0.0, "must be positive"),))
-    rod_capacity_n: float = _key(800.0)
+    rod_capacity_n: float = _key(800.0, bounds=(_POSITIVE,))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -278,15 +278,6 @@ class PowerRequest:
     watts: float = _key(bounds=(_POSITIVE,))
 
 
-@dataclass(frozen=True, kw_only=True)
-class FrameSpec:
-    channel: str = _key(kind=_one_of(*CHANNEL_PURPOSES))
-    source: str = _key(kind=_string)
-    dest: str = _key(kind=_string)
-    payload_text: str = _key("", _string)
-    timestamp_s: float = _key(0.0, bounds=(_NON_NEGATIVE,))
-
-
 def _script_event(value, path: str) -> ScriptEvent:
     f = _fields(value, path, _EVENT)
     kind, payload, ppath = f["event"], f["payload"] or {}, f"{path}.payload"
@@ -330,6 +321,10 @@ def _module(**f) -> Module:
     return Module(module_id=f.pop("id"), **f)
 
 
+def _frame(payload_text: str, **f) -> Frame:
+    return Frame(payload=payload_text.encode("utf-8"), **f)
+
+
 def _wrenches(value, path: str) -> dict[str, Wrench]:
     return {mid: _record(Wrench, _WRENCH, w, f"{path}.{mid}")
             for mid, w in _as_obj(value, path).items()}
@@ -359,7 +354,6 @@ _ENVELOPE = _table(EnvelopeOptions)
 _LOAD_CASE = _table(LoadCase)
 _DOCK = _table(DockSpec)
 _POWER_REQUEST = _table(PowerRequest)
-_FRAME = _table(FrameSpec)
 # Tables with no class behind them, or whose keys are not the class's field names.
 _POSE = (
     _Field("xyz", _vec3, (0.0, 0.0, 0.0)),
@@ -374,6 +368,13 @@ _MODULE = (
     _Field("id", _string),
     _Field("kind", _string),
     _Field("mass_kg", _number, 1.0),
+)
+_FRAME = (
+    _Field("channel", _one_of(*CHANNEL_PURPOSES)),
+    _Field("source", _string),
+    _Field("dest", _string),
+    _Field("payload_text", _string, ""),
+    _Field("timestamp_s", _number, 0.0, (_NON_NEGATIVE,)),
 )
 _PLAN = {
     "dock": (_Field("op", _string),) + _DOCK[:3],
@@ -391,7 +392,7 @@ class AssemblySection:
     gravity_mps2: tuple[float, float, float] | None = _key(
         None, lambda value, path: None if value is None else _vec3(value, path))
     power_requests: tuple[PowerRequest, ...] = _key((), _power_requests)
-    frames: tuple[FrameSpec, ...] = _key((), _list_of(_nested(FrameSpec, _FRAME)))
+    frames: tuple[Frame, ...] = _key((), _list_of(_nested(_frame, _FRAME)))
 
 
 _ASSEMBLY = _table(AssemblySection)
@@ -699,10 +700,8 @@ def run_assembly(scenario: Scenario, meta: dict) -> dict:
             ledger_rows.append((req.t, _edge_label(edge), bus.name, rail_v, watts))
 
     frame_rows = []
-    for spec in sec.frames:
-        frame = Frame(spec.channel, spec.source, spec.dest,
-                      spec.payload_text.encode("utf-8"), spec.timestamp_s)
-        row = {"channel": spec.channel, "source": spec.source, "dest": spec.dest}
+    for frame in sec.frames:
+        row = {"channel": frame.channel, "source": frame.source, "dest": frame.dest}
         try:
             delivery = send_frame(frame, graph)
         except UnreachableError:

@@ -87,16 +87,18 @@ class TestProfileValidation:
             replace(REFERENCE_PROFILE, **{field: value})
 
     def test_equal_profiles_share_memo_entries(self):
-        # the hash is kept per instance, so a replace()-equal copy must hash
-        # and compare equal and hit the entries its twin left in the memos
+        # the per-profile memos key on the profile's value: a replace()-equal
+        # copy hashes and compares equal and hits the entries its twin made
         p = replace(REFERENCE_PROFILE, chamfer_depth_mm=0.75)
         mis = Misalignment(dx_mm=1.0)
         face._field_constants(p)
+        face._samples(p)
         mate_feasible(p, mis)
         q = replace(p)
         assert q is not p and q == p and hash(q) == hash(p)
         assert asdict(q) == asdict(p) and list(asdict(q)) == [f.name for f in fields(FaceProfile)]
         for memo, call in ((face._field_constants, lambda: face._field_constants(q)),
+                           (face._samples, lambda: face._samples(q)),
                            (face._feasible, lambda: mate_feasible(q, mis))):
             before = memo.cache_info()
             call()
@@ -564,29 +566,29 @@ def _visited_states() -> tuple:
     in first-visit order: each one's fixed-face sample bound or moving-face
     term is asked for, whether or not it is then settled."""
     visited = []
-    real_floor, real_sample_lift = face._floor, face._sample_lift
+    real_floor, real_samples = face._floor, face._samples
 
     def record(profile, state):
         visited.append(state)
         return real_floor(profile, state)
 
-    def sample_lift(profile):
-        lift, margin, fixed = real_sample_lift(profile)
+    def samples(profile):
+        rec = real_samples(profile)
 
         def record_fixed(state, i):
             visited.append(state)
-            return fixed(state, i)
+            return rec.fixed(state, i)
 
-        return lift, margin, record_fixed
+        return rec._replace(fixed=record_fixed)
 
     _go_cold()
-    face._floor, face._sample_lift = record, sample_lift
+    face._floor, face._samples = record, samples
     try:
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
                       (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
             face._descend(REFERENCE_PROFILE, start)
     finally:
-        face._floor, face._sample_lift = real_floor, real_sample_lift
+        face._floor, face._samples = real_floor, real_samples
     return tuple(dict.fromkeys(visited))
 
 
@@ -906,7 +908,7 @@ def _on_rim(profile, state, i):
 
 
 class TestSampleBound:
-    """One contact sample in scalar math (face._sample_lift), less its
+    """One contact sample in scalar math (face._samples' lift), less its
     margin, is a lower bound of the moving term: the descent skips
     candidates on it."""
 
@@ -921,7 +923,7 @@ class TestSampleBound:
         wx, wy = w[:, 0] + dx, w[:, 1] + dy
         r = np.hypot(wx, wy)
         want = height_field(profile, wx, wy) - w[:, 2]
-        lift, margin, _ = face._sample_lift(profile)
+        _, _, margin, lift, _ = face._samples(profile)
         got = np.array([lift(state, i) for i in range(len(w))])
         bounds = np.isfinite(got)
         rim = profile.rim_radius_mm
@@ -938,7 +940,7 @@ class TestSampleBound:
         # sample index = 14 * angle index + radius index; radius 13 is the rim
         for i in (13, 14 * 36 + 13, 14 * 71 + 7):
             state = _on_rim(profile, (1.0, -2.0, 10.0, 3.0, -1.0), i)
-            assert face._sample_lift(profile)[0](state, i) == -math.inf
+            assert face._samples(profile).lift(state, i) == -math.inf
 
 
 def _solve_on_rim(profile, state, i):
@@ -990,7 +992,7 @@ def _solve_on_rim(profile, state, i):
 
 
 class TestFixedSampleBound:
-    """One fixed-face sample's solve in scalar math (face._sample_lift),
+    """One fixed-face sample's solve in scalar math (face._samples' fixed),
     less its margin, is a lower bound of the fixed-face term: the descent
     skips candidates on it."""
 
@@ -1001,7 +1003,7 @@ class TestFixedSampleBound:
     def test_one_sample_bounds_the_fixed_term(self, profile, state, rim_sample):
         if rim_sample is not None:
             state = _solve_on_rim(profile, state, rim_sample)
-        fixed = face._sample_lift(profile)[2]
+        fixed = face._samples(profile).fixed
         got, margin = np.array([fixed(state, i) for i in range(14 * 72)]).T
         bounds = np.isfinite(got)
         cos_t = abs(face._pose_matrix(*state[2:])[2, 2])
@@ -1022,7 +1024,7 @@ class TestFixedSampleBound:
 
     @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
     def test_rim_solve_ends_drop_the_sample(self, profile):
-        fixed = face._sample_lift(profile)[2]
+        fixed = face._samples(profile).fixed
         for i in (13, 14 * 36 + 13, 14 * 71 + 7):
             for state in ((1.0, -2.0, 10.0, 3.0, -1.0), _STEEP_STATES[1]):
                 state = _solve_on_rim(profile, state, i)
@@ -1042,7 +1044,7 @@ def _points_and_subset(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if n == 14 * 72:
         dx, dy, rot, tx, ty = draw(_STATE)
-        xy = (face._sample_cloud(profile) - np.array([dx, dy, 0.0])) @ face._pose_matrix(
+        xy = (face._samples(profile).cloud - np.array([dx, dy, 0.0])) @ face._pose_matrix(
             rot, tx, ty)
     else:
         r = rng.uniform(0.0, 45.0, n)
@@ -1104,11 +1106,13 @@ class TestWorkCounters:
     fixed-face term is solved), moving-term evaluations (_floor misses),
     path joins (_join lookups that find a filled cell), candidate
     generations and fixed-face sample evaluations (the points _fixed_term
-    passes to height_field)."""
+    passes to height_field). The per-profile sample record is built once:
+    _samples misses once per profile after its cache is cleared."""
 
     @staticmethod
     def _counts(monkeypatch, work):
         _go_cold()
+        face._samples.cache_clear()
         joins, generations, samples = [], [], []
         real_join, real_moves, real_field = face._join, face._candidate_moves, face.height_field
         solve = face._fixed_term.__code__
@@ -1141,6 +1145,8 @@ class TestWorkCounters:
         assert self._counts(monkeypatch, lambda: full_envelope(REFERENCE_PROFILE)) == (
             1613, 2061, 151, 1078, 2_844_089)
         assert face._join.cache_info().currsize == 1120
+        # the sample record is built once per profile, not once per descent
+        assert face._samples.cache_info().misses == 1
 
     def test_three_dock_stream_descents(self, monkeypatch):
         # the full solve on every sample made 874,944 sample evaluations

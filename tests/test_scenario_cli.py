@@ -1011,6 +1011,11 @@ CLI_ERRORS = [
                  _shipped("assembly", lambda a: a["frames"][0].update(payload_text="intlk 123")),
                  2, {"path": "$.assembly.frames[0]", "message": "can frame of 9 B exceeds 8 B"},
                  id="oversized_can_frame_exits_2_with_path"),
+    # a lone surrogate has no UTF-8 encoding: the frame is refused as it is parsed
+    pytest.param("assembly",
+                 _shipped("assembly", lambda a: a["frames"][0].update(payload_text="\ud800")),
+                 2, {"path": "$.assembly.frames[0]"},
+                 id="unencodable_frame_payload_exits_2_with_path"),
     pytest.param("assembly",
                  _shipped("assembly", lambda a: a["power_requests"][0].update(watts=0.0)), 2,
                  {"path": "$.assembly.power_requests[0].watts"},
