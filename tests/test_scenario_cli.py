@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from capture_oracle import synthetic_limits
-from docksim import cli, scenario as scenario_module
+from docksim import cli, face, scenario as scenario_module
 from docksim.coupling import Event
 from docksim.errors import NonFiniteError, ScenarioError
 from docksim.face import Misalignment
@@ -984,6 +984,11 @@ def _overflowing(assembly):
     assembly["gravity_mps2"] = [1e308, 0.0, 0.0]
 
 
+# A sweep of a few hundred bytes that plans 1,200 rays x 14,000 lattice points
+# + 2 x 6,000, about 16.8 M probes: hours of CPU.
+RUNAWAY_ENVELOPE = {"angular_resolution_deg": 0.1, "translation_tol_mm": 0.01,
+                    "rotation_tol_deg": 0.01, "deflection_tol_deg": 0.01}
+
 # One row per way a run fails: the command, its scenario (None: no such
 # file), the exit code and the fields of the JSON error body pinned.
 CLI_ERRORS = [
@@ -1030,6 +1035,8 @@ CLI_ERRORS = [
                  {"path": "$.envelope.translation_tol_mm",
                   "message": "scan would take more than 10000 lattice points"},
                  id="translation_scan_over_cap_exits_2_with_path"),
+    pytest.param("envelope", _shipped("envelope", lambda e: e.update(RUNAWAY_ENVELOPE)), 2,
+                 {"path": "$.envelope"}, id="runaway_envelope_exits_2_before_a_probe"),
     pytest.param("assembly", _shipped("assembly", _ungrounded), 3,
                  {"error_type": "UnsupportedError"}, id="unsupported_load_exits_3"),
     pytest.param("assembly", _shipped("assembly", _overflowing), 3,
@@ -1061,7 +1068,9 @@ CLI_ERRORS = [
 
 
 @pytest.mark.parametrize("command,doc,exit_code,pinned", CLI_ERRORS)
-def test_cli_error_body(capsys, tmp_path, command, doc, exit_code, pinned):
+def test_cli_error_body(capsys, tmp_path, monkeypatch, command, doc, exit_code, pinned):
+    if command == "envelope":  # every envelope row is refused before its first probe
+        monkeypatch.setattr(face, "_feasible", lambda *a: pytest.fail("a capture probe ran"))
     p = str(tmp_path / "nope.json") if doc is None else scenario_path(tmp_path, doc)
     out = tmp_path / "o"
     rc, body = run_cli(capsys, [command, "--scenario", p, "--out", str(out)])
