@@ -32,11 +32,10 @@ CONV_LAT_MM = 0.01
 CONV_ANG_DEG = 0.01
 ROTATION_CEILING_DEG = 60.0
 DEFLECTION_CEILING_DEG = 60.0
-# Most base directions full_envelope sweeps per axis (120 / resolution) and
-# most lattice points envelope_axis_limit walks per ray (axis cap / tol);
-# every lattice point may cost one capture descent.
-MAX_SWEEP_RAYS = 1_200
-MAX_AXIS_PROBES = 10_000
+# Most probes one envelope may plan: rays x (translation + deflection lattice
+# points) + 2 x rotation lattice points. Each probe may cost one capture
+# descent, about 8 ms of CPU on a 0.01-step deflection ray.
+MAX_ENVELOPE_PROBES = 20_000
 
 
 @dataclass(frozen=True)
@@ -751,14 +750,10 @@ def _axis_cap(profile: FaceProfile, axis: str) -> float:
 
 
 def _lattice_points(profile: FaceProfile, axis: str, tol: float) -> int:
-    """Lattice points a scan along axis walks; at most MAX_AXIS_PROBES."""
+    """Lattice points a scan along axis walks, clamped to MAX_ENVELOPE_PROBES + 1."""
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ParameterError("tol must be positive and finite")
-    points = _axis_cap(profile, axis) / tol
-    if points > MAX_AXIS_PROBES:
-        raise ParameterError(
-            f"tol {tol!r} needs more than {MAX_AXIS_PROBES} lattice points on the {axis} axis")
-    return max(1, int(math.floor(points)))
+    return max(1, math.floor(min(_axis_cap(profile, axis) / tol, MAX_ENVELOPE_PROBES + 1)))
 
 
 def envelope_axis_limit(
@@ -776,6 +771,9 @@ def envelope_axis_limit(
     if axis not in _AXES:  # before the scan is sized or probed
         raise ParameterError(f"unknown axis {axis!r}; expected one of {_AXES}")
     kmax = _lattice_points(profile, axis, tol)
+    if kmax > MAX_ENVELOPE_PROBES:
+        raise ParameterError(f"tol {tol!r} plans more than {MAX_ENVELOPE_PROBES} lattice points "
+                             f"on the {axis} axis, the budget of one envelope")
     if not math.isfinite(direction_deg):
         raise ParameterError(f"direction {direction_deg!r} deg must be finite")
     if not mate_feasible(profile, Misalignment()):
@@ -801,18 +799,20 @@ def full_envelope(
     """
     if not 0.0 < angular_resolution_deg < math.inf:  # NaN fails too
         raise ParameterError("angular resolution must be positive and finite")
-    if 120.0 / angular_resolution_deg > MAX_SWEEP_RAYS:
-        raise ParameterError(f"angular resolution {angular_resolution_deg!r} deg needs more "
-                             f"than {MAX_SWEEP_RAYS} rays")
-    for axis, tol in (("translation", tol_translation_mm), ("rotation", tol_rotation_deg),
-                      ("deflection", tol_deflection_deg)):
-        _lattice_points(profile, axis, tol)  # reject an oversized scan before sweeping
     rows: list[tuple[str, float, float]] = []
     base = []
     psi = 0.0
-    while psi < 120.0 - 1e-9:
+    while psi < 120.0 - 1e-9 and len(base) <= MAX_ENVELOPE_PROBES:
         base.append(psi)
         psi += angular_resolution_deg
+    t_pts, r_pts, d_pts = (_lattice_points(profile, axis, tol) for axis, tol in (
+        ("translation", tol_translation_mm), ("rotation", tol_rotation_deg),
+        ("deflection", tol_deflection_deg)))
+    planned = len(base) * (t_pts + d_pts) + 2 * r_pts  # a clamped count is a lower bound
+    if planned > MAX_ENVELOPE_PROBES:  # refused before the first probe
+        raise ParameterError(f"sweep plans at least {planned} probes ({len(base)} rays x "
+                             f"{t_pts + d_pts} lattice points + 2 x {r_pts}), over the budget "
+                             f"of {MAX_ENVELOPE_PROBES} probes")
 
     for axis, tol in (("translation", tol_translation_mm), ("deflection", tol_deflection_deg)):
         for d in base:

@@ -2,12 +2,16 @@
 
 An out-of-range field raises ParameterError from the constructor and from
 dataclasses.replace alike, so no consumer has to remember a separate check:
-a public function handed one of these objects can take it as valid.
+a public function handed one of these objects can take it as valid. The
+last test checks a model invariant: the settle height does not depend on
+which of the two genderless faces is named the fixed one.
 """
 import math
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docksim.assembly import Module
 from docksim.bus import Frame
@@ -85,3 +89,15 @@ def test_an_infinite_scale_is_refused():
     with pytest.raises(ParameterError, match="^wrench components must be finite$"):
         Wrench(1.0, 2.0, 3.0).scaled(math.inf)
     assert Wrench(1.0, 2.0, 3.0).scaled(2.0) == Wrench(2.0, 4.0, 6.0)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-60.0, 60.0))
+def test_settle_height_is_the_same_from_either_face(dx, dy, rot):
+    # the faces are genderless: at zero tilt the approach axes coincide, so
+    # naming the other face the fixed one must not move the settle height
+    c, s = math.cos(math.radians(rot)), math.sin(math.radians(rot))
+    swapped = (-(c * dx + s * dy), -(s * dx - c * dy), rot, 0.0, 0.0)
+    here = settle_height(REFERENCE_PROFILE, (dx, dy, rot, 0.0, 0.0))
+    there = settle_height(REFERENCE_PROFILE, swapped)
+    assert here == there == math.inf or abs(here - there) <= 1e-12

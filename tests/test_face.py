@@ -6,6 +6,7 @@ separately checks them against the published tolerance targets.
 """
 import functools
 import math
+import re
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -374,13 +375,28 @@ class TestEnvelopeSearch:
         with pytest.raises(ParameterError, match="unknown axis 'yaw'"):
             envelope_axis_limit(REFERENCE_PROFILE, "yaw", tol)
 
-    @pytest.mark.parametrize("axis,tol", [("translation", 1e-9), ("translation", 0.0079),
-                                          ("rotation", 0.0059), ("deflection", 1e-9)])
+    @pytest.mark.parametrize("axis,tol", [("translation", 1e-9), ("translation", 0.0039),
+                                          ("rotation", 0.0029), ("deflection", 1e-9)])
     def test_lattice_cap(self, axis, tol, monkeypatch):
-        # the cap is checked before any probe runs
+        # a ray over the probe budget is refused before any probe runs
         monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
-        with pytest.raises(ParameterError, match="lattice points"):
+        with pytest.raises(ParameterError, match=f"more than {face.MAX_ENVELOPE_PROBES} lattice"):
             envelope_axis_limit(REFERENCE_PROFILE, axis, tol)
+
+    def test_lattice_cap_boundary(self, monkeypatch):
+        # a ray of exactly the budget gets past the check to its first probe
+        class Probed(Exception):
+            pass
+
+        def probe(p, m):
+            raise Probed
+
+        monkeypatch.setattr(face, "mate_feasible", probe)
+        budget = face.MAX_ENVELOPE_PROBES
+        with pytest.raises(Probed):
+            envelope_axis_limit(REFERENCE_PROFILE, "rotation", 60.0 / (budget + 0.5))
+        with pytest.raises(ParameterError, match="lattice points"):
+            envelope_axis_limit(REFERENCE_PROFILE, "rotation", 60.0 / (budget + 1.5))
 
     @pytest.mark.parametrize("axis,tol,direction", [
         ("rotation", 1.0, math.nan), ("translation", 1.0, math.inf),
@@ -440,10 +456,14 @@ class TestFullEnvelope:
         ({"tol_deflection_deg": 1e-9}, "lattice points"),
     ])
     def test_sweep_size_caps(self, kwargs, match, monkeypatch):
-        # every cap is checked before the sweep probes anything
+        # the probe budget is checked before the sweep probes anything, and
+        # the message names the planned count and the budget
         monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
-        with pytest.raises(ParameterError, match=match):
+        with pytest.raises(ParameterError, match=match) as ei:
             full_envelope(REFERENCE_PROFILE, **kwargs)
+        assert re.fullmatch(r"sweep plans at least \d+ probes \(\d+ rays x \d+ lattice points "
+                            rf"\+ 2 x \d+\), over the budget of {face.MAX_ENVELOPE_PROBES} probes",
+                            str(ei.value))
 
     @pytest.mark.parametrize("kwargs", [
         {"angular_resolution_deg": math.nan}, {"angular_resolution_deg": math.inf},

@@ -235,11 +235,6 @@ class TestParsing:
             parse_scenario({"schema_version": 1, "mechanism": {"mu_rail": 10 ** 400}})
         assert (ei.value.path, ei.value.reason) == ("$.mechanism.mu_rail", "must be finite")
 
-    def test_sweep_sizes_inside_the_caps_parse(self):
-        parse_scenario({"schema_version": 1, "envelope": {
-            "angular_resolution_deg": 0.125, "rotation_tol_deg": 0.008,
-            "deflection_tol_deg": 0.008}})
-
 
 # ------------------------------------------------------------- CLI
 
@@ -328,11 +323,57 @@ class TestCli:
         assert report["meta"]["seed"] == 42 and type(report["meta"]["seed"]) is int
 
     def test_resolution_flag_over_cap_exits_2(self, capsys, tmp_path):
+        # the flag has no cap of its own: the sweep it sizes is over the probe budget
         rc, err = run_cli(capsys, ["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
                                    "--out", str(tmp_path / "o"), "--resolution", "1e-9"])
         assert rc == 2
-        assert err["error"]["path"] == "$.resolution"
-        assert err["error"]["message"] == "sweep would take more than 1200 rays"
+        assert err["error"]["path"] == "$.envelope"
+        assert err["error"]["message"] == (
+            "sweep plans at least 2800260 probes (20001 rays x 140 lattice points + 2 x 60), "
+            "over the budget of 20000 probes")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_sweep_at_the_probe_budget_runs(self, capsys, tmp_path, monkeypatch, over):
+        # one ray, one rotation and one deflection point each, and translation
+        # points up to the budget: a plan of exactly MAX_ENVELOPE_PROBES gets
+        # past the check to its first probe, one probe more exits 2
+        class Probed(Exception):
+            pass
+
+        def probe(p, m):
+            raise Probed
+
+        monkeypatch.setattr(face, "mate_feasible", probe)
+        points = face.MAX_ENVELOPE_PROBES - 3 + over
+        doc = _shipped("envelope", lambda e: e.update(
+            angular_resolution_deg=120.0, rotation_tol_deg=60.0, deflection_tol_deg=60.0,
+            translation_tol_mm=80.0 / (points + 0.5)))
+        argv = ["envelope", "--scenario", scenario_path(tmp_path, doc),
+                "--out", str(tmp_path / "o")]
+        if over:
+            rc, err = run_cli(capsys, argv)
+            assert (rc, err["error"]["path"]) == (2, "$.envelope")
+            assert err["error"]["message"].startswith(
+                f"sweep plans at least {face.MAX_ENVELOPE_PROBES + 1} probes")
+        else:
+            with pytest.raises(Probed):
+                cli.main(argv)
+        assert not (tmp_path / "o").exists()
+
+    def test_degenerate_profile_stays_exit_3(self, capsys, tmp_path, monkeypatch):
+        # only the budget's ParameterError is a schema error
+        monkeypatch.setattr(face, "_feasible", lambda *a: False)
+        rc, err = run_cli(capsys, ["envelope", "--scenario", str(SCENARIOS / "envelope.json"),
+                                   "--out", str(tmp_path / "o")])
+        assert (rc, err["error"]["error_type"]) == (3, "DegenerateProfileError")
+
+    def test_probe_budget_binds_only_the_envelope_command(self, capsys, tmp_path):
+        doc = json.loads((SCENARIOS / "loads.json").read_text())
+        doc["envelope"] = RUNAWAY_ENVELOPE
+        rc, _ = run_cli(capsys, ["loads", "--scenario", scenario_path(tmp_path, doc),
+                                 "--out", str(tmp_path / "o"), "--resolution", "1e-9"])
+        assert rc == 0
 
     @pytest.mark.parametrize("value,message", [
         ("inf", "must be finite"), ("nan", "must be finite"), ("-inf", "must be finite"),
@@ -870,8 +911,7 @@ def test_error_path_and_message(doc, path, message):
     assert (ei.value.path, ei.value.reason) == (path, message)
 
 
-# Values that would otherwise fail later in the analysis (exit 3) or size an
-# unbounded envelope sweep.
+# Values that would otherwise fail later in the analysis (exit 3).
 NEW_BOUNDS = [
     (_doc("mechanism", {"resisting_force_n": -1.0}), "$.mechanism.resisting_force_n",
      "must be >= 0"),
@@ -880,12 +920,12 @@ NEW_BOUNDS = [
      "must be > 0"),
     (_asm("power_requests", {**REQUEST, "watts": -5.0}), "$.assembly.power_requests[0].watts",
      "must be > 0"),
-    (_doc("envelope", {"angular_resolution_deg": 1e-9}), "$.envelope.angular_resolution_deg",
-     "sweep would take more than 1200 rays"),
-    (_doc("envelope", {"rotation_tol_deg": 1e-9}), "$.envelope.rotation_tol_deg",
-     "scan would take more than 10000 lattice points"),
-    (_doc("envelope", {"deflection_tol_deg": 0.005}), "$.envelope.deflection_tol_deg",
-     "scan would take more than 10000 lattice points"),
+    # the sweep's size is checked when it runs: see the CLI error bodies
+    (_doc("envelope", {"angular_resolution_deg": -30.0}), "$.envelope.angular_resolution_deg",
+     "must be > 0"),
+    (_doc("envelope", {"rotation_tol_deg": -1.0}), "$.envelope.rotation_tol_deg", "must be > 0"),
+    (_doc("envelope", {"deflection_tol_deg": -1.0}), "$.envelope.deflection_tol_deg",
+     "must be > 0"),
     # every element of a 3-vector must be finite
     (_doc("assembly", {"gravity_mps2": [INF, 0.0, 0.0]}), "$.assembly.gravity_mps2",
      "must be finite"),
@@ -1032,11 +1072,27 @@ CLI_ERRORS = [
                  {"path": "$.mechanism", "message": "theta_deg must have a nonzero sine"},
                  id="theta_with_a_zero_sine_exits_2_with_no_artifact"),
     pytest.param("envelope", _shipped("envelope", lambda e: e.update(translation_tol_mm=1e-9)), 2,
-                 {"path": "$.envelope.translation_tol_mm",
-                  "message": "scan would take more than 10000 lattice points"},
+                 {"path": "$.envelope",
+                  "message": "sweep plans at least 80364 probes (4 rays x 20061 lattice points "
+                             "+ 2 x 60), over the budget of 20000 probes"},
                  id="translation_scan_over_cap_exits_2_with_path"),
+    pytest.param("envelope", _shipped("envelope", lambda e: e.update(angular_resolution_deg=1e-9)),
+                 2, {"path": "$.envelope"}, id="ray_count_over_budget_exits_2_with_path"),
+    pytest.param("envelope", _shipped("envelope", lambda e: e.update(rotation_tol_deg=1e-9)), 2,
+                 {"path": "$.envelope",
+                  "message": "sweep plans at least 40562 probes (4 rays x 140 lattice points "
+                             "+ 2 x 20001), over the budget of 20000 probes"},
+                 id="rotation_scan_over_budget_exits_2_with_path"),
+    pytest.param("envelope", _shipped("envelope", lambda e: e.update(deflection_tol_deg=0.005)),
+                 2, {"path": "$.envelope",
+                     "message": "sweep plans at least 48440 probes (4 rays x 12080 lattice points "
+                                "+ 2 x 60), over the budget of 20000 probes"},
+                 id="deflection_scan_over_budget_exits_2_with_path"),
     pytest.param("envelope", _shipped("envelope", lambda e: e.update(RUNAWAY_ENVELOPE)), 2,
-                 {"path": "$.envelope"}, id="runaway_envelope_exits_2_before_a_probe"),
+                 {"path": "$.envelope",
+                  "message": "sweep plans at least 16812000 probes (1200 rays x 14000 lattice "
+                             "points + 2 x 6000), over the budget of 20000 probes"},
+                 id="runaway_envelope_exits_2_before_a_probe"),
     pytest.param("assembly", _shipped("assembly", _ungrounded), 3,
                  {"error_type": "UnsupportedError"}, id="unsupported_load_exits_3"),
     pytest.param("assembly", _shipped("assembly", _overflowing), 3,
