@@ -69,14 +69,11 @@ from .loads import (
 )
 from .bus import (
     ChannelSet,
-    DataChannel,
     Delivery,
     Frame,
     PowerBus,
-    channel_available,
     connect,
     contact_ring,
-    mated_contact_map,
     send_frame,
 )
 from .assembly import (
@@ -107,8 +104,8 @@ __all__ = [
     "replay", "step",
     "DUAL_LOCK_FACTOR", "LoadEnvelope", "LoadReport", "StressEstimate", "Wrench",
     "check_load", "component_loads", "stress_estimate",
-    "ChannelSet", "DataChannel", "Delivery", "Frame", "PowerBus",
-    "channel_available", "connect", "contact_ring", "mated_contact_map", "send_frame",
+    "ChannelSet", "Delivery", "Frame", "PowerBus", "connect", "contact_ring",
+    "send_frame",
     "DockReport", "Module", "ModuleGraph", "Pose", "Port", "ReconfigureReport",
     "WrenchResult", "mate_world_pose",
     "Scenario", "load_scenario", "parse_scenario", "run",

@@ -243,7 +243,7 @@ class EdgeInfo:
     def __init__(self, state: InterfaceState, config: CouplingConfig):
         self._state = state
         self.config = config
-        self._channels: ChannelSet | None = connect(state, rotation_slot=0)
+        self._channels: ChannelSet | None = connect(state)
 
     @property
     def state(self) -> InterfaceState:

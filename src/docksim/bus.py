@@ -3,7 +3,7 @@
 Two fixed rails cross the interface: the main 48 V rail rated 500 W and the
 auxiliary 24 V rail rated 50 W. Two data channels cross it as well:
 Ethernet for payload traffic and CAN for interface-to-interface interlock
-coordination; the purpose split is enforced by channel kind. Contacts
+coordination; Frame enforces the purpose split by kind. Contacts
 repeat the base sequence three times around the ring, so mating at any
 120-degree rotation slot lands every contact on a peer of the same role.
 
@@ -87,64 +87,24 @@ class PowerBus:
         return dict(self._grants)
 
 
-@dataclass
-class DataChannel:
-    """One crossing data link; its purpose is fixed by kind."""
-
-    kind: str
-    link_up: bool = True
-
-    def __post_init__(self):
-        if self.kind not in CHANNEL_PURPOSES:
-            raise ParameterError(f"unknown channel kind {self.kind!r}")
-
-    @property
-    def purpose(self) -> str:
-        return CHANNEL_PURPOSES[self.kind]
-
-
 def contact_ring() -> tuple[str, ...]:
     """Full ring layout: the base sequence repeated for each 120-degree slot."""
     return BASE_CONTACTS * 3
 
 
-# rotating the ring by whole slots is a symmetry of it: every contact meets
-# a peer of its own role at every slot
-_MATED_CONTACTS = tuple((role, role) for role in contact_ring())
-
-
-def mated_contact_map(rotation_slot: int) -> tuple[tuple[str, str], ...]:
-    """(local role, peer role) per contact when mated at a given slot.
-
-    The layout's 3-fold repetition makes the mapping identical for every
-    slot, so every slot gets the one tuple built at import.
-    """
-    if not isinstance(rotation_slot, int) or isinstance(rotation_slot, bool):
-        raise ParameterError("rotation_slot must be an integer slot count")
-    return _MATED_CONTACTS
-
-
 class ChannelSet:
-    """Everything that becomes usable across one locked interface."""
+    """The power rails bound across one locked interface."""
 
-    def __init__(self, rotation_slot: int):
-        self.contact_map = mated_contact_map(rotation_slot)  # rejects a non-integer slot
-        self.rotation_slot = rotation_slot % 3
+    def __init__(self):
         self.buses: dict[float, PowerBus] = {rail: PowerBus(rail) for rail in RAIL_RATINGS_W}
-        self.channels: dict[str, DataChannel] = {
-            "ethernet": DataChannel("ethernet"),
-            "can": DataChannel("can"),
-        }
 
     def disconnect(self) -> None:
         for bus in self.buses.values():
             bus.connected = False
-        for ch in self.channels.values():
-            ch.link_up = False
 
 
-def connect(state, rotation_slot: int = 0) -> ChannelSet:
-    """Bind buses and channels across an interface that has reached locked.
+def connect(state) -> ChannelSet:
+    """Bind the power buses across an interface that has reached locked.
 
     state only needs a phase attribute (duck-typed to avoid a dependency on
     the FSM module). Any other phase refuses with NotConnectedError.
@@ -152,12 +112,7 @@ def connect(state, rotation_slot: int = 0) -> ChannelSet:
     phase = getattr(state, "phase", None)
     if phase != "locked":
         raise NotConnectedError(f"channels require a locked interface, got {phase!r}")
-    return ChannelSet(rotation_slot)
-
-
-def channel_available(state) -> bool:
-    """Whether data may cross the interface in this FSM state."""
-    return getattr(state, "phase", None) == "locked"
+    return ChannelSet()
 
 
 @dataclass(frozen=True)
@@ -176,7 +131,7 @@ class Frame:
             raise ParameterError(
                 f"unknown channel {self.channel!r}; expected can or ethernet"
             )
-        if not isinstance(self.payload, (bytes, bytearray)):
+        if not isinstance(self.payload, bytes):
             raise ParameterError("payload must be bytes")
         if len(self.payload) > limit:
             raise FramingError(

@@ -13,14 +13,11 @@ from docksim.bus import (
     FRAME_LIMITS_B,
     RAIL_RATINGS_W,
     ChannelSet,
-    DataChannel,
     Delivery,
     Frame,
     PowerBus,
-    channel_available,
     connect,
     contact_ring,
-    mated_contact_map,
     send_frame,
     shortest_path,
 )
@@ -112,7 +109,7 @@ def test_bad_watts_rejected():
 
 
 def test_disconnected_bus_refuses_service():
-    channels = ChannelSet(0)
+    channels = ChannelSet()
     bus = channels.buses[48.0]
     gid = bus.request_power(10.0)
     channels.disconnect()
@@ -154,62 +151,38 @@ def test_contact_ring_is_three_repeats():
 
 @pytest.mark.parametrize("slot", [0, 1, 2, -2, 7])
 def test_contact_map_invariant_under_slots(slot):
-    # the ring turned by whole slots meets itself
+    # the ring turned by whole slots meets itself: mating at any slot lands
+    # every contact on a peer of its own role
     ring = contact_ring()
-    shift = slot * len(BASE_CONTACTS)
-    turned = tuple((ring[i], ring[(i + shift) % len(ring)]) for i in range(len(ring)))
-    assert mated_contact_map(slot) == turned == mated_contact_map(0)
-
-
-def test_contact_map_pairs_same_roles():
-    for local, peer in mated_contact_map(1):
-        assert local == peer
-
-
-def test_contact_map_rejects_non_integer_slot():
-    with pytest.raises(ParameterError):
-        mated_contact_map(1.5)
+    shift = slot * len(BASE_CONTACTS) % len(ring)
+    assert ring[shift:] + ring[:shift] == ring
 
 
 # ---------------------------------------------------------------- channels
 
 
-def test_channel_purposes_fixed_by_kind():
-    assert DataChannel("ethernet").purpose == "payload"
-    assert DataChannel("can").purpose == "interlock"
-    with pytest.raises(ParameterError):
-        DataChannel("rs485")
-
-
 def test_connect_requires_locked():
     locked = InterfaceState(phase="locked", sides_engaged=("A",))
-    chans = connect(locked, rotation_slot=1)
+    chans = connect(locked)
     assert set(chans.buses) == {48.0, 24.0}
-    assert set(chans.channels) == {"ethernet", "can"}
-    assert all(ch.link_up for ch in chans.channels.values())
+    assert all(bus.connected for bus in chans.buses.values())
     for phase in ("idle", "capturing", "aligned", "locking", "unlocking"):
         sides = ("A",) if phase in ("locking", "unlocking") else ()
         with pytest.raises(NotConnectedError):
-            connect(InterfaceState(phase=phase, sides_engaged=sides), rotation_slot=0)
-
-
-def test_connect_channel_set_slot_invariant():
-    locked = InterfaceState(phase="locked", sides_engaged=("A",))
-    maps = [connect(locked, rotation_slot=s).contact_map for s in (0, 1, 2)]
-    assert maps[0] == maps[1] == maps[2]
+            connect(InterfaceState(phase=phase, sides_engaged=sides))
 
 
 def test_channel_set_disconnect():
-    chans = ChannelSet(0)
+    chans = ChannelSet()
     chans.disconnect()
-    assert not any(ch.link_up for ch in chans.channels.values())
+    assert not any(bus.connected for bus in chans.buses.values())
     with pytest.raises(NotConnectedError):
         chans.buses[48.0].request_power(10.0)
 
 
 def test_availability_tracks_locked_over_random_history(reference_profile):
-    # Drive the FSM through a random event log; channel availability must
-    # be exactly the phase == locked predicate at every state.
+    # Drive the FSM through a random event log; connect must succeed
+    # exactly when phase == locked at every state.
     rng = random.Random(9)
     cfg = CouplingConfig(lock_duration_s=10.0)
     state = InterfaceState()
@@ -230,9 +203,8 @@ def test_availability_tracks_locked_over_random_history(reference_profile):
         except ProtocolError:
             continue
         saw_locked = saw_locked or state.phase == "locked"
-        assert channel_available(state) == (state.phase == "locked")
         if state.phase == "locked":
-            assert set(connect(state).channels) == {"ethernet", "can"}
+            assert set(connect(state).buses) == {48.0, 24.0}
         else:
             with pytest.raises(NotConnectedError):
                 connect(state)

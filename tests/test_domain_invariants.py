@@ -3,10 +3,12 @@
 An out-of-range field raises ParameterError from the constructor and from
 dataclasses.replace alike, so no consumer has to remember a separate check:
 a public function handed one of these objects can take it as valid. The
-last test checks a model invariant: the settle height does not depend on
-which of the two genderless faces is named the fixed one.
+last two tests check a model invariant: neither the settle height nor the
+capture verdict may depend on which of the two genderless faces is named
+the fixed one. The verdict does today, on 13 pinned states (xfail).
 """
 import math
+import random
 from dataclasses import fields, replace
 
 import pytest
@@ -22,6 +24,7 @@ from docksim.face import (
     Misalignment,
     canonicalize,
     height_field,
+    mate_feasible,
     settle_height,
 )
 from docksim.loads import LoadEnvelope, Wrench
@@ -48,6 +51,9 @@ CASES = [
     (Module("m", "link", ()), "mass_kg", -1.0, "mass_kg must be finite and >= 0"),
     (Module("m", "link", ()), "module_id", "", "module_id must be non-empty"),
     (Frame("can", "a", "b", b"x"), "timestamp_s", -1.0, "timestamp_s must be finite and >= 0"),
+    # a bytearray could grow past the channel limit after the check, and
+    # makes the frozen frame unhashable
+    (Frame("can", "a", "b", b"x"), "payload", bytearray(8), "payload must be bytes"),
 ]
 # a type's first row is named after the type, any further row after its field too
 IDS = []
@@ -91,13 +97,36 @@ def test_an_infinite_scale_is_refused():
     assert Wrench(1.0, 2.0, 3.0).scaled(2.0) == Wrench(2.0, 4.0, 6.0)
 
 
+def _swapped(dx, dy, rot):
+    """The zero-tilt state (dx, dy, rot) seen with the other face fixed."""
+    c, s = math.cos(math.radians(rot)), math.sin(math.radians(rot))
+    return (-(c * dx + s * dy), -(s * dx - c * dy), rot)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-60.0, 60.0))
 def test_settle_height_is_the_same_from_either_face(dx, dy, rot):
     # the faces are genderless: at zero tilt the approach axes coincide, so
     # naming the other face the fixed one must not move the settle height
-    c, s = math.cos(math.radians(rot)), math.sin(math.radians(rot))
-    swapped = (-(c * dx + s * dy), -(s * dx - c * dy), rot, 0.0, 0.0)
     here = settle_height(REFERENCE_PROFILE, (dx, dy, rot, 0.0, 0.0))
-    there = settle_height(REFERENCE_PROFILE, swapped)
+    there = settle_height(REFERENCE_PROFILE, (*_swapped(dx, dy, rot), 0.0, 0.0))
     assert here == there == math.inf or abs(here - there) <= 1e-12
+
+
+# of 600 zero-tilt states drawn from random.seed(2), the 13 whose verdict
+# depends on which face is fixed: 8 are captured only as drawn, 5 only swapped
+_rng = random.Random(2)
+_DRAWS = [(_rng.uniform(-18.0, 18.0), _rng.uniform(-18.0, 18.0), _rng.uniform(-45.0, 45.0))
+          for _ in range(600)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the descent's candidate moves are not closed under the face swap")
+@pytest.mark.parametrize("draw", (64, 85, 106, 132, 309, 373, 407, 421, 510, 519, 554, 577, 588))
+def test_verdict_is_the_same_from_either_face(draw):
+    # the rotation moves turn the moving face about its own axis only; seen
+    # from the other face that is a turn about an axis no candidate uses
+    dx, dy, rot = _DRAWS[draw]
+    here = mate_feasible(REFERENCE_PROFILE, Misalignment(dx, dy, rot))
+    there = mate_feasible(REFERENCE_PROFILE, Misalignment(*_swapped(dx, dy, rot)))
+    assert here == there

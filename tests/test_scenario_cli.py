@@ -533,6 +533,25 @@ class TestAssemblyCommand:
         assert wrench[0] == ("interface,fx_N,fy_N,fz_N,mx_Nm,my_Nm,mz_Nm,"
                              "combined_utilization,ok,dual_lock")
 
+    def test_dock_ends_are_interchangeable(self, capsys, tmp_path):
+        # the interface is genderless: naming either port of a dock a moves
+        # only the echo of a and b, not one byte of the loads or the power
+        doc = json.loads((SCENARIOS / "assembly.json").read_text())
+        for dock in doc["assembly"]["docks"] + doc["assembly"]["plan"]:
+            dock["a"], dock["b"] = dock["b"], dock["a"]
+        plain, swapped = tmp_path / "plain", tmp_path / "swapped"
+        for scenario, out in ((str(SCENARIOS / "assembly.json"), plain),
+                              (scenario_path(tmp_path, doc), swapped)):
+            assert run_cli(capsys, ["assembly", "--scenario", scenario, "--out", str(out)])[0] == 0
+        for name in ("wrench_map.csv", "power_ledger.csv"):
+            assert (swapped / name).read_bytes() == (plain / name).read_bytes()
+        report = json.loads((swapped / "assembly_report.json").read_text())
+        for dock in report["docks"]:
+            dock["a"], dock["b"] = dock["b"], dock["a"]
+        for step in report["plan"]["steps"]:
+            step["op"][1:] = step["op"][3:] + step["op"][1:3]
+        assert report == json.loads((plain / "assembly_report.json").read_text())
+
     def test_rejected_dock_recorded_not_fatal(self, capsys, tmp_path):
         doc = json.loads((SCENARIOS / "assembly.json").read_text())
         doc["assembly"]["docks"][1]["misalignment"] = {"dx_mm": 80.0}
