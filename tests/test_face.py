@@ -383,6 +383,25 @@ class TestEnvelopeSearch:
         with pytest.raises(ParameterError, match=f"more than {face.MAX_ENVELOPE_PROBES} lattice"):
             envelope_axis_limit(REFERENCE_PROFILE, axis, tol)
 
+    @pytest.mark.parametrize("axis,tol", [("rotation", 90.0), ("rotation", 60.000000000001),
+                                          ("translation", 80.5), ("deflection", 61.0)])
+    def test_tol_past_the_axis_cap_fails_before_a_probe(self, axis, tol, monkeypatch):
+        # a rotation tol past the 60 deg ceiling once probed one lattice
+        # point past it; 90 deg canonicalises to -30, which captures, so the
+        # scan reported 90 deg
+        monkeypatch.setattr(face, "mate_feasible", lambda p, m: pytest.fail("probed"))
+        with pytest.raises(ParameterError, match=f"exceeds the {axis} axis cap"):
+            envelope_axis_limit(REFERENCE_PROFILE, axis, tol)
+        kwarg = "tol_translation_mm" if axis == "translation" else f"tol_{axis}_deg"
+        with pytest.raises(ParameterError, match=f"exceeds the {axis} axis cap"):
+            full_envelope(REFERENCE_PROFILE, **{kwarg: tol})
+
+    @pytest.mark.parametrize("axis", face._AXES)
+    def test_tol_at_the_axis_cap_probes_the_cap(self, axis):
+        cap = face._axis_cap(REFERENCE_PROFILE, axis)
+        want = cap if mate_feasible(REFERENCE_PROFILE, face._axis_state(axis, 1.0, cap)) else 0.0
+        assert envelope_axis_limit(REFERENCE_PROFILE, axis, cap, 1.0) == want
+
     def test_lattice_cap_boundary(self, monkeypatch):
         # a ray of exactly the budget gets past the check to its first probe
         class Probed(Exception):
