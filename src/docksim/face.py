@@ -753,7 +753,10 @@ def _lattice_points(profile: FaceProfile, axis: str, tol: float) -> int:
     """Lattice points a scan along axis walks, clamped to MAX_ENVELOPE_PROBES + 1."""
     if not 0.0 < tol < math.inf:  # NaN fails too
         raise ParameterError("tol must be positive and finite")
-    return max(1, math.floor(min(_axis_cap(profile, axis) / tol, MAX_ENVELOPE_PROBES + 1)))
+    cap = _axis_cap(profile, axis)
+    if tol > cap:  # its one lattice point would lie past the cap
+        raise ParameterError(f"tol {tol!r} exceeds the {axis} axis cap of {cap!r}")
+    return math.floor(min(cap / tol, MAX_ENVELOPE_PROBES + 1))
 
 
 def envelope_axis_limit(

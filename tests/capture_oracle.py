@@ -222,7 +222,7 @@ def reference_descend(profile, state, trace=None) -> bool:
 @functools.cache
 def axis_limit_linear_scan(profile, axis: str, tol: float, direction_deg: float = 0.0) -> float:
     """Walk the k*tol lattice until the first point the reference rejects."""
-    kmax = max(1, int(math.floor(face._axis_cap(profile, axis) / tol)))
+    kmax = int(math.floor(face._axis_cap(profile, axis) / tol))
     for k in range(1, kmax + 1):
         c = face.canonicalize(face._axis_state(axis, direction_deg, k * tol))
         state = (c.dx_mm, c.dy_mm, c.rot_deg, c.tilt_x_deg, c.tilt_y_deg)
