@@ -217,8 +217,12 @@ def height_field(profile: FaceProfile, x, y):
     (3, n) array, in place; every element gets the same IEEE operations, in
     the same order, as the formula written out term by term.
     """
+    return _height(profile, x, y, np.hypot(x, y))
+
+
+def _height(profile: FaceProfile, x, y, r):
+    """height_field at (x, y), given r = np.hypot(x, y), which it only reads."""
     phase, cfrac, start, run = _field_constants(profile)
-    r = np.hypot(x, y)
     ramps = np.empty((3, *np.shape(r)))
     hump, inner, chamfer = ramps[0, ...], ramps[1, ...], ramps[2, ...]
     pm = np.arctan2(y, x, out=hump)
@@ -295,10 +299,11 @@ def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
     w = _turned_cloud(profile, rot, tx, ty)
     wx = w[:, 0] + dx
     wy = w[:, 1] + dy
-    inside = np.flatnonzero(np.hypot(wx, wy) <= profile.rim_radius_mm)
+    r = np.hypot(wx, wy)
+    inside = np.flatnonzero(r <= profile.rim_radius_mm)
     if len(inside) < 0.25 * len(w):
         return math.inf, -1
-    lift = height_field(profile, wx[inside], wy[inside]) - w[inside, 2]
+    lift = _height(profile, wx[inside], wy[inside], r[inside]) - w[inside, 2]
     k = int(np.argmax(lift))
     return float(lift[k]), int(inside[k])
 
@@ -308,10 +313,10 @@ def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
 # bounded memo serves both.
 _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 
-# Slack, relative to the face's size, that keeps one scalar contact sample
-# a lower bound of a settle term: the scalar path and numpy's differ by ulps
-# (at most 2.5e-14 mm over 611,388 moving-face sample values on three
-# profiles, and 3.8e-13 mm over 820,129 fixed-face solves on four).
+# Slack, relative to the face's size, that keeps one contact sample a lower
+# bound of a settle term computed apart from it: 820,129 scalar fixed-face
+# solves on four profiles differed from the term's by up to 3.8e-13 mm, and
+# 604,800 moving-face values of _lows's few-row matmul not at all (x86-64).
 SAMPLE_RTOL = 1e-9
 
 
@@ -334,22 +339,20 @@ class _Samples(NamedTuple):
     cloud: np.ndarray  # (1008, 3), read-only: hub rings + annulus on the surface
     slope: float  # a bound of |grad h| in mm per mm
     margin: float  # one sample term's rounding margin, SAMPLE_RTOL of the face's size
-    lift: Callable
     fixed: Callable
 
 
 @functools.lru_cache(maxsize=16)
 def _samples(profile: FaceProfile) -> _Samples:
-    """The contact-sample cloud both faces use, and one contact sample's
-    term of settle_height in scalar math, for either face.
+    """The contact-sample cloud both faces use, and one fixed-face
+    sample's term of settle_height in scalar math.
 
-    lift(state, i) is moving-face sample i's term of _moving_term, or -inf
-    if the sample may lie outside the rim; margin covers its rounding.
     fixed(state, i) is fixed-face sample i's final gap in the solve of
     _fixed_term with its margin, as (gap, margin); the gap is -inf if the
-    sample may end outside the rim. Each term is a max over the samples
-    inside the rim, so a sample's value less its margin is a lower bound of
-    that term, and of settle_height.
+    sample may end outside the rim. The term is a max over the samples
+    inside the rim, so a sample's gap less its margin is a lower bound of
+    it, and of settle_height. margin covers one moving-face sample's
+    rounding (_lows).
     """
     rim = profile.rim_radius_mm
     rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
@@ -385,17 +388,6 @@ def _samples(profile: FaceProfile) -> _Samples:
         window = (1.0 - cfrac * smooth((r - cstart) / crun)) * smooth((r - hub) / inner_run)
         return math.copysign(smooth(pm / ramp), rising) * height * window
 
-    def lift(state, i):
-        dx, dy, rot, tx, ty = state
-        (a, b, c), (d, e, f), (g, h, k) = _pose_matrix(rot, tx, ty).tolist()
-        cx, cy, cz = rows[i]
-        x = a * cx + b * cy + c * cz + dx
-        y = d * cx + e * cy + f * cz + dy
-        r = math.hypot(x, y)
-        if not r <= inner_rim:
-            return -math.inf
-        return surface(x, y, r) - (g * cx + h * cy + k * cz)
-
     def fixed(state, i):
         dx, dy, rot, tx, ty = state
         (a, b, c), (d, e, f), (g, h, k) = _pose_matrix(rot, tx, ty).tolist()
@@ -419,7 +411,26 @@ def _samples(profile: FaceProfile) -> _Samples:
             return -math.inf, margin_f
         return dz, margin_f
 
-    return _Samples(cloud, slope, margin, lift, fixed)
+    return _Samples(cloud, slope, margin, fixed)
+
+
+def _lows(profile: FaceProfile, cands, samples) -> list:
+    """A lower bound of each candidate's moving term, in one pass: the
+    highest lift of the moving-face samples (cloud indices) that lie
+    SAMPLE_RTOL of the face's size inside the rim, less margin, which also
+    covers the ulps by which these rows differ from _turned_cloud's; -inf
+    if no sample is inside, +inf past the contact model."""
+    cloud, _, margin = _samples(profile)[:3]
+    m = np.array([_pose_matrix(*cand[2:]) for cand in cands])
+    w = cloud[samples] @ m.transpose(0, 2, 1)  # (candidates, samples, 3)
+    xy = w[..., :2] + np.array(cands)[:, None, :2]
+    r = np.hypot(xy[..., 0], xy[..., 1])
+    lift = _height(profile, xy[..., 0], xy[..., 1], r) - w[..., 2]
+    rim = profile.rim_radius_mm
+    low = lift.max(axis=1, where=r <= rim - SAMPLE_RTOL * max(1.0, rim), initial=-math.inf)
+    low -= margin
+    low[np.abs(m[:, 2, 2]) < 0.2] = math.inf
+    return low.tolist()
 
 
 def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
@@ -450,12 +461,12 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     cloud, slope, margin = _samples(profile)[:3]
     cos_t = abs(m[2, 2])
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
-    dz = height_field(profile, q0[:, 0], q0[:, 1])
+    radius = np.hypot(q0[:, 0], q0[:, 1])
+    dz = _height(profile, q0[:, 0], q0[:, 1], radius)
     dz -= q0[:, 2]
     dz /= cos_t
     lean, gain, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
     reach = np.abs(dz)
-    radius = np.hypot(q0[:, 0], q0[:, 1])
     radius += reach * (lean * (1.0 + gain))
     reach *= gain
     reach += margin_f
@@ -466,15 +477,16 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     m3 = m[2, :2]
     for _ in range(3):
         lat = q0[:, :2] - dz[:, None] * m3
-        nxt = height_field(profile, lat[:, 0], lat[:, 1])
+        r = np.hypot(lat[:, 0], lat[:, 1])
+        nxt = _height(profile, lat[:, 0], lat[:, 1], r)
         nxt -= q0[:, 2]
         nxt /= cos_t
         if nxt.tobytes() == dz.tobytes():
-            break  # a fixed point, and lat already belongs to it
+            break  # a fixed point, and r already belongs to it
         dz = nxt
     else:
-        lat = q0[:, :2] - dz[:, None] * m3
-    kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
+        r = np.hypot(*(q0[:, :2] - dz[:, None] * m3).T)
+    kept = np.flatnonzero(r <= profile.rim_radius_mm)
     if not len(kept):
         return -math.inf, -1
     gaps = dz[kept]
@@ -571,6 +583,11 @@ def _join(profile: FaceProfile, state, s_lat: float, s_rot: float, s_tilt: float
 # asks, so that rounding cannot drop the candidate the slot-order rule takes.
 NEAR_TIE_MM = 3e-10
 
+# Moving-face samples one descent bounds its candidates by: the latest
+# distinct binding samples it read. An iteration's winner is among its last
+# 16 reads, so the incumbent's binding sample is always one of them.
+RECENT_SAMPLES = 16
+
 
 def _slot_chain(settle, count: int, d: float):
     """The slot-order rule of one descent iteration: each candidate in slot
@@ -637,12 +654,12 @@ def _descend(profile: FaceProfile, state) -> bool:
     A candidate whose lower bound of the settle height already reaches the
     cap it is settled against cannot be the one accepted, so it is not
     evaluated; it still spends one evaluation of the budget. The bounds are
-    tried cheapest first. One contact sample in scalar math (the lift and
-    fixed of the profile's _samples record, built once per profile) of the
-    moving face, then of the fixed face: first the incumbent's binding
-    sample of that face, then the one that bound the same candidate slot
-    last time. Any sample bounds its term; these two are the ones most
-    likely to bind. Then the full moving term.
+    tried cheapest first. The moving-face lift of the RECENT_SAMPLES
+    binding samples the descent read last, for all candidates in one numpy
+    pass (_lows). One fixed-face sample in scalar math (the _samples
+    record's fixed): the incumbent's binding sample, then the one that
+    bound the same slot last time. Then the full moving term. Any sample
+    bounds its term; recent binding samples are the likeliest to bind.
 
     The order and the skips change only the work, never the accepted
     state, so the rest of the path from a (state, step sizes) pair is fixed
@@ -657,18 +674,16 @@ def _descend(profile: FaceProfile, state) -> bool:
         # Faces land on top of the features instead of interleaving:
         # the funnel never catches.
         return False
-    _, _, margin, lift, fixed = _samples(profile)
-    # the incumbent's binding samples, of the moving and the fixed face
-    binding, fbinding = _floor(profile, state)[1], _fixed(profile, state)[1]
-    slots, fslots = {}, {}  # each candidate slot's last binding samples
+    fixed = _samples(profile).fixed
+    # the moving-face binding samples read, least recent first, and the
+    # incumbent's fixed-face binding sample
+    recent, fbinding = [_floor(profile, state)[1]], _fixed(profile, state)[1]
+    fslots = {}  # each candidate slot's last fixed-face binding sample
 
     def settle(j, cap):
         """Candidate j's exact settle height, or None once a bound reaches cap."""
         cand = cands[j]
         if lows[j] >= cap:
-            return None
-        last = slots.get(j, binding)
-        if last != binding and lift(cand, last) - margin >= cap:
             return None
         gap, margin_f = fixed(cand, fbinding)
         if gap - margin_f >= cap:
@@ -678,7 +693,8 @@ def _descend(profile: FaceProfile, state) -> bool:
             gap, margin_f = fixed(cand, last)
             if gap - margin_f >= cap:
                 return None
-        floor, slots[j] = _floor(profile, cand)
+        floor, i = _floor(profile, cand)
+        recent[:] = [*(k for k in recent if k != i), i][-RECENT_SAMPLES:]
         if floor >= cap:
             return None
         fslots[j] = _fixed(profile, cand)[1]
@@ -698,7 +714,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             break
         cands = _candidate_moves(state, s_lat, s_rot, s_tilt)
         evals += len(cands)
-        lows = [lift(cand, binding) - margin for cand in cands]
+        lows = _lows(profile, cands, recent)
         j, dc = _settle_first(settle, lows, d, won)
         if j is None:
             if s_lat <= 0.004 and s_rot <= 0.004 and s_tilt <= 0.004:
@@ -708,7 +724,7 @@ def _descend(profile: FaceProfile, state) -> bool:
             s_rot = max(s_rot * 0.5, 0.002)
             s_tilt = max(s_tilt * 0.5, 0.002)
         else:
-            state, d, binding, fbinding, won = cands[j], dc, slots[j], fslots[j], j
+            state, d, fbinding, won = cands[j], dc, fslots[j], j
     else:  # out of budget: the path's cells stay as they are
         return _converged(state)
     for cell, at in path:

@@ -9,8 +9,8 @@ kernel must return the same bits for every finite state.
 
 The production fixed-face solve (`face._fixed_term`) stops at a bitwise
 fixed point, and runs past its first evaluation only on the samples that
-a slope bound leaves able to bind: on a cold reference envelope, 2,844,089
-of the 5,308,128 sample evaluations the full solve makes. The tests compare
+a slope bound leaves able to bind: on a cold reference envelope, 2,827,771
+of the 5,253,696 sample evaluations the full solve makes. The tests compare
 its value bits and first binding index with `fixed_term` here.
 
 The production descent (`face._descend`) settles the likeliest winner of

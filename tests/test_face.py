@@ -601,7 +601,7 @@ def _go_cold() -> None:
 
 @functools.cache
 def _visited_states() -> tuple:
-    """Every state four short descents consult past the moving-face sample,
+    """Every state five short descents consult past the moving-face bound,
     in first-visit order: each one's fixed-face sample bound or moving-face
     term is asked for, whether or not it is then settled."""
     visited = []
@@ -624,7 +624,7 @@ def _visited_states() -> tuple:
     face._floor, face._samples = record, samples
     try:
         for start in ((2.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 3.0, 0.0, 0.0),
-                      (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30):
+                      (0.0, 0.0, 0.0, 2.0, 0.0), _JAM_12MM_AT_30, _dock_stream_draws(1, 1)[0]):
             face._descend(REFERENCE_PROFILE, start)
     finally:
         face._floor, face._samples = real_floor, real_samples
@@ -946,40 +946,58 @@ def _on_rim(profile, state, i):
     return (float(rim * ux - wx), float(rim * uy - wy), rot, tx, ty)
 
 
+_SAMPLE = st.integers(0, 14 * 72 - 1)  # a cloud index: 14 radii x 72 angles
+
+
 class TestSampleBound:
-    """One contact sample in scalar math (face._samples' lift), less its
-    margin, is a lower bound of the moving term: the descent skips
-    candidates on it."""
+    """face._lows bounds each candidate's moving term from below by the
+    lift of a few moving-face samples, in one numpy pass, less a margin:
+    the descent skips candidates on it."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(profile=st.sampled_from(_KERNEL_PROFILES), state=_STATE,
-           rim_sample=st.none() | st.integers(0, 14 * 72 - 1))  # 14 radii x 72 angles
-    def test_one_sample_bounds_the_moving_term(self, profile, state, rim_sample):
+    @given(profile=st.sampled_from(_KERNEL_PROFILES),
+           state=_STATE | st.sampled_from((*_STEEP_STATES, *_INF_STATES)),
+           rim_sample=st.none() | _SAMPLE,
+           samples=st.lists(_SAMPLE, min_size=1, max_size=face.RECENT_SAMPLES - 1),
+           steps=st.sampled_from(((0.5, 1.5, 0.5), (0.002, 0.002, 0.002))))
+    def test_one_sample_bounds_the_moving_term(self, profile, state, rim_sample, samples,
+                                               steps):
         if rim_sample is not None:
             state = _on_rim(profile, state, rim_sample)
+            samples = [rim_sample, *samples]
+        cands = [state, *face._candidate_moves(state, *steps)]
+        lows = face._lows(profile, cands, samples)
+        assert len(lows) == len(cands)
+        for cand, low in zip(cands, lows):
+            assert low <= reference_moving_term(profile, cand), cand
+            if abs(face._pose_matrix(*cand[2:])[2, 2]) < 0.2:  # past the contact model
+                assert low == math.inf
         dx, dy, rot, tx, ty = state
-        w = face._turned_cloud(profile, rot, tx, ty)
+        if abs(face._pose_matrix(rot, tx, ty)[2, 2]) < 0.2:
+            return
+        # each sample on its own: one numpy counts as outside never bounds,
+        # one dropped is at most the margin inside the rim, and one kept
+        # gives its lift in the turned cloud less the margin
+        w = face._turned_cloud(profile, rot, tx, ty)[samples]
         wx, wy = w[:, 0] + dx, w[:, 1] + dy
-        r = np.hypot(wx, wy)
-        want = height_field(profile, wx, wy) - w[:, 2]
-        _, _, margin, lift, _ = face._samples(profile)
-        got = np.array([lift(state, i) for i in range(len(w))])
-        bounds = np.isfinite(got)
-        rim = profile.rim_radius_mm
-        # a sample numpy counts as outside never bounds; one dropped is at
-        # most the margin inside the rim
-        assert (r[bounds] <= rim).all()
-        assert (r[~bounds] > rim - 2.0 * face.SAMPLE_RTOL * rim).all()
-        assert np.abs(got[bounds] - want[bounds]).max(initial=0.0) <= 1e-12
+        r, lift = np.hypot(wx, wy), height_field(profile, wx, wy) - w[:, 2]
+        margin = face._samples(profile).margin
         assert 1e-9 <= margin <= 1e-6
-        assert (got - margin).max() <= reference_moving_term(profile, state)
+        alone = np.array([face._lows(profile, [state], [i])[0] for i in samples]) + margin
+        kept = np.isfinite(alone)
+        rim = profile.rim_radius_mm
+        assert (r[kept] <= rim).all()
+        assert (r[~kept] > rim - 2.0 * face.SAMPLE_RTOL * rim).all()
+        assert np.abs(alone[kept] - lift[kept]).max(initial=0.0) <= 1e-12
+        if rim_sample is not None:
+            assert not kept[0]
 
     @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
     def test_rim_states_drop_the_rim_sample(self, profile):
         # sample index = 14 * angle index + radius index; radius 13 is the rim
         for i in (13, 14 * 36 + 13, 14 * 71 + 7):
             state = _on_rim(profile, (1.0, -2.0, 10.0, 3.0, -1.0), i)
-            assert face._samples(profile).lift(state, i) == -math.inf
+            assert face._lows(profile, [state], [i]) == [-math.inf]
 
 
 def _solve_on_rim(profile, state, i):
@@ -1038,7 +1056,7 @@ class TestFixedSampleBound:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(profile=st.sampled_from(_KERNEL_PROFILES),
            state=_STATE | st.sampled_from(_STEEP_STATES),
-           rim_sample=st.none() | st.integers(0, 14 * 72 - 1))  # 14 radii x 72 angles
+           rim_sample=st.none() | _SAMPLE)
     def test_one_sample_bounds_the_fixed_term(self, profile, state, rim_sample):
         if rim_sample is not None:
             state = _solve_on_rim(profile, state, rim_sample)
@@ -1145,7 +1163,7 @@ class TestWorkCounters:
     fixed-face term is solved), moving-term evaluations (_floor misses),
     path joins (_join lookups that find a filled cell), candidate
     generations and fixed-face sample evaluations (the points _fixed_term
-    passes to height_field). The per-profile sample record is built once:
+    passes to _height). The per-profile sample record is built once:
     _samples misses once per profile after its cache is cleared."""
 
     @staticmethod
@@ -1153,13 +1171,13 @@ class TestWorkCounters:
         _go_cold()
         face._samples.cache_clear()
         joins, generations, samples = [], [], []
-        real_join, real_moves, real_field = face._join, face._candidate_moves, face.height_field
+        real_join, real_moves, real_height = face._join, face._candidate_moves, face._height
         solve = face._fixed_term.__code__
 
-        def field(profile, x, y):
+        def height(profile, x, y, r):
             if sys._getframe(1).f_code is solve:
                 samples.append(np.size(x))
-            return real_field(profile, x, y)
+            return real_height(profile, x, y, r)
 
         def join(*key):
             cell = real_join(*key)
@@ -1174,25 +1192,25 @@ class TestWorkCounters:
         with monkeypatch.context() as m:
             m.setattr(face, "_join", join)
             m.setattr(face, "_candidate_moves", moves)
-            m.setattr(face, "height_field", field)
+            m.setattr(face, "_height", height)
             work()
         return (face._fixed.cache_info().misses, face._floor.cache_info().misses,
                 len(joins), len(generations), sum(samples))
 
     def test_cold_reference_envelope(self, monkeypatch):
-        # the full solve on every sample made 5,308,128 sample evaluations
+        # the full solve on every sample would make 5,253,696 sample evaluations
         assert self._counts(monkeypatch, lambda: full_envelope(REFERENCE_PROFILE)) == (
-            1613, 2061, 151, 1078, 2_844_089)
+            1600, 1881, 151, 1078, 2_827_771)
         assert face._join.cache_info().currsize == 1120
         # the sample record is built once per profile, not once per descent
         assert face._samples.cache_info().misses == 1
 
     def test_three_dock_stream_descents(self, monkeypatch):
-        # the full solve on every sample made 874,944 sample evaluations
+        # the full solve on every sample would make 786,240 sample evaluations
         draws = _dock_stream_draws(1, 3)
         assert self._counts(
             monkeypatch, lambda: [face._descend(REFERENCE_PROFILE, s) for s in draws]
-        ) == (217, 310, 0, 137, 238_812)
+        ) == (195, 224, 0, 137, 215_475)
 
 
 def _ray_starts(axis, direction_deg, n):

@@ -1108,7 +1108,8 @@ CLI_ERRORS = [
                                 "+ 2 x 60), over the budget of 20000 probes"},
                  id="deflection_scan_over_budget_exits_2_with_path"),
     pytest.param("envelope", _shipped("envelope", lambda e: e.update(rotation_tol_deg=90.0)), 2,
-                 {"path": "$.envelope", "message": "tol 90.0 exceeds the rotation axis cap of 60.0"},
+                 {"path": "$.envelope",
+                  "message": "tol 90.0 exceeds the rotation axis cap of 60.0"},
                  id="rotation_tol_past_the_ceiling_exits_2_with_path"),
     pytest.param("envelope", _shipped("envelope", lambda e: e.update(RUNAWAY_ENVELOPE)), 2,
                  {"path": "$.envelope",
