@@ -92,6 +92,24 @@ class TestCheckLoad:
         with pytest.raises(ParameterError):
             check_load(Wrench(fz_n=math.inf))
 
+    @pytest.mark.parametrize("wrench, envelope, dual_lock, message", [
+        (Wrench(fz_n=1200.0, my_nm=200.0), LoadEnvelope(traction_capacity_n=1e-308), False,
+         "traction utilization overflows: load 1200.0 over scaled capacity 1e-308"),
+        (Wrench(fz_n=1.0, mz_nm=3e8), LoadEnvelope(torsion_capacity_nm=1e-300), True,
+         f"torsion utilization overflows: load 300000000.0 over scaled capacity "
+         f"{DUAL_LOCK_FACTOR * 1e-300!r}"),
+        # each utilization is finite, their linear sum is not
+        (Wrench(fx_n=1e8, fz_n=1e8), LoadEnvelope(traction_capacity_n=1e-300,
+                                                  lateral_capacity_n=1e-300,
+                                                  interaction="linear"), False,
+         f"combined utilization overflows: the linear sum of traction {1e8 / 1e-300!r}, "
+         f"lateral {1e8 / 1e-300!r}, bending 0.0, torsion 0.0"),
+    ], ids=["traction", "dual-lock-torsion", "linear-sum"])
+    def test_utilization_overflow_is_refused(self, wrench, envelope, dual_lock, message):
+        with pytest.raises(ParameterError) as err:
+            check_load(wrench, envelope, dual_lock=dual_lock)
+        assert str(err.value) == message
+
 
 class TestStressEstimate:
     def test_traction_reference_row_exact(self):

@@ -1130,18 +1130,19 @@ CLI_ERRORS = [
     *(pytest.param("calibrate", _doc("calibration_targets", {**TARGETS, "translation_mm": t}), 3,
                    {"error_type": "CalibrationError", "payload": {"best_residual": None}},
                    id=f"calibration_target_of_{t}_mm_exits_3") for t in (5e-324, 1e-308)),
-    # a load over a capacity of 1e-308 overflows to inf, which no artifact may hold
+    # a load over a capacity of 1e-308 overflows to inf: the model refuses it
+    # before a writer meets it
     pytest.param("loads", _tiny("loads", {"traction_capacity_n": 1e-308}), 3,
-                 {"error_type": "NonFiniteError",
-                  "message": "loads_report.json: $.check.combined_utilization is not a finite number",
-                  "payload": {"artifact": "loads_report.json",
-                              "field": "$.check.combined_utilization", "row": None}},
+                 {"error_type": "ParameterError",
+                  "message": "traction utilization overflows: load 1200.0 over scaled capacity "
+                             "1e-308",
+                  "payload": {}},
                  id="non_finite_loads_report_exits_3"),
     pytest.param("assembly", _tiny("assembly", dict.fromkeys(CAPACITIES, 1e-308)), 3,
-                 {"error_type": "NonFiniteError",
-                  "message": "wrench_map.csv: combined_utilization of row 1 is not a finite number",
-                  "payload": {"artifact": "wrench_map.csv",
-                              "field": "combined_utilization", "row": 1}},
+                 {"error_type": "ParameterError",
+                  "message": "lateral utilization overflows: load 100.0 over scaled capacity "
+                             "1.5e-308",
+                  "payload": {}},
                  id="non_finite_wrench_map_exits_3"),
 ]
 
