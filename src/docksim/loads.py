@@ -97,6 +97,9 @@ def check_load(
     """Screen a wrench against the envelope; ok iff combined utilization <= 1.
 
     dual_lock applies the redundant-lock capacity factor to every component.
+    A utilization past the float range (a load over a capacity as small as
+    1e-308) raises ParameterError naming the component, the load and the
+    scaled capacity, as does a linear sum of finite ones that overflows.
     """
     env = envelope or LoadEnvelope()
     scale = DUAL_LOCK_FACTOR if dual_lock else 1.0
@@ -107,9 +110,17 @@ def check_load(
         "bending": env.bending_capacity_nm,
         "torsion": env.torsion_capacity_nm,
     }
-    util = {k: float(loads[k]) / (scale * caps[k]) for k in loads}
+    util = {}
+    for k, load in loads.items():
+        util[k] = float(load) / (scale * caps[k])
+        if math.isinf(util[k]):
+            raise ParameterError(f"{k} utilization overflows: load {load!r} over scaled "
+                                 f"capacity {scale * caps[k]!r}")
     if env.interaction == "linear":
         combined = sum(util.values())
+        if math.isinf(combined):
+            terms = ", ".join(f"{k} {u!r}" for k, u in util.items())
+            raise ParameterError(f"combined utilization overflows: the linear sum of {terms}")
     else:
         combined = max(util.values())
     notes = []
