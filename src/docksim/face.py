@@ -340,19 +340,27 @@ class _Samples(NamedTuple):
     slope: float  # a bound of |grad h| in mm per mm
     margin: float  # one sample term's rounding margin, SAMPLE_RTOL of the face's size
     fixed: Callable
+    surface: Callable
 
 
 @functools.lru_cache(maxsize=16)
 def _samples(profile: FaceProfile) -> _Samples:
-    """The contact-sample cloud both faces use, and one fixed-face
-    sample's term of settle_height in scalar math.
+    """The contact-sample cloud both faces use, the height field of one
+    point in scalar math, and one fixed-face sample's term of settle_height
+    in scalar math.
+
+    surface(angle, r) is _height at the point of polar angle `angle` (in
+    radians, as np.arctan2 gives it) and radius r, in the same IEEE
+    operations in the same order: given np.arctan2's angle it has
+    _height's bits, whatever numpy's dispatch level.
 
     fixed(state, i) is fixed-face sample i's final gap in the solve of
     _fixed_term with its margin, as (gap, margin); the gap is -inf if the
-    sample may end outside the rim. The term is a max over the samples
-    inside the rim, so a sample's gap less its margin is a lower bound of
-    it, and of settle_height. margin covers one moving-face sample's
-    rounding (_lows).
+    sample may end outside the rim. It takes the angle from math.atan2,
+    which may differ from np.arctan2 by an ulp. The term is a max over the
+    samples inside the rim, so a sample's gap less its margin is a lower
+    bound of it, and of settle_height. margin covers one moving-face
+    sample's rounding (_lows).
     """
     rim = profile.rim_radius_mm
     rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
@@ -373,20 +381,24 @@ def _samples(profile: FaceProfile) -> _Samples:
     margin = SAMPLE_RTOL * max(1.0, height, slope * rim)
     inner_rim = rim - SAMPLE_RTOL * max(1.0, rim)
     rows = cloud.tolist()
+    fmod, copysign = math.fmod, math.copysign
 
+    # np.maximum and np.minimum as conditional expressions, which Python
+    # evaluates several times faster than the min and max builtins
     def smooth(x):
-        x = min(max(x, 0.0), 1.0)
+        x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
         return x * x * (3.0 - 2.0 * x)
 
-    def surface(x, y, r):
-        """height_field at (x, y), r = hypot(x, y), in the same operations."""
-        pm = math.fmod(math.atan2(y, x) * _DEG_PER_RAD - phase, 120.0) + 0.0
-        pm += 60.0 - math.copysign(60.0, pm)
+    def surface(angle, r):
+        pm = fmod(angle * _DEG_PER_RAD - phase, 120.0) + 0.0
+        pm += 60.0 - copysign(60.0, pm)
         rising = 60.0 - pm
-        pm = min(pm, 120.0 - pm)
-        pm = min(pm, 60.0 - pm)
+        other = 120.0 - pm
+        pm = other if other < pm else pm
+        other = 60.0 - pm
+        pm = other if other < pm else pm
         window = (1.0 - cfrac * smooth((r - cstart) / crun)) * smooth((r - hub) / inner_run)
-        return math.copysign(smooth(pm / ramp), rising) * height * window
+        return copysign(smooth(pm / ramp), rising) * height * window
 
     def fixed(state, i):
         dx, dy, rot, tx, ty = state
@@ -402,7 +414,7 @@ def _samples(profile: FaceProfile) -> _Samples:
         qz = px * c + py * f + cz * k
         x, y, dz = qx, qy, None
         for _ in range(4):
-            nxt = (surface(x, y, math.hypot(x, y)) - qz) / cos_t
+            nxt = (surface(math.atan2(y, x), math.hypot(x, y)) - qz) / cos_t
             if nxt == dz:
                 break  # this sample's fixed point: x, y already belong to it
             dz = nxt
@@ -411,7 +423,7 @@ def _samples(profile: FaceProfile) -> _Samples:
             return -math.inf, margin_f
         return dz, margin_f
 
-    return _Samples(cloud, slope, margin, fixed)
+    return _Samples(cloud, slope, margin, fixed, surface)
 
 
 def _lows(profile: FaceProfile, cands, samples) -> list:
@@ -431,6 +443,45 @@ def _lows(profile: FaceProfile, cands, samples) -> list:
     low -= margin
     low[np.abs(m[:, 2, 2]) < 0.2] = math.inf
     return low.tolist()
+
+
+# Most samples a fixed-face solve may keep past its first evaluation for its
+# later evaluations to run in Python floats (_scalar_finish): one _height
+# makes about 30 numpy calls whatever its size, which on a few points cost
+# more than the formula point by point. 16 and 32 measured the same on the
+# dock stream.
+SCALAR_SAMPLES = 16
+
+
+def _scalar_height(profile: FaceProfile, x, y, r) -> list:
+    """_height at a few points as a list of floats: the _samples record's
+    surface at np.arctan2's angle and radius r, so with _height's bits at
+    every dispatch level."""
+    return list(map(_samples(profile).surface, np.arctan2(y, x).tolist(), r.tolist()))
+
+
+def _scalar_finish(profile: FaceProfile, q0, dz, m3, cos_t):
+    """The later evaluations of _fixed_term's solve in Python floats:
+    (final gaps, final lateral radii) of the kept samples q0 from their
+    first gaps dz, as arrays. Each step makes the IEEE operations of the
+    numpy loop in its order, the angle and radius come from np.arctan2 and
+    np.hypot, and the fixed-point test compares the (finite) gaps' bits, so
+    the result is the loop's to the bit, signs of zero included."""
+    g, h = m3.tolist()
+    cos_t = float(cos_t)
+    xs, ys, zs = q0.T.tolist()
+    dz = dz.tolist()
+    for _ in range(3):
+        x = np.array([qx - d * g for qx, d in zip(xs, dz)])
+        y = np.array([qy - d * h for qy, d in zip(ys, dz)])
+        r = np.hypot(x, y)
+        nxt = [(s - z) / cos_t for s, z in zip(_scalar_height(profile, x, y, r), zs)]
+        if nxt == dz and np.array(nxt).tobytes() == np.array(dz).tobytes():
+            break  # a bitwise fixed point (== alone takes -0.0 for 0.0)
+        dz = nxt
+    else:
+        r = np.hypot([qx - d * g for qx, d in zip(xs, dz)], [qy - d * h for qy, d in zip(ys, dz)])
+    return np.array(dz), r
 
 
 def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
@@ -454,7 +505,9 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     is dropped. The result has the bits of the solve on every sample: the
     kept samples get the same elementwise operations, and a subset at its
     bitwise fixed point would repeat it under the evaluations the whole
-    cloud still makes.
+    cloud still makes. When at most SCALAR_SAMPLES samples are kept, the
+    later evaluations run in Python floats (_scalar_finish), to the same
+    bits.
     """
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
@@ -473,19 +526,21 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     inside = radius <= profile.rim_radius_mm - margin - lean * margin_f
     floor = np.max(dz - reach, where=inside, initial=-math.inf)
     pick = np.flatnonzero(~(dz + reach < floor))  # all of them when floor is -inf
-    q0, dz = q0[pick], dz[pick]
-    m3 = m[2, :2]
-    for _ in range(3):
-        lat = q0[:, :2] - dz[:, None] * m3
-        r = np.hypot(lat[:, 0], lat[:, 1])
-        nxt = _height(profile, lat[:, 0], lat[:, 1], r)
-        nxt -= q0[:, 2]
-        nxt /= cos_t
-        if nxt.tobytes() == dz.tobytes():
-            break  # a fixed point, and r already belongs to it
-        dz = nxt
+    q0, dz, m3 = q0[pick], dz[pick], m[2, :2]
+    if len(pick) <= SCALAR_SAMPLES:
+        dz, r = _scalar_finish(profile, q0, dz, m3, cos_t)
     else:
-        r = np.hypot(*(q0[:, :2] - dz[:, None] * m3).T)
+        for _ in range(3):
+            lat = q0[:, :2] - dz[:, None] * m3
+            r = np.hypot(lat[:, 0], lat[:, 1])
+            nxt = _height(profile, lat[:, 0], lat[:, 1], r)
+            nxt -= q0[:, 2]
+            nxt /= cos_t
+            if nxt.tobytes() == dz.tobytes():
+                break  # a fixed point, and r already belongs to it
+            dz = nxt
+        else:
+            r = np.hypot(*(q0[:, :2] - dz[:, None] * m3).T)
     kept = np.flatnonzero(r <= profile.rim_radius_mm)
     if not len(kept):
         return -math.inf, -1

@@ -4,6 +4,7 @@ Wall positions asserted here were measured on the reference face with the
 shipped solver settings and act as regression pins; the acceptance suite
 separately checks them against the published tolerance targets.
 """
+import collections
 import functools
 import math
 import re
@@ -1157,27 +1158,78 @@ class TestPrunedFixedSolve:
             assert capture_oracle.fixed_term(profile, _ROUNDING_TIE)[1] == 332
 
 
+class TestScalarFinish:
+    """_fixed_term runs the later evaluations of a solve that keeps at most
+    SCALAR_SAMPLES samples in Python floats (_scalar_finish), and larger
+    ones in numpy (_height). Forced down either path, a solve must return
+    the same value bits and binding index."""
+
+    @staticmethod
+    def _check(profile, states):
+        for state in states:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(face, "SCALAR_SAMPLES", 0)
+                vector = face._fixed_term(profile, state)
+                m.setattr(face, "SCALAR_SAMPLES", 14 * 72)
+                scalar = face._fixed_term(profile, state)
+            assert (_bits(scalar[0]), scalar[1]) == (_bits(vector[0]), vector[1]), state
+
+    @pytest.mark.parametrize("profile", _KERNEL_PROFILES)
+    def test_descent_dock_stream_steep_and_tie_states(self, profile):
+        self._check(profile, (*_visited_states(), *_dock_stream_states(), *_STEEP_STATES,
+                              _ROUNDING_TIE))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(profile=st.sampled_from(_KERNEL_PROFILES), state=_STATE)
+    def test_random_states(self, profile, state):
+        self._check(profile, (state,))
+
+    def test_dock_stream_solves_take_both_paths(self, monkeypatch):
+        later = []  # per solve: (path, samples) of each evaluation after the first
+
+        def spy(path, real):
+            def height(profile, x, y, r):
+                later[-1].append((path, np.size(x)))
+                return real(profile, x, y, r)
+            return height
+
+        monkeypatch.setattr(face, "_height", spy("vector", face._height))
+        monkeypatch.setattr(face, "_scalar_height", spy("scalar", face._scalar_height))
+        for state in _dock_stream_states():
+            later.append([])
+            face._fixed_term(REFERENCE_PROFILE, state)
+            del later[-1][0]  # the first evaluation, on the whole cloud
+        paths = collections.Counter()
+        for calls in later:
+            (path, kept), = set(calls)
+            assert (path == "scalar") == (kept <= face.SCALAR_SAMPLES)
+            paths[path] += 1
+        assert paths["scalar"] > 0 and paths["vector"] > 0, paths
+
+
 class TestWorkCounters:
     """Hardware-independent work counts of the capture stack, from cold
     memos: exact settles (_fixed misses: an exact settle is the one place the
     fixed-face term is solved), moving-term evaluations (_floor misses),
     path joins (_join lookups that find a filled cell), candidate
     generations and fixed-face sample evaluations (the points _fixed_term
-    passes to _height). The per-profile sample record is built once:
-    _samples misses once per profile after its cache is cleared."""
+    passes to _height, and those its scalar finish passes to
+    _scalar_height). The per-profile sample record is built once: _samples
+    misses once per profile after its cache is cleared."""
 
     @staticmethod
     def _counts(monkeypatch, work):
         _go_cold()
         face._samples.cache_clear()
         joins, generations, samples = [], [], []
-        real_join, real_moves, real_height = face._join, face._candidate_moves, face._height
-        solve = face._fixed_term.__code__
+        real_join, real_moves = face._join, face._candidate_moves
 
-        def height(profile, x, y, r):
-            if sys._getframe(1).f_code is solve:
-                samples.append(np.size(x))
-            return real_height(profile, x, y, r)
+        def counted(real, caller):
+            def height(profile, x, y, r):
+                if sys._getframe(1).f_code is caller.__code__:
+                    samples.append(np.size(x))
+                return real(profile, x, y, r)
+            return height
 
         def join(*key):
             cell = real_join(*key)
@@ -1192,7 +1244,8 @@ class TestWorkCounters:
         with monkeypatch.context() as m:
             m.setattr(face, "_join", join)
             m.setattr(face, "_candidate_moves", moves)
-            m.setattr(face, "_height", height)
+            m.setattr(face, "_height", counted(face._height, face._fixed_term))
+            m.setattr(face, "_scalar_height", counted(face._scalar_height, face._scalar_finish))
             work()
         return (face._fixed.cache_info().misses, face._floor.cache_info().misses,
                 len(joins), len(generations), sum(samples))
