@@ -1140,8 +1140,8 @@ CLI_ERRORS = [
                  id="non_finite_loads_report_exits_3"),
     pytest.param("assembly", _tiny("assembly", dict.fromkeys(CAPACITIES, 1e-308)), 3,
                  {"error_type": "ParameterError",
-                  "message": "lateral utilization overflows: load 100.0 over scaled capacity "
-                             "1.5e-308",
+                  "message": "interface (('link1', 'px'), ('tool', 'nx')): lateral utilization "
+                             "overflows: load 100.0 over scaled capacity 1.5e-308",
                   "payload": {}},
                  id="non_finite_wrench_map_exits_3"),
 ]
