@@ -674,9 +674,10 @@ class ModuleGraph:
         UnsupportedError. Unloaded components carry zero at every edge.
         Each edge wrench is re-expressed in the interface frame and checked
         against the load envelope with that edge's dual-lock state. A
-        gravity that is not three finite numbers, and a ground reaction
-        that is not finite, raise ParameterError. Each loaded component is
-        summed here in place, bottom-up over the cached walk: modules in
+        gravity that is not three finite numbers, a ground reaction that is
+        not finite, and a check_load refusal raise ParameterError; the
+        refusal's message names its interface first. Each loaded component
+        is summed here in place, bottom-up over the cached walk: modules in
         reverse walk order, each one's children in walk order.
         """
         external = dict(external or {})
@@ -753,14 +754,16 @@ class ModuleGraph:
             except ParameterError:
                 raise ParameterError(f"ground reaction at anchor {root!r} is not finite") from None
 
-        checks = {
-            edge: check_load(
-                local[edge],
-                envelope=envelope,
-                dual_lock=self._end(edge[0])[1].dual_lock,
-            )
-            for edge in loads
-        }
+        checks = {}
+        for edge in loads:
+            try:
+                checks[edge] = check_load(
+                    local[edge],
+                    envelope=envelope,
+                    dual_lock=self._end(edge[0])[1].dual_lock,
+                )
+            except ParameterError as exc:
+                raise ParameterError(f"interface {edge}: {exc}") from None
         return WrenchResult(
             interface_loads=loads,
             local_loads=local,
