@@ -321,16 +321,16 @@ SAMPLE_RTOL = 1e-9
 
 
 def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
-    """(lean, gain, margin_f) of a fixed-face solve whose pose has third row
-    (g, h, +-cos_t): a gap error err moves a sample by err * lean, so the
-    next evaluation's error is at most margin / cos_t + grow * err, grow =
-    slope * lean / cos_t. Over the solve's four evaluations a gap moves at
-    most |first gap| * gain from its first value, gain = grow + grow**2 +
-    grow**3, and margin_f bounds the rounding of the final gap."""
+    """(lean, grow, margin_f) of a fixed-face solve whose pose has third row
+    (g, h, +-cos_t): a gap change d moves a sample laterally by d * lean, so
+    the next evaluation's gap changes by at most grow * d, grow = slope *
+    lean / cos_t, plus margin / cos_t of rounding. After evaluation k of the
+    solve's four, which changed a gap by step, the final gap lies within
+    step * (grow + ... + grow**(3 - k)) + margin_f of it; margin_f bounds
+    the rounding of the final gap."""
     lean = math.hypot(g, h)
     grow = slope * lean / cos_t
-    gain = grow * (1.0 + grow * (1.0 + grow))
-    return lean, gain, margin * (1.0 + gain) / cos_t
+    return lean, grow, margin * (1.0 + grow * (1.0 + grow * (1.0 + grow))) / cos_t
 
 
 class _Samples(NamedTuple):
@@ -445,11 +445,10 @@ def _lows(profile: FaceProfile, cands, samples) -> list:
     return low.tolist()
 
 
-# Most samples a fixed-face solve may keep past its first evaluation for its
-# later evaluations to run in Python floats (_scalar_finish): one _height
-# makes about 30 numpy calls whatever its size, which on a few points cost
-# more than the formula point by point. 16 and 32 measured the same on the
-# dock stream.
+# Most samples a fixed-face solve may keep for its remaining evaluations to
+# run in Python floats (_scalar_finish): one _height makes about 30 numpy
+# calls whatever its size, which on a few points cost more than the formula
+# point by point. 16 and 32 measured the same on the dock stream.
 SCALAR_SAMPLES = 16
 
 
@@ -460,27 +459,26 @@ def _scalar_height(profile: FaceProfile, x, y, r) -> list:
     return list(map(_samples(profile).surface, np.arctan2(y, x).tolist(), r.tolist()))
 
 
-def _scalar_finish(profile: FaceProfile, q0, dz, m3, cos_t):
-    """The later evaluations of _fixed_term's solve in Python floats:
-    (final gaps, final lateral radii) of the kept samples q0 from their
-    first gaps dz, as arrays. Each step makes the IEEE operations of the
-    numpy loop in its order, the angle and radius come from np.arctan2 and
+def _scalar_finish(profile: FaceProfile, q0, dz, m3, cos_t, evaluations: int):
+    """At most `evaluations` more evaluations of _fixed_term's solve in
+    Python floats: (final gaps, final lateral radii) of the kept samples q0
+    from their gaps dz, as arrays. Each step makes the numpy loop's IEEE
+    operations in its order, the angle and radius come from np.arctan2 and
     np.hypot, and the fixed-point test compares the (finite) gaps' bits, so
     the result is the loop's to the bit, signs of zero included."""
     g, h = m3.tolist()
     cos_t = float(cos_t)
     xs, ys, zs = q0.T.tolist()
     dz = dz.tolist()
-    for _ in range(3):
+    for _ in range(evaluations):
         x = np.array([qx - d * g for qx, d in zip(xs, dz)])
         y = np.array([qy - d * h for qy, d in zip(ys, dz)])
         r = np.hypot(x, y)
         nxt = [(s - z) / cos_t for s, z in zip(_scalar_height(profile, x, y, r), zs)]
         if nxt == dz and np.array(nxt).tobytes() == np.array(dz).tobytes():
-            break  # a bitwise fixed point (== alone takes -0.0 for 0.0)
+            return np.array(dz), r  # a bitwise fixed point (== alone takes -0.0 for 0.0)
         dz = nxt
-    else:
-        r = np.hypot([qx - d * g for qx, d in zip(xs, dz)], [qy - d * h for qy, d in zip(ys, dz)])
+    r = np.hypot([qx - d * g for qx, d in zip(xs, dz)], [qy - d * h for qy, d in zip(ys, dz)])
     return np.array(dz), r
 
 
@@ -495,52 +493,52 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     cloud index of that (binding) sample; (-inf, -1) when none does. Only
     meaningful where the moving term is finite.
 
-    Only the samples that can bind run past the first evaluation. By the
-    slope bound (_drift), sample i's final gap lies within reach_i =
-    |dz0_i| * gain + margin_f of its first gap dz0_i, and its final lateral
-    radius is at most hypot(q0_i) + lean * (|dz0_i| + reach_i). A sample
-    whose radius bound is at least margin inside the rim ends inside it, so
-    the answer is at least floor = max(dz0_i - reach_i) over those; a
-    sample with dz0_i + reach_i < floor ends strictly below the answer and
-    is dropped. The result has the bits of the solve on every sample: the
-    kept samples get the same elementwise operations, and a subset at its
-    bitwise fixed point would repeat it under the evaluations the whole
-    cloud still makes. When at most SCALAR_SAMPLES samples are kept, the
-    later evaluations run in Python floats (_scalar_finish), to the same
-    bits.
+    Only the samples that can bind run on. After evaluation k < 3 moved a
+    sample's gap by step to dz (from 0 for k = 0), its final gap lies within
+    reach = step * (grow + ... + grow**(3 - k)) + margin_f of dz (_drift),
+    and its final lateral radius is at most the radius that evaluation read
+    plus lean * (step + reach). Over the samples whose radius bound is at
+    least margin inside the rim, which so end inside it, floor = max(dz -
+    reach) is at most the answer; a sample with dz + reach < floor ends
+    below it and is dropped. The kept samples get the same elementwise
+    operations, and a subset at its bitwise fixed point would repeat it
+    under the evaluations the whole cloud still makes, so the result has
+    the bits of the solve on every sample. Once at most SCALAR_SAMPLES
+    samples are kept, the rest of the solve runs in Python floats
+    (_scalar_finish), to the same bits.
     """
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
     cloud, slope, margin = _samples(profile)[:3]
     cos_t = abs(m[2, 2])
+    lean, grow, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
+    # grow + ... + grow**(3 - k) written out: a quotient of two could round low
+    gains = (grow * (1.0 + grow * (1.0 + grow)), grow * (1.0 + grow), grow)
+    inner = profile.rim_radius_mm - margin - lean * margin_f
     q0 = (cloud - np.array([dx, dy, 0.0])) @ m
-    radius = np.hypot(q0[:, 0], q0[:, 1])
-    dz = _height(profile, q0[:, 0], q0[:, 1], radius)
-    dz -= q0[:, 2]
-    dz /= cos_t
-    lean, gain, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
-    reach = np.abs(dz)
-    radius += reach * (lean * (1.0 + gain))
-    reach *= gain
-    reach += margin_f
-    inside = radius <= profile.rim_radius_mm - margin - lean * margin_f
-    floor = np.max(dz - reach, where=inside, initial=-math.inf)
-    pick = np.flatnonzero(~(dz + reach < floor))  # all of them when floor is -inf
-    q0, dz, m3 = q0[pick], dz[pick], m[2, :2]
-    if len(pick) <= SCALAR_SAMPLES:
-        dz, r = _scalar_finish(profile, q0, dz, m3, cos_t)
-    else:
-        for _ in range(3):
-            lat = q0[:, :2] - dz[:, None] * m3
-            r = np.hypot(lat[:, 0], lat[:, 1])
-            nxt = _height(profile, lat[:, 0], lat[:, 1], r)
-            nxt -= q0[:, 2]
-            nxt /= cos_t
-            if nxt.tobytes() == dz.tobytes():
-                break  # a fixed point, and r already belongs to it
-            dz = nxt
-        else:
-            r = np.hypot(*(q0[:, :2] - dz[:, None] * m3).T)
+    m3 = m[2, :2]
+    pick = np.arange(len(q0))
+    x, y, dz = q0[:, 0], q0[:, 1], 0.0
+    r = np.hypot(x, y)
+    for k in range(4):
+        nxt = _height(profile, x, y, r)
+        nxt -= q0[:, 2]
+        nxt /= cos_t
+        if k and nxt.tobytes() == dz.tobytes():
+            break  # a fixed point, and r already belongs to it
+        if k < 3:
+            step = np.abs(nxt - dz)
+            r += step * (lean * (1.0 + gains[k]))
+            reach = step * gains[k] + margin_f
+            floor = np.max(nxt - reach, where=r <= inner, initial=-math.inf)
+            keep = np.flatnonzero(~(nxt + reach < floor))  # all of them when floor is -inf
+            pick, q0, nxt = pick[keep], q0[keep], nxt[keep]
+            if len(pick) <= SCALAR_SAMPLES:
+                dz, r = _scalar_finish(profile, q0, nxt, m3, cos_t, 3 - k)
+                break
+        dz = nxt
+        x, y = (q0[:, :2] - dz[:, None] * m3).T
+        r = np.hypot(x, y)
     kept = np.flatnonzero(r <= profile.rim_radius_mm)
     if not len(kept):
         return -math.inf, -1

@@ -8,10 +8,11 @@ cloud memo, and a full four-evaluation fixed-face solve. The production
 kernel must return the same bits for every finite state.
 
 The production fixed-face solve (`face._fixed_term`) stops at a bitwise
-fixed point, and runs past its first evaluation only on the samples that
-a slope bound leaves able to bind: on a cold reference envelope, 2,827,771
-of the 5,253,696 sample evaluations the full solve makes. The tests compare
-its value bits and first binding index with `fixed_term` here.
+fixed point, and runs each later evaluation only on the samples that a
+slope bound, applied after every evaluation, leaves able to bind: on a cold
+reference envelope, 2,063,812 of the 5,253,696 sample evaluations the full
+solve makes. The tests compare its value bits and first binding index with
+`fixed_term` here.
 
 The production descent (`face._descend`) settles the likeliest winner of
 each iteration first, skips every candidate whose lower bounds show it
