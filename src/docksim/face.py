@@ -173,8 +173,7 @@ def canonicalize(mis: Misalignment) -> Misalignment:
 
 def _smoothstep(x):
     """3x^2 - 2x^3 of x clamped to [0, 1], in place in the float array x."""
-    np.maximum(x, 0.0, out=x)
-    np.minimum(x, 1.0, out=x)
+    x.clip(0.0, 1.0, out=x)
     s = 2.0 * x
     np.subtract(3.0, s, out=s)
     x *= x
@@ -229,10 +228,9 @@ def _height(profile: FaceProfile, x, y, r):
     pm *= _DEG_PER_RAD
     pm -= phase
     # np.mod(phi, 120) without its discarded floor division: the remainder,
-    # +0.0 for a zero, then 120 added to a negative one
+    # then 120 added to a negative one (a -0.0 left as it is gives a +0.0 hump)
     np.fmod(pm, 120.0, out=pm)
-    pm += 0.0
-    pm += 60.0 - np.copysign(60.0, pm)
+    np.add(pm, 120.0, out=pm, where=pm < 0.0)
     rising = 60.0 - pm  # >= +0.0 exactly where pm <= 60: the wave's sign
     np.minimum(pm, 120.0 - pm, out=pm)
     np.minimum(pm, 60.0 - pm, out=pm)
@@ -250,6 +248,8 @@ def _height(profile: FaceProfile, x, y, r):
 
 
 _FLIP = np.diag([1.0, -1.0, -1.0])
+_EYE = np.eye(3)
+_EYE.flags.writeable = False
 
 
 def _rot_z(deg: float) -> np.ndarray:
@@ -260,12 +260,12 @@ def _rot_z(deg: float) -> np.ndarray:
 def _tilt_matrix(tx_deg: float, ty_deg: float) -> np.ndarray:
     ang = math.hypot(tx_deg, ty_deg)
     if ang < 1e-15:
-        return np.eye(3)
+        return _EYE
     ux, uy = tx_deg / ang, ty_deg / ang
     a = math.radians(ang)
     c, s = math.cos(a), math.sin(a)
     k = np.array([[0.0, 0.0, uy], [0.0, 0.0, -ux], [-uy, ux, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    return _EYE + s * k + (1.0 - c) * (k @ k)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -278,8 +278,8 @@ def _pose_matrix(rot: float, tx: float, ty: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _turned_cloud(profile: FaceProfile, rot: float, tx: float, ty: float) -> np.ndarray:
-    """The sample cloud in the moving face's orientation (24 KB an entry)."""
-    w = _samples(profile).cloud @ _pose_matrix(rot, tx, ty).T
+    """The (3, 1008) sample rows in the moving face's orientation (24 KB an entry)."""
+    w = _pose_matrix(rot, tx, ty) @ _samples(profile).rows
     w.flags.writeable = False
     return w
 
@@ -287,25 +287,26 @@ def _turned_cloud(profile: FaceProfile, rot: float, tx: float, ty: float) -> np.
 def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
     """Moving-face samples against the fixed analytic surface.
 
-    Returns the highest sample lift and the cloud index of that (binding)
-    sample. settle_height is the max of this and the fixed-face term, so
-    the lift is an exact lower bound of it; (+inf, -1) when face overlap is
-    lost or the tilt is past the contact model (either makes settle_height
-    +inf too).
+    Returns the highest lift of the samples inside the rim and the sample
+    index of the first that reaches it (the binding sample). Every sample is
+    evaluated and the rim masks the max. settle_height is the max of this
+    and the fixed-face term, so the lift is an exact lower bound of it;
+    (+inf, -1) when face overlap is lost or the tilt is past the contact
+    model (either makes settle_height +inf too).
     """
     dx, dy, rot, tx, ty = state
     if abs(_pose_matrix(rot, tx, ty)[2, 2]) < 0.2:
         return math.inf, -1
     w = _turned_cloud(profile, rot, tx, ty)
-    wx = w[:, 0] + dx
-    wy = w[:, 1] + dy
-    r = np.hypot(wx, wy)
-    inside = np.flatnonzero(r <= profile.rim_radius_mm)
-    if len(inside) < 0.25 * len(w):
+    x, y = w[0] + dx, w[1] + dy
+    r = np.hypot(x, y)
+    inside = r <= profile.rim_radius_mm
+    if np.count_nonzero(inside) < 0.25 * len(r):
         return math.inf, -1
-    lift = _height(profile, wx[inside], wy[inside], r[inside]) - w[inside, 2]
-    k = int(np.argmax(lift))
-    return float(lift[k]), int(inside[k])
+    lift = _height(profile, x, y, r) - w[2]
+    lift[~inside] = -math.inf
+    k = int(lift.argmax())
+    return float(lift[k]), k
 
 
 # The descent asks for the bound of the candidates its sample bound cannot
@@ -316,7 +317,7 @@ _floor = functools.lru_cache(maxsize=1024)(_moving_term)
 # Slack, relative to the face's size, that keeps one contact sample a lower
 # bound of a settle term computed apart from it: 820,129 scalar fixed-face
 # solves on four profiles differed from the term's by up to 3.8e-13 mm, and
-# 604,800 moving-face values of _lows's few-row matmul not at all (x86-64).
+# 604,800 moving-face values of _lows's few-sample matmul not at all (x86-64).
 SAMPLE_RTOL = 1e-9
 
 
@@ -336,7 +337,7 @@ def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
 class _Samples(NamedTuple):
     """A profile's contact samples and their scalar bounds; see _samples."""
 
-    cloud: np.ndarray  # (1008, 3), read-only: hub rings + annulus on the surface
+    rows: np.ndarray  # (3, 1008) x, y and z rows, read-only: hub rings + annulus on the surface
     slope: float  # a bound of |grad h| in mm per mm
     margin: float  # one sample term's rounding margin, SAMPLE_RTOL of the face's size
     fixed: Callable
@@ -345,7 +346,7 @@ class _Samples(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _samples(profile: FaceProfile) -> _Samples:
-    """The contact-sample cloud both faces use, the height field of one
+    """The contact samples both faces use, the height field of one
     point in scalar math, and one fixed-face sample's term of settle_height
     in scalar math.
 
@@ -369,8 +370,8 @@ def _samples(profile: FaceProfile) -> _Samples:
     rr, pp = rr.ravel(), pp.ravel()
     x = rr * np.cos(np.radians(pp))
     y = rr * np.sin(np.radians(pp))
-    cloud = np.stack([x, y, height_field(profile, x, y)], axis=1)
-    cloud.flags.writeable = False
+    rows = np.stack([x, y, height_field(profile, x, y)])
+    rows.flags.writeable = False
     phase, cfrac, start, run = _field_constants(profile)
     (hub, cstart), (ramp, inner_run, crun) = start.ravel().tolist(), run.ravel().tolist()
     height = profile.petal_height_mm
@@ -380,7 +381,7 @@ def _samples(profile: FaceProfile) -> _Samples:
                             + cfrac / crun)
     margin = SAMPLE_RTOL * max(1.0, height, slope * rim)
     inner_rim = rim - SAMPLE_RTOL * max(1.0, rim)
-    rows = cloud.tolist()
+    points = rows.T.tolist()
     fmod, copysign = math.fmod, math.copysign
 
     # np.maximum and np.minimum as conditional expressions, which Python
@@ -390,8 +391,8 @@ def _samples(profile: FaceProfile) -> _Samples:
         return x * x * (3.0 - 2.0 * x)
 
     def surface(angle, r):
-        pm = fmod(angle * _DEG_PER_RAD - phase, 120.0) + 0.0
-        pm += 60.0 - copysign(60.0, pm)
+        pm = fmod(angle * _DEG_PER_RAD - phase, 120.0)
+        pm = pm + 120.0 if pm < 0.0 else pm
         rising = 60.0 - pm
         other = 120.0 - pm
         pm = other if other < pm else pm
@@ -407,7 +408,7 @@ def _samples(profile: FaceProfile) -> _Samples:
         if cos_t < 0.2:  # past the contact model: settle_height is +inf
             return -math.inf, 0.0
         lean, _, margin_f = _drift(slope, margin, g, h, cos_t)
-        cx, cy, cz = rows[i]
+        cx, cy, cz = points[i]
         px, py = cx - dx, cy - dy
         qx = px * a + py * d + cz * g
         qy = px * b + py * e + cz * h
@@ -423,21 +424,22 @@ def _samples(profile: FaceProfile) -> _Samples:
             return -math.inf, margin_f
         return dz, margin_f
 
-    return _Samples(cloud, slope, margin, fixed, surface)
+    return _Samples(rows, slope, margin, fixed, surface)
 
 
 def _lows(profile: FaceProfile, cands, samples) -> list:
     """A lower bound of each candidate's moving term, in one pass: the
-    highest lift of the moving-face samples (cloud indices) that lie
+    highest lift of the moving-face samples (sample indices) that lie
     SAMPLE_RTOL of the face's size inside the rim, less margin, which also
-    covers the ulps by which these rows differ from _turned_cloud's; -inf
+    covers the ulps by which these lifts differ from _turned_cloud's; -inf
     if no sample is inside, +inf past the contact model."""
-    cloud, _, margin = _samples(profile)[:3]
+    rows, _, margin = _samples(profile)[:3]
     m = np.array([_pose_matrix(*cand[2:]) for cand in cands])
-    w = cloud[samples] @ m.transpose(0, 2, 1)  # (candidates, samples, 3)
-    xy = w[..., :2] + np.array(cands)[:, None, :2]
-    r = np.hypot(xy[..., 0], xy[..., 1])
-    lift = _height(profile, xy[..., 0], xy[..., 1], r) - w[..., 2]
+    w = m @ rows.take(samples, axis=1)  # each candidate's x, y and z rows
+    at = np.array(cands)[:, :2, None]
+    x, y = w[:, 0] + at[:, 0], w[:, 1] + at[:, 1]
+    r = np.hypot(x, y)
+    lift = _height(profile, x, y, r) - w[:, 2]
     rim = profile.rim_radius_mm
     low = lift.max(axis=1, where=r <= rim - SAMPLE_RTOL * max(1.0, rim), initial=-math.inf)
     low -= margin
@@ -459,16 +461,13 @@ def _scalar_height(profile: FaceProfile, x, y, r) -> list:
     return list(map(_samples(profile).surface, np.arctan2(y, x).tolist(), r.tolist()))
 
 
-def _scalar_finish(profile: FaceProfile, q0, dz, m3, cos_t, evaluations: int):
+def _scalar_finish(profile: FaceProfile, q, dz, g, h, cos_t, evaluations: int):
     """At most `evaluations` more evaluations of _fixed_term's solve in
-    Python floats: (final gaps, final lateral radii) of the kept samples q0
+    Python floats: final gaps and lateral radii of the kept samples' rows q
     from their gaps dz, as arrays. Each step makes the numpy loop's IEEE
-    operations in its order, the angle and radius come from np.arctan2 and
-    np.hypot, and the fixed-point test compares the (finite) gaps' bits, so
-    the result is the loop's to the bit, signs of zero included."""
-    g, h = m3.tolist()
-    cos_t = float(cos_t)
-    xs, ys, zs = q0.T.tolist()
+    operations in its order, with np.arctan2's angle, np.hypot's radius and
+    a bitwise fixed-point test, so the result is the loop's to the bit."""
+    xs, ys, zs = q.tolist()
     dz = dz.tolist()
     for _ in range(evaluations):
         x = np.array([qx - d * g for qx, d in zip(xs, dz)])
@@ -485,13 +484,13 @@ def _scalar_finish(profile: FaceProfile, q0, dz, m3, cos_t, evaluations: int):
 def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     """Fixed-face samples against the moving body.
 
-    A fixed-point solve along the approach axis, at most four evaluations.
-    Each sample's update depends only on its own gap, so an evaluation that
-    returns the previous gaps bit for bit is a fixed point and the solve
-    stops there: the remaining evaluations would repeat it. Returns the
+    A fixed-point solve along the approach axis, at most four evaluations,
+    stopped at a bitwise fixed point: each sample's update depends only on
+    its own gap, so the remaining evaluations would repeat it. Returns the
     highest final gap among the samples that end inside the rim and the
-    cloud index of that (binding) sample; (-inf, -1) when none does. Only
-    meaningful where the moving term is finite.
+    sample index of the first that reaches it (the binding sample);
+    (-inf, -1) when none does. Only meaningful where the moving term is
+    finite.
 
     Only the samples that can bind run on. After evaluation k < 3 moved a
     sample's gap by step to dz (from 0 for k = 0), its final gap lies within
@@ -509,20 +508,20 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     """
     dx, dy, rot, tx, ty = state
     m = _pose_matrix(rot, tx, ty)
-    cloud, slope, margin = _samples(profile)[:3]
-    cos_t = abs(m[2, 2])
-    lean, grow, margin_f = _drift(slope, margin, m[2, 0], m[2, 1], cos_t)
+    rows, slope, margin = _samples(profile)[:3]
+    g, h, cos_t = m[2].tolist()
+    cos_t = abs(cos_t)
+    lean, grow, margin_f = _drift(slope, margin, g, h, cos_t)
     # grow + ... + grow**(3 - k) written out: a quotient of two could round low
     gains = (grow * (1.0 + grow * (1.0 + grow)), grow * (1.0 + grow), grow)
     inner = profile.rim_radius_mm - margin - lean * margin_f
-    q0 = (cloud - np.array([dx, dy, 0.0])) @ m
-    m3 = m[2, :2]
-    pick = np.arange(len(q0))
-    x, y, dz = q0[:, 0], q0[:, 1], 0.0
+    q = m.T @ (rows - np.array([[dx], [dy], [0.0]]))  # the rows in the moving frame
+    pick = np.arange(q.shape[1])
+    x, y, dz = q[0], q[1], 0.0
     r = np.hypot(x, y)
     for k in range(4):
         nxt = _height(profile, x, y, r)
-        nxt -= q0[:, 2]
+        nxt -= q[2]
         nxt /= cos_t
         if k and nxt.tobytes() == dz.tobytes():
             break  # a fixed point, and r already belongs to it
@@ -530,20 +529,20 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
             step = np.abs(nxt - dz)
             r += step * (lean * (1.0 + gains[k]))
             reach = step * gains[k] + margin_f
-            floor = np.max(nxt - reach, where=r <= inner, initial=-math.inf)
-            keep = np.flatnonzero(~(nxt + reach < floor))  # all of them when floor is -inf
-            pick, q0, nxt = pick[keep], q0[keep], nxt[keep]
+            floor = (nxt - reach)[r <= inner].max(initial=-math.inf)
+            keep = (~(nxt + reach < floor)).nonzero()[0]  # all of them when floor is -inf
+            pick, q, nxt = pick[keep], q.take(keep, axis=1), nxt[keep]
             if len(pick) <= SCALAR_SAMPLES:
-                dz, r = _scalar_finish(profile, q0, nxt, m3, cos_t, 3 - k)
+                dz, r = _scalar_finish(profile, q, nxt, g, h, cos_t, 3 - k)
                 break
         dz = nxt
-        x, y = (q0[:, :2] - dz[:, None] * m3).T
+        x, y = q[0] - dz * g, q[1] - dz * h
         r = np.hypot(x, y)
-    kept = np.flatnonzero(r <= profile.rim_radius_mm)
+    kept = (r <= profile.rim_radius_mm).nonzero()[0]
     if not len(kept):
         return -math.inf, -1
     gaps = dz[kept]
-    return float(np.max(gaps)), int(pick[kept[np.argmax(gaps)]])
+    return float(gaps.max()), int(pick[kept[gaps.argmax()]])
 
 
 # settle_height solves the fixed-face term once per exact settle; the

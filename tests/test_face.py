@@ -935,11 +935,29 @@ class TestFrozenKernel:
     def test_random_finite_states(self, state):
         self._check(REFERENCE_PROFILE, (state,))
 
+    def test_rim_mask_keeps_the_first_of_tied_zeros(self, monkeypatch):
+        # the moving term is the lift at the first argmax of the samples
+        # inside the rim, signs of zero included, though it evaluates every
+        # sample: crafted lifts (heights less a +0.0 z row) of samples at
+        # the origin or, outside the rim, at 50 mm
+        rng = np.random.default_rng(7)
+        n = 14 * 72
+        for _ in range(50):
+            heights = rng.choice([0.0, -0.0, -1.0], n)
+            radii = rng.choice([0.0, 0.0, 0.0, 50.0], n)
+            w = np.stack([radii, np.zeros(n), np.zeros(n)])
+            monkeypatch.setattr(face, "_turned_cloud", lambda profile, rot, tx, ty: w)
+            monkeypatch.setattr(face, "_height", lambda profile, x, y, r: heights.copy())
+            inside = np.flatnonzero(radii <= REFERENCE_PROFILE.rim_radius_mm)
+            k = inside[np.argmax(heights[inside])]
+            got = face._moving_term(REFERENCE_PROFILE, (0.0, 0.0, 0.0, 0.0, 0.0))
+            assert (_bits(got[0]), got[1]) == (_bits(heights[k]), k)
+
 
 def _on_rim(profile, state, i):
     """state with its lateral offset moved so that sample i lands on the rim."""
     dx, dy, rot, tx, ty = state
-    wx, wy, _ = face._turned_cloud(profile, rot, tx, ty)[i]
+    wx, wy, _ = face._turned_cloud(profile, rot, tx, ty)[:, i]
     ux, uy = wx + dx, wy + dy
     r = math.hypot(ux, uy)
     ux, uy = (ux / r, uy / r) if r > 0.0 else (1.0, 0.0)
@@ -947,7 +965,7 @@ def _on_rim(profile, state, i):
     return (float(rim * ux - wx), float(rim * uy - wy), rot, tx, ty)
 
 
-_SAMPLE = st.integers(0, 14 * 72 - 1)  # a cloud index: 14 radii x 72 angles
+_SAMPLE = st.integers(0, 14 * 72 - 1)  # a sample index: 14 radii x 72 angles
 
 
 class TestSampleBound:
@@ -979,9 +997,9 @@ class TestSampleBound:
         # each sample on its own: one numpy counts as outside never bounds,
         # one dropped is at most the margin inside the rim, and one kept
         # gives its lift in the turned cloud less the margin
-        w = face._turned_cloud(profile, rot, tx, ty)[samples]
-        wx, wy = w[:, 0] + dx, w[:, 1] + dy
-        r, lift = np.hypot(wx, wy), height_field(profile, wx, wy) - w[:, 2]
+        w = face._turned_cloud(profile, rot, tx, ty)[:, samples]
+        wx, wy = w[0] + dx, w[1] + dy
+        r, lift = np.hypot(wx, wy), height_field(profile, wx, wy) - w[2]
         margin = face._samples(profile).margin
         assert 1e-9 <= margin <= 1e-6
         alone = np.array([face._lows(profile, [state], [i])[0] for i in samples]) + margin
@@ -1102,8 +1120,9 @@ def _points_and_subset(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if n == 14 * 72:
         dx, dy, rot, tx, ty = draw(_STATE)
-        xy = (face._samples(profile).cloud - np.array([dx, dy, 0.0])) @ face._pose_matrix(
-            rot, tx, ty)
+        q = face._pose_matrix(rot, tx, ty).T @ (
+            face._samples(profile).rows - np.array([[dx], [dy], [0.0]]))
+        xy = q.T
     else:
         r = rng.uniform(0.0, 45.0, n)
         snap = rng.random(n) < 0.2
@@ -1162,6 +1181,52 @@ class TestPrunedFixedSolve:
         self._check(profile, (_ROUNDING_TIE,))
         if profile == REFERENCE_PROFILE:
             assert capture_oracle.fixed_term(profile, _ROUNDING_TIE)[1] == 332
+
+
+class TestSampleLayout:
+    """The kernel keeps its samples as (3, 1008) x, y and z rows and works
+    on them with matmuls of the transposed shape. Those must give the bits
+    of the row-major (1008, 3) formulas they replaced: a BLAS that sums in
+    another order fails here, naming the layout, before it moves a settle
+    height or a verdict."""
+
+    @staticmethod
+    def _check(profile, states, monkeypatch):
+        rows = face._samples(profile).rows
+        cloud = capture_oracle._sample_cloud(profile)
+        assert rows.shape == (3, 14 * 72) and rows.flags.c_contiguous
+        assert _bits(rows) == _bits(cloud.T)
+        heads = []
+        real = face._height
+
+        def head(profile, x, y, r):
+            if not heads:
+                heads.append((x, y))
+            return real(profile, x, y, r)
+
+        monkeypatch.setattr(face, "_height", head)
+        for state in states:
+            dx, dy, rot, tx, ty = state
+            m = face._pose_matrix(rot, tx, ty)
+            turned = face._turned_cloud(profile, rot, tx, ty)
+            assert _bits(turned) == _bits((cloud @ m.T).T), state
+            heads.clear()
+            face._fixed_term(profile, state)
+            # the first evaluation reads the x and y rows of the solve's head
+            x, y = heads[0]
+            q = x.base
+            assert q.shape == (3, 14 * 72) and y.base is q
+            assert _bits(q) == _bits(((cloud - np.array([dx, dy, 0.0])) @ m).T), state
+
+    def test_descent_dock_stream_steep_and_tie_states(self, monkeypatch):
+        self._check(REFERENCE_PROFILE, (*_visited_states(), *_dock_stream_states(),
+                                        *_STEEP_STATES, _ROUNDING_TIE, _STEP_TERM), monkeypatch)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(profile=st.sampled_from(_KERNEL_PROFILES), state=_STATE | st.sampled_from(_STEEP_STATES))
+    def test_random_states(self, profile, state):
+        with pytest.MonkeyPatch.context() as m:
+            self._check(profile, (state,), m)
 
 
 class TestScalarFinish:
