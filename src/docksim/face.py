@@ -24,9 +24,13 @@ import numpy as np
 from .errors import CalibrationError, DegenerateProfileError, ParameterError
 
 # Model constants (not profile fields): hub land radius, the engagement
-# gate factor, descent budget and convergence thresholds.
+# gate factor, the contact model's limit, descent budget and convergence
+# thresholds.
 HUB_RADIUS_MM = 16.0
 ENGAGE_FACTOR = 1.5
+# The contact model covers moving-face tilts whose |cos| is at least this
+# (up to about 78.5 degrees); past it settle_height is +inf.
+CONTACT_COS_MIN = 0.2
 DESCENT_BUDGET = 10000
 CONV_LAT_MM = 0.01
 CONV_ANG_DEG = 0.01
@@ -184,27 +188,6 @@ def _smoothstep(x):
 _DEG_PER_RAD = 180.0 / math.pi  # np.degrees multiplies by this
 
 
-def _column(*values: float) -> np.ndarray:
-    col = np.array(values).reshape(-1, 1)
-    col.flags.writeable = False
-    return col
-
-
-@functools.lru_cache(maxsize=16)
-def _field_constants(profile: FaceProfile) -> tuple:
-    """Per-profile constants of height_field: the petal phase, the chamfer
-    fraction, the radial ramps' start radii as a (2, 1) column (hub, chamfer)
-    and the three smoothstep runs as a (3, 1) column (ramp width, hub to
-    groove, chamfer depth)."""
-    crun = max(profile.chamfer_depth_mm, 1e-9)
-    return (
-        profile.groove_positions_deg[0] - 90.0,
-        min(1.0, profile.chamfer_depth_mm / profile.petal_height_mm),
-        _column(HUB_RADIUS_MM, profile.rim_radius_mm - crun),
-        _column(profile.ramp_width_deg, profile.groove_radius_mm - HUB_RADIUS_MM, crun),
-    )
-
-
 def height_field(profile: FaceProfile, x, y):
     """Surface height at cartesian face coordinates.
 
@@ -221,12 +204,12 @@ def height_field(profile: FaceProfile, x, y):
 
 def _height(profile: FaceProfile, x, y, r):
     """height_field at (x, y), given r = np.hypot(x, y), which it only reads."""
-    phase, cfrac, start, run = _field_constants(profile)
+    rec = _samples(profile)
     ramps = np.empty((3, *np.shape(r)))
     hump, inner, chamfer = ramps[0, ...], ramps[1, ...], ramps[2, ...]
     pm = np.arctan2(y, x, out=hump)
     pm *= _DEG_PER_RAD
-    pm -= phase
+    pm -= rec.phase
     # np.mod(phi, 120) without its discarded floor division: the remainder,
     # then 120 added to a negative one (a -0.0 left as it is gives a +0.0 hump)
     np.fmod(pm, 120.0, out=pm)
@@ -235,10 +218,10 @@ def _height(profile: FaceProfile, x, y, r):
     np.minimum(pm, 120.0 - pm, out=pm)
     np.minimum(pm, 60.0 - pm, out=pm)
     stacked = ramps.reshape(3, -1)
-    np.subtract(np.ravel(r), start, out=stacked[1:])
-    stacked /= run
+    np.subtract(np.ravel(r), rec.start, out=stacked[1:])
+    stacked /= rec.run
     _smoothstep(stacked)
-    chamfer *= cfrac
+    chamfer *= rec.cfrac
     np.subtract(1.0, chamfer, out=chamfer)
     chamfer *= inner  # the radial window
     np.copysign(hump, rising, out=hump)  # the hump is never -0.0
@@ -276,14 +259,6 @@ def _pose_matrix(rot: float, tx: float, ty: float) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=64)
-def _turned_cloud(profile: FaceProfile, rot: float, tx: float, ty: float) -> np.ndarray:
-    """The (3, 1008) sample rows in the moving face's orientation (24 KB an entry)."""
-    w = _pose_matrix(rot, tx, ty) @ _samples(profile).rows
-    w.flags.writeable = False
-    return w
-
-
 def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
     """Moving-face samples against the fixed analytic surface.
 
@@ -295,15 +270,17 @@ def _moving_term(profile: FaceProfile, state) -> tuple[float, int]:
     model (either makes settle_height +inf too).
     """
     dx, dy, rot, tx, ty = state
-    if abs(_pose_matrix(rot, tx, ty)[2, 2]) < 0.2:
+    m = _pose_matrix(rot, tx, ty)
+    if abs(m[2, 2]) < CONTACT_COS_MIN:
         return math.inf, -1
-    w = _turned_cloud(profile, rot, tx, ty)
-    x, y = w[0] + dx, w[1] + dy
+    x, y, z = m @ _samples(profile).rows  # the samples in the moving face's orientation
+    x += dx
+    y += dy
     r = np.hypot(x, y)
     inside = r <= profile.rim_radius_mm
     if np.count_nonzero(inside) < 0.25 * len(r):
         return math.inf, -1
-    lift = _height(profile, x, y, r) - w[2]
+    lift = _height(profile, x, y, r) - z
     lift[~inside] = -math.inf
     k = int(lift.argmax())
     return float(lift[k]), k
@@ -335,25 +312,33 @@ def _drift(slope: float, margin: float, g: float, h: float, cos_t: float):
 
 
 class _Samples(NamedTuple):
-    """A profile's contact samples and their scalar bounds; see _samples."""
+    """A profile's contact samples, their scalar bounds and the constants of
+    its height field; see _samples."""
 
     rows: np.ndarray  # (3, 1008) x, y and z rows, read-only: hub rings + annulus on the surface
     slope: float  # a bound of |grad h| in mm per mm
     margin: float  # one sample term's rounding margin, SAMPLE_RTOL of the face's size
+    inner_rim: float  # the rim less SAMPLE_RTOL of its size: a sample inside it bounds its term
+    phase: float  # the petal phase in degrees
+    cfrac: float  # the chamfer's fraction of the petal height
+    start: np.ndarray  # (2, 1) read-only: the radial ramps' start radii (hub, chamfer)
+    run: np.ndarray  # (3, 1) read-only: the smoothstep runs (ramp width, hub to groove, chamfer)
     fixed: Callable
     surface: Callable
 
 
 @functools.lru_cache(maxsize=16)
 def _samples(profile: FaceProfile) -> _Samples:
-    """The contact samples both faces use, the height field of one
-    point in scalar math, and one fixed-face sample's term of settle_height
-    in scalar math.
+    """The one per-profile record of the capture kernel: the contact
+    samples both faces use, the constants _height reads, the height field
+    of one point in scalar math, and one fixed-face sample's term of
+    settle_height in scalar math.
 
     surface(angle, r) is _height at the point of polar angle `angle` (in
     radians, as np.arctan2 gives it) and radius r, in the same IEEE
     operations in the same order: given np.arctan2's angle it has
-    _height's bits, whatever numpy's dispatch level.
+    _height's bits, whatever numpy's dispatch level. The samples' z row is
+    surface at np.arctan2's angle and np.hypot's radius.
 
     fixed(state, i) is fixed-face sample i's final gap in the solve of
     _fixed_term with its margin, as (gap, margin); the gap is -inf if the
@@ -363,25 +348,20 @@ def _samples(profile: FaceProfile) -> _Samples:
     bound of it, and of settle_height. margin covers one moving-face
     sample's rounding (_lows).
     """
-    rim = profile.rim_radius_mm
-    rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
-    ps = np.linspace(0.0, 360.0, 72, endpoint=False)
-    rr, pp = np.meshgrid(rs, ps)
-    rr, pp = rr.ravel(), pp.ravel()
-    x = rr * np.cos(np.radians(pp))
-    y = rr * np.sin(np.radians(pp))
-    rows = np.stack([x, y, height_field(profile, x, y)])
-    rows.flags.writeable = False
-    phase, cfrac, start, run = _field_constants(profile)
-    (hub, cstart), (ramp, inner_run, crun) = start.ravel().tolist(), run.ravel().tolist()
-    height = profile.petal_height_mm
+    rim, height = profile.rim_radius_mm, profile.petal_height_mm
+    phase = profile.groove_positions_deg[0] - 90.0
+    cfrac = min(1.0, profile.chamfer_depth_mm / height)
+    crun = max(profile.chamfer_depth_mm, 1e-9)
+    hub, cstart = HUB_RADIUS_MM, rim - crun
+    ramp, inner_run = profile.ramp_width_deg, profile.groove_radius_mm - HUB_RADIUS_MM
+    start, run = np.array([[hub], [cstart]]), np.array([[ramp], [inner_run], [crun]])
+    start.flags.writeable = run.flags.writeable = False
     # where h can be nonzero (r >= hub): a smoothstep rises at most 1.5
     # times as fast as its argument
     slope = 1.5 * height * (_DEG_PER_RAD / (HUB_RADIUS_MM * ramp) + 1.0 / inner_run
                             + cfrac / crun)
     margin = SAMPLE_RTOL * max(1.0, height, slope * rim)
     inner_rim = rim - SAMPLE_RTOL * max(1.0, rim)
-    points = rows.T.tolist()
     fmod, copysign = math.fmod, math.copysign
 
     # np.maximum and np.minimum as conditional expressions, which Python
@@ -401,11 +381,21 @@ def _samples(profile: FaceProfile) -> _Samples:
         window = (1.0 - cfrac * smooth((r - cstart) / crun)) * smooth((r - hub) / inner_run)
         return copysign(smooth(pm / ramp), rising) * height * window
 
+    rs = np.concatenate([[4.0, 9.0], np.linspace(HUB_RADIUS_MM, rim, 12)])
+    ps = np.linspace(0.0, 360.0, 72, endpoint=False)
+    rr, pp = np.meshgrid(rs, ps)
+    rr, pp = rr.ravel(), pp.ravel()
+    x = rr * np.cos(np.radians(pp))
+    y = rr * np.sin(np.radians(pp))
+    rows = np.stack([x, y, list(map(surface, np.arctan2(y, x).tolist(), np.hypot(x, y).tolist()))])
+    rows.flags.writeable = False
+    points = rows.T.tolist()
+
     def fixed(state, i):
         dx, dy, rot, tx, ty = state
         (a, b, c), (d, e, f), (g, h, k) = _pose_matrix(rot, tx, ty).tolist()
         cos_t = abs(k)
-        if cos_t < 0.2:  # past the contact model: settle_height is +inf
+        if cos_t < CONTACT_COS_MIN:  # past the contact model: settle_height is +inf
             return -math.inf, 0.0
         lean, _, margin_f = _drift(slope, margin, g, h, cos_t)
         cx, cy, cz = points[i]
@@ -424,26 +414,25 @@ def _samples(profile: FaceProfile) -> _Samples:
             return -math.inf, margin_f
         return dz, margin_f
 
-    return _Samples(rows, slope, margin, fixed, surface)
+    return _Samples(rows, slope, margin, inner_rim, phase, cfrac, start, run, fixed, surface)
 
 
 def _lows(profile: FaceProfile, cands, samples) -> list:
     """A lower bound of each candidate's moving term, in one pass: the
     highest lift of the moving-face samples (sample indices) that lie
     SAMPLE_RTOL of the face's size inside the rim, less margin, which also
-    covers the ulps by which these lifts differ from _turned_cloud's; -inf
+    covers the ulps by which these lifts differ from _moving_term's; -inf
     if no sample is inside, +inf past the contact model."""
-    rows, _, margin = _samples(profile)[:3]
+    rows, _, margin, inner_rim = _samples(profile)[:4]
     m = np.array([_pose_matrix(*cand[2:]) for cand in cands])
     w = m @ rows.take(samples, axis=1)  # each candidate's x, y and z rows
     at = np.array(cands)[:, :2, None]
     x, y = w[:, 0] + at[:, 0], w[:, 1] + at[:, 1]
     r = np.hypot(x, y)
     lift = _height(profile, x, y, r) - w[:, 2]
-    rim = profile.rim_radius_mm
-    low = lift.max(axis=1, where=r <= rim - SAMPLE_RTOL * max(1.0, rim), initial=-math.inf)
+    low = lift.max(axis=1, where=r <= inner_rim, initial=-math.inf)
     low -= margin
-    low[np.abs(m[:, 2, 2]) < 0.2] = math.inf
+    low[np.abs(m[:, 2, 2]) < CONTACT_COS_MIN] = math.inf
     return low.tolist()
 
 
@@ -487,10 +476,10 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     A fixed-point solve along the approach axis, at most four evaluations,
     stopped at a bitwise fixed point: each sample's update depends only on
     its own gap, so the remaining evaluations would repeat it. Returns the
-    highest final gap among the samples that end inside the rim and the
-    sample index of the first that reaches it (the binding sample);
-    (-inf, -1) when none does. Only meaningful where the moving term is
-    finite.
+    final gap and sample index of the first sample that ends inside the
+    rim with the highest gap (the binding sample; a tied zero keeps its
+    sign); (-inf, -1) when none does. Only meaningful where the moving
+    term is finite.
 
     Only the samples that can bind run on. After evaluation k < 3 moved a
     sample's gap by step to dz (from 0 for k = 0), its final gap lies within
@@ -542,7 +531,8 @@ def _fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
     if not len(kept):
         return -math.inf, -1
     gaps = dz[kept]
-    return float(gaps.max()), int(pick[kept[gaps.argmax()]])
+    k = int(gaps.argmax())
+    return float(gaps[k]), int(pick[kept[k]])
 
 
 # settle_height solves the fixed-face term once per exact settle; the

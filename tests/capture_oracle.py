@@ -5,7 +5,9 @@ The settle kernel below is a frozen copy of `face.height_field`,
 `face.settle_height` and their helpers as they were before the kernel was
 rewritten for speed: one numpy expression per formula term, no pose or
 cloud memo, and a full four-evaluation fixed-face solve. The production
-kernel must return the same bits for every finite state.
+kernel must return the same bits for every finite state. Both terms take
+the value at the first argmax, as the kernel does: `np.max` would take the
+sign of a tied zero from the lane order of its SIMD reduction.
 
 The production fixed-face solve (`face._fixed_term`) stops at a bitwise
 fixed point, and runs each later evaluation only on the samples that a
@@ -126,7 +128,8 @@ def _moving_term(profile: FaceProfile, state) -> float:
     inside = np.hypot(wx, wy) <= profile.rim_radius_mm
     if inside.sum() < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
         return math.inf
-    return float(np.max(height_field(profile, wx[inside], wy[inside]) - w[inside, 2]))
+    lift = height_field(profile, wx[inside], wy[inside]) - w[inside, 2]
+    return float(lift[np.argmax(lift)])
 
 
 def _remembered(term):
@@ -163,14 +166,14 @@ def fixed_samples(profile: FaceProfile, state) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fixed_term(profile: FaceProfile, state) -> tuple[float, int]:
-    """The highest final gap among the samples that end inside the rim and
-    the cloud index of the first sample that reaches it; (-inf, -1) when
-    none does."""
+    """The final gap of the first sample that ends inside the rim with the
+    highest gap, and its cloud index; (-inf, -1) when none does."""
     dz, lat = fixed_samples(profile, state)
     kept = np.flatnonzero(np.hypot(lat[:, 0], lat[:, 1]) <= profile.rim_radius_mm)
     if not len(kept):
         return -math.inf, -1
-    return float(np.max(dz[kept])), int(kept[np.argmax(dz[kept])])
+    k = int(np.argmax(dz[kept]))
+    return float(dz[kept[k]]), int(kept[k])
 
 
 def settle_height(profile: FaceProfile, state) -> float:

@@ -93,19 +93,18 @@ class TestProfileValidation:
         # copy hashes and compares equal and hits the entries its twin made
         p = replace(REFERENCE_PROFILE, chamfer_depth_mm=0.75)
         mis = Misalignment(dx_mm=1.0)
-        face._field_constants(p)
-        face._samples(p)
+        record = face._samples(p)
         mate_feasible(p, mis)
         q = replace(p)
         assert q is not p and q == p and hash(q) == hash(p)
         assert asdict(q) == asdict(p) and list(asdict(q)) == [f.name for f in fields(FaceProfile)]
-        for memo, call in ((face._field_constants, lambda: face._field_constants(q)),
-                           (face._samples, lambda: face._samples(q)),
+        for memo, call in ((face._samples, lambda: face._samples(q)),
                            (face._feasible, lambda: mate_feasible(q, mis))):
             before = memo.cache_info()
             call()
             after = memo.cache_info()
             assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert face._samples(q) is record  # the one per-profile record
 
     def test_ramp_width_cap(self):
         steep = FaceProfile(6.5, 5.0, 27.0, 1.0)
@@ -633,6 +632,14 @@ def _visited_states() -> tuple:
 
 
 class TestSettleMemo:
+    def test_memo_inventory(self):
+        # every memo of the capture kernel with its bound: adding, removing
+        # or resizing one is a change made on purpose, here and in README
+        memos = {name: obj.cache_info().maxsize for name, obj in vars(face).items()
+                 if hasattr(obj, "cache_info")}
+        assert memos == {"_feasible": 500_000, "_floor": 1024, "_fixed": 1024,
+                         "_pose_matrix": 1024, "_join": 4096, "_samples": 16}
+
     def test_memo_bounded_after_reference_envelope(self, reference_envelope):
         for memo in (face._floor, face._fixed):
             info = memo.cache_info()
@@ -942,11 +949,14 @@ class TestFrozenKernel:
         # the origin or, outside the rim, at 50 mm
         rng = np.random.default_rng(7)
         n = 14 * 72
+        record = face._samples(REFERENCE_PROFILE)
         for _ in range(50):
             heights = rng.choice([0.0, -0.0, -1.0], n)
             radii = rng.choice([0.0, 0.0, 0.0, 50.0], n)
-            w = np.stack([radii, np.zeros(n), np.zeros(n)])
-            monkeypatch.setattr(face, "_turned_cloud", lambda profile, rot, tx, ty: w)
+            rows = np.stack([radii, np.zeros(n), np.zeros(n)])
+            w = face._pose_matrix(0.0, 0.0, 0.0) @ rows  # as _moving_term turns them
+            assert _bits(w[0]) == _bits(radii) and _bits(w[2]) == _bits(np.zeros(n))
+            monkeypatch.setattr(face, "_samples", lambda profile: record._replace(rows=rows))
             monkeypatch.setattr(face, "_height", lambda profile, x, y, r: heights.copy())
             inside = np.flatnonzero(radii <= REFERENCE_PROFILE.rim_radius_mm)
             k = inside[np.argmax(heights[inside])]
@@ -957,7 +967,7 @@ class TestFrozenKernel:
 def _on_rim(profile, state, i):
     """state with its lateral offset moved so that sample i lands on the rim."""
     dx, dy, rot, tx, ty = state
-    wx, wy, _ = face._turned_cloud(profile, rot, tx, ty)[:, i]
+    wx, wy, _ = (face._pose_matrix(rot, tx, ty) @ face._samples(profile).rows)[:, i]
     ux, uy = wx + dx, wy + dy
     r = math.hypot(ux, uy)
     ux, uy = (ux / r, uy / r) if r > 0.0 else (1.0, 0.0)
@@ -997,7 +1007,7 @@ class TestSampleBound:
         # each sample on its own: one numpy counts as outside never bounds,
         # one dropped is at most the margin inside the rim, and one kept
         # gives its lift in the turned cloud less the margin
-        w = face._turned_cloud(profile, rot, tx, ty)[:, samples]
+        w = (face._pose_matrix(rot, tx, ty) @ face._samples(profile).rows)[:, samples]
         wx, wy = w[0] + dx, w[1] + dy
         r, lift = np.hypot(wx, wy), height_field(profile, wx, wy) - w[2]
         margin = face._samples(profile).margin
@@ -1182,6 +1192,32 @@ class TestPrunedFixedSolve:
         if profile == REFERENCE_PROFILE:
             assert capture_oracle.fixed_term(profile, _ROUNDING_TIE)[1] == 332
 
+    def test_first_of_tied_zero_gaps(self, monkeypatch):
+        # the fixed term is the gap at the first argmax of the samples that
+        # end inside the rim, signs of zero included, though the prune keeps
+        # only some of them: crafted gaps (heights less a +0.0 z row, at no
+        # tilt) of samples on the x axis, each at its own radius, a fifth of
+        # them outside the rim. The solve stays in numpy, where _height is
+        # patched to read each sample's crafted height by its x
+        rng = np.random.default_rng(11)
+        n = 14 * 72
+        record = face._samples(REFERENCE_PROFILE)
+        monkeypatch.setattr(face, "SCALAR_SAMPLES", 0)
+        for _ in range(50):
+            heights = rng.choice([0.0, -0.0, -1.0], n)
+            radii = rng.permutation(np.arange(n) * 0.05)
+            table = dict(zip(radii.tolist(), heights.tolist()))
+            rows = np.stack([radii, np.zeros(n), np.full(n, -0.0)])
+            q = face._pose_matrix(0.0, 0.0, 0.0).T @ rows  # as _fixed_term turns them
+            assert _bits(q[0]) == _bits(radii) and _bits(q[2]) == _bits(np.zeros(n))
+            monkeypatch.setattr(face, "_samples", lambda profile: record._replace(rows=rows))
+            monkeypatch.setattr(face, "_height",
+                                lambda profile, x, y, r: np.array([table[v] for v in x.tolist()]))
+            inside = np.flatnonzero(radii <= REFERENCE_PROFILE.rim_radius_mm)
+            k = inside[np.argmax(heights[inside])]
+            got = face._fixed_term(REFERENCE_PROFILE, (0.0, 0.0, 0.0, 0.0, 0.0))
+            assert (_bits(got[0]), got[1]) == (_bits(heights[k]), k)
+
 
 class TestSampleLayout:
     """The kernel keeps its samples as (3, 1008) x, y and z rows and works
@@ -1196,6 +1232,9 @@ class TestSampleLayout:
         cloud = capture_oracle._sample_cloud(profile)
         assert rows.shape == (3, 14 * 72) and rows.flags.c_contiguous
         assert _bits(rows) == _bits(cloud.T)
+        # the record's z row, taken from its scalar surface, is _height's
+        assert _bits(face._height(profile, rows[0], rows[1], np.hypot(rows[0], rows[1]))) == _bits(
+            rows[2])
         heads = []
         real = face._height
 
@@ -1208,8 +1247,15 @@ class TestSampleLayout:
         for state in states:
             dx, dy, rot, tx, ty = state
             m = face._pose_matrix(rot, tx, ty)
-            turned = face._turned_cloud(profile, rot, tx, ty)
-            assert _bits(turned) == _bits((cloud @ m.T).T), state
+            if abs(m[2, 2]) >= face.CONTACT_COS_MIN:
+                heads.clear()
+                # the moving term adds the offset to the turned rows in
+                # place, and adding -0.0 leaves every bit as it is
+                face._moving_term(profile, (-0.0, -0.0, rot, tx, ty))
+                x, y = heads[0]
+                turned = x.base
+                assert turned.shape == (3, 14 * 72) and y.base is turned
+                assert _bits(turned) == _bits((cloud @ m.T).T), state
             heads.clear()
             face._fixed_term(profile, state)
             # the first evaluation reads the x and y rows of the solve's head
