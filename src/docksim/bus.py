@@ -60,7 +60,12 @@ class PowerBus:
 
     @property
     def allocated_w(self) -> float:
-        return float(sum(self._grants.values()))
+        """The granted watts added left to right, in grant order (the
+        builtin sum compensates float rounding since Python 3.12)."""
+        total = 0.0
+        for watts in self._grants.values():
+            total += watts
+        return total
 
     def request_power(self, watts: float) -> int | None:
         """Grant id when the connected rail can carry the load, else None."""

@@ -117,7 +117,9 @@ def check_load(
             raise ParameterError(f"{k} utilization overflows: load {load!r} over scaled "
                                  f"capacity {scale * caps[k]!r}")
     if env.interaction == "linear":
-        combined = sum(util.values())
+        combined = 0.0
+        for u in util.values():  # left to right: builtin sum compensates since 3.12
+            combined += u
         if math.isinf(combined):
             terms = ", ".join(f"{k} {u!r}" for k, u in util.items())
             raise ParameterError(f"combined utilization overflows: the linear sum of {terms}")

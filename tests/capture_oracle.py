@@ -117,19 +117,27 @@ def _pose_matrix(state) -> np.ndarray:
     return _tilt_matrix(tx, ty) @ _rot_z(rot) @ _FLIP
 
 
-def _moving_term(profile: FaceProfile, state) -> float:
-    """Moving-face samples against the fixed analytic surface."""
+def moving_term(profile: FaceProfile, state) -> tuple[float, int]:
+    """Moving-face samples against the fixed analytic surface: the highest
+    lift of the samples inside the rim and the cloud index of the first
+    that reaches it; (+inf, -1) when face overlap is lost or the tilt is
+    past the contact model."""
     dx, dy = state[0], state[1]
     m = _pose_matrix(state)
     cloud = _sample_cloud(profile)
     w = cloud @ m.T
     wx = w[:, 0] + dx
     wy = w[:, 1] + dy
-    inside = np.hypot(wx, wy) <= profile.rim_radius_mm
-    if inside.sum() < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
-        return math.inf
+    inside = np.flatnonzero(np.hypot(wx, wy) <= profile.rim_radius_mm)
+    if len(inside) < 0.25 * len(cloud) or abs(m[2, 2]) < 0.2:
+        return math.inf, -1
     lift = height_field(profile, wx[inside], wy[inside]) - w[inside, 2]
-    return float(lift[np.argmax(lift)])
+    k = int(np.argmax(lift))
+    return float(lift[k]), int(inside[k])
+
+
+def _moving_term(profile: FaceProfile, state) -> float:
+    return moving_term(profile, state)[0]
 
 
 def _remembered(term):

@@ -13,7 +13,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from docksim.errors import CalibrationError, DegenerateProfileError, ParameterError
@@ -634,7 +634,7 @@ def _visited_states() -> tuple:
 class TestSettleMemo:
     def test_memo_inventory(self):
         # every memo of the capture kernel with its bound: adding, removing
-        # or resizing one is a change made on purpose, here and in README
+        # or resizing one is a change made on purpose
         memos = {name: obj.cache_info().maxsize for name, obj in vars(face).items()
                  if hasattr(obj, "cache_info")}
         assert memos == {"_feasible": 500_000, "_floor": 1024, "_fixed": 1024,
@@ -1327,6 +1327,48 @@ class TestScalarFinish:
         # thresholds of _check (0 and all 1,008 samples) never take it
         handoffs = sum(calls[0][0] == "vector" and calls[-1][0] == "scalar" for calls in later)
         assert paths["scalar"] > 0 and paths["vector"] > 0 and handoffs > 0, (paths, handoffs)
+
+
+@st.composite
+def _far_profile(draw):
+    """A valid profile anywhere in its domain, far from _KERNEL_PROFILES:
+    petal heights from 1e-4 to 20 mm, flanks from 0.5 to 89.5 degrees, any
+    groove radius between hub and rim, any groove phase, chamfers to 25 mm."""
+    phase = draw(st.floats(-360.0, 360.0))
+    return FaceProfile(
+        petal_height_mm=draw(st.floats(1e-4, 20.0)),
+        petal_flank_angle_deg=draw(st.floats(0.5, 89.5)),
+        groove_radius_mm=draw(st.floats(face.HUB_RADIUS_MM, REFERENCE_PROFILE.rim_radius_mm,
+                                        exclude_min=True, exclude_max=True)),
+        chamfer_depth_mm=draw(st.floats(0.0, 25.0)),
+        groove_positions_deg=(phase, phase + 120.0, phase + 240.0),
+    )
+
+
+class TestFarProfiles:
+    """calibrate and any scenario profile reach faces far from the ones the
+    kernel's other bit tests run on: there too both settle terms return the
+    frozen copy's bits and binding index, and the scalar fixed-face bound,
+    less its margin, never exceeds the fixed-face term or the settle height."""
+
+    # no shrink phase: each example makes about 3,000 scalar solves, so
+    # shrinking a failure would take minutes; the failing draw is reported
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              phases=[Phase.generate])
+    @given(profile=_far_profile(),
+           states=st.lists(_STATE | st.sampled_from(_STEEP_STATES), min_size=3, max_size=3))
+    def test_kernel_matches_the_oracle(self, profile, states):
+        fixed = face._samples(profile).fixed
+        for state in states:
+            got = face._moving_term(profile, state)
+            want = capture_oracle.moving_term(profile, state)
+            assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1]), state
+            got = face._fixed_term(profile, state)
+            want = capture_oracle.fixed_term(profile, state)
+            assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1]), state
+            lower = max(gap - margin for gap, margin in (fixed(state, i) for i in range(14 * 72)))
+            assert lower <= want[0], state
+            assert lower <= capture_oracle.settle_height(profile, state), state
 
 
 class TestWorkCounters:

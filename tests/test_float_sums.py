@@ -12,11 +12,13 @@ import pytest
 from docksim.bus import PowerBus
 from docksim.loads import LoadEnvelope, Wrench, check_load
 
+_left_to_right = builtins.sum
+
 
 def _compensated_sum(iterable, /, start=0):
-    """builtins.sum as Python 3.12 computes it for floats (Neumaier)."""
+    """builtins.sum as Python 3.12 and later compute it for floats (Neumaier)."""
     values = list(iterable)
-    if not all(type(v) is float for v in values) or type(start) not in (int, float):
+    if not values or not all(type(v) is float for v in values) or type(start) not in (int, float):
         return _left_to_right(values, start)
     total, carry = float(start), 0.0
     for v in values:
@@ -24,9 +26,6 @@ def _compensated_sum(iterable, /, start=0):
         carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
         total = t
     return total + carry
-
-
-_left_to_right = builtins.sum
 
 
 @pytest.fixture
